@@ -7,8 +7,10 @@ derivative evaluated at forward time, which keeps the backward loop
 generic across all primitives.
 
 Networks in this project have at most a few thousand parameters, so a
-scalar tape with a fused affine/dot primitive is fast enough and keeps
-full control over the branchy Tweedie likelihood.
+scalar tape with a fused affine/dot primitive is fast enough for them.
+A vectorised computation enters the tape as one node whose parents carry
+partials computed outside it, as the Tweedie likelihood does in
+``model.model_log_likelihood``.
 """
 
 from __future__ import annotations
@@ -39,9 +41,6 @@ class NonFiniteGradientError(RuntimeError):
         super().__init__(
             f"non-finite gradient {value!r} for parameter {name!r} (flat index {index})"
         )
-
-
-_LOG_HALF = math.log(0.5)
 
 
 class TapeNode:

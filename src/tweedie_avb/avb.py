@@ -32,14 +32,22 @@ from .autodiff import (
     collect_gradient,
     slice_leaves,
 )
-from .model import Dataset, LatentAssignment, model_log_likelihood, model_log_likelihood_value
-from .tweedie import TruncationConfig, tweedie_sample_array
+from .model import (
+    Dataset,
+    FlaggedObservationError,
+    LatentAssignment,
+    model_log_likelihood,
+    model_log_likelihood_value,
+)
+from .tweedie import TruncationConfig, compound_arrays, tweedie_sample_array
 
 LOG_2PI_E = math.log(2.0 * math.pi) + 1.0
+#: Likelihood failures at a latent draw that training turns into a TrainingAbortError.
+_LIKELIHOOD_FAILURES = (FlaggedObservationError, ad.DomainError)
 
 
 class TrainingAbortError(RuntimeError):
-    """Training hit a non-finite loss; carries the last good checkpoint."""
+    """Training hit a numerical failure; carries the last good checkpoint."""
 
     def __init__(self, step: int, message: str, checkpoint: Optional["FitResult"] = None):
         self.step = step
@@ -374,11 +382,6 @@ def sample_posterior(q: InferenceNet, rng: np.random.Generator,
     )
 
 
-def sample_prior(h: HyperPrior, rng: np.random.Generator) -> np.ndarray:
-    """Reparameterized draw from the hyper prior over the raw globals."""
-    return h.sample_np(rng)
-
-
 # ---------------------------------------------------------------------------
 # Losses
 # ---------------------------------------------------------------------------
@@ -510,7 +513,8 @@ def train(data: Dataset, cfg: TrainConfig, valid: Optional[Dataset] = None) -> F
     Each outer step performs exactly ``n_critic`` critic Adam updates on
     the density-ratio loss, then one Adam update of the inference-side
     parameters on the critic-estimated negative ELBO.  Deterministic
-    given the seed.  A non-finite loss aborts with the last good
+    given the seed.  A non-finite loss, or a likelihood that overflows
+    the log link or leaves its domain, aborts with the last good
     parameter checkpoint attached.
     """
     if data.n_obs == 0:
@@ -554,9 +558,12 @@ def train(data: Dataset, cfg: TrainConfig, valid: Optional[Dataset] = None) -> F
             adam_step(trainer.critic_store, grad, adam_critic)
         rows = rng.choice(m, size=batch_size, replace=False)
         minibatch = data.subset(np.sort(rows))
-        graph = generator_loss(minibatch, trainer.q, trainer.disc, trainer.hyper,
-                               cfg, rng, group_posterior=trainer.group_posterior,
-                               data_scale=m / batch_size)
+        try:
+            graph = generator_loss(minibatch, trainer.q, trainer.disc, trainer.hyper,
+                                   cfg, rng, group_posterior=trainer.group_posterior,
+                                   data_scale=m / batch_size)
+        except _LIKELIHOOD_FAILURES as exc:
+            _abort(step, f"generator loss: {exc}")
         gen_loss = graph.loss.value
         if not math.isfinite(gen_loss):
             _abort(step, f"non-finite generator loss {gen_loss!r}")
@@ -566,7 +573,10 @@ def train(data: Dataset, cfg: TrainConfig, valid: Optional[Dataset] = None) -> F
         gen_trace.append(gen_loss)
 
         if valid is not None and (step + 1) % cfg.eval_every == 0:
-            nll = _validation_nll(trainer, valid, cfg, rng)
+            try:
+                nll = _validation_nll(trainer, valid, cfg, rng)
+            except _LIKELIHOOD_FAILURES as exc:
+                _abort(step, f"validation likelihood: {exc}")
             if nll < best_nll - 1e-9:
                 best_nll = nll
                 best_params = trainer.gen_store.copy()
@@ -647,9 +657,7 @@ def posterior_predict(fit: FitResult, fixed_design: np.ndarray,
             eta[~seen] = eta[~seen] + sigma_b[s] * rng.standard_normal((~seen).sum())
         eta = np.clip(eta, -30.0, 30.0)
         mu[s] = np.exp(eta)
-        lam = mu[s] ** (2.0 - p[s]) / (phi[s] * (2.0 - p[s]))
-        alpha = (2.0 - p[s]) / (p[s] - 1.0)
-        beta = phi[s] * (p[s] - 1.0) * mu[s] ** (p[s] - 1.0)
+        lam, alpha, beta = compound_arrays(mu[s], p[s], phi[s])
         samples[s] = tweedie_sample_array(lam, alpha, beta, rng)
     out = {"mean": mu.mean(axis=0)}
     qs = np.quantile(samples, quantiles, axis=0)

@@ -204,17 +204,8 @@ def _apply_stored_transform(fit: FitResult, ds):
     info = fit.metadata.get("standardize")
     if not info or not info.get("enabled"):
         return ds
-    means = np.asarray(info["means"])
-    scales = np.asarray(info["scales"])
-    from .model import Dataset
-    return Dataset(
-        responses=ds.responses.copy(),
-        fixed_design=(ds.fixed_design - means) / scales,
-        group_index=ds.group_index.copy(),
-        group_count=ds.group_count,
-        column_names=list(ds.column_names),
-        group_levels=ds.group_levels,
-    )
+    return data_io.apply_standardization(ds, np.asarray(info["means"]),
+                                         np.asarray(info["scales"]))
 
 
 def _encode_groups(fit: FitResult, ds) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import Dataset
-from .tweedie import EdmParams, to_compound, tweedie_sample_array
+from .tweedie import compound_arrays, tweedie_sample_array
 
 
 class SchemaError(ValueError):
@@ -307,18 +307,20 @@ def standardize(train: Dataset, others: Sequence[Dataset] = ()) -> tuple:
             continue
         means[j] = col.mean()
         scales[j] = std
+    return (apply_standardization(train, means, scales),
+            [apply_standardization(ds, means, scales) for ds in others], means, scales)
 
-    def apply(ds: Dataset) -> Dataset:
-        return Dataset(
-            responses=ds.responses.copy(),
-            fixed_design=(ds.fixed_design - means) / scales,
-            group_index=ds.group_index.copy(),
-            group_count=ds.group_count,
-            column_names=list(ds.column_names),
-            group_levels=ds.group_levels,
-        )
 
-    return apply(train), [apply(ds) for ds in others], means, scales
+def apply_standardization(ds: Dataset, means: np.ndarray, scales: np.ndarray) -> Dataset:
+    """Copy of ``ds`` with covariate column j mapped to (x - means[j]) / scales[j]."""
+    return Dataset(
+        responses=ds.responses.copy(),
+        fixed_design=(ds.fixed_design - means) / scales,
+        group_index=ds.group_index.copy(),
+        group_count=ds.group_count,
+        column_names=list(ds.column_names),
+        group_levels=ds.group_levels,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +348,7 @@ def simulate_dataset(truth: SimTruth, rng: np.random.Generator) -> tuple[Dataset
         eta = eta + b[groups]
     mu = np.exp(eta)
     p, phi = truth.p_index, truth.dispersion
-    lam = mu ** (2.0 - p) / (phi * (2.0 - p))
-    alpha = (2.0 - p) / (p - 1.0)
-    beta = phi * (p - 1.0) * mu ** (p - 1.0)
+    lam, alpha, beta = compound_arrays(mu, p, phi)
     y = tweedie_sample_array(lam, alpha, beta, rng)
     data = Dataset(
         responses=y,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -53,16 +52,6 @@ class LorenzCurve:
             writer.writerow(["F_p", "F_y"])
             for fp, fy in self.points:
                 writer.writerow([repr(float(fp)), repr(float(fy))])
-
-
-@dataclass(frozen=True)
-class GiniReport:
-    """One pairwise Gini entry, optionally with a resampled standard error."""
-
-    gini: float
-    baseline_name: str
-    model_name: str
-    standard_error: Optional[float] = None
 
 
 def ordered_lorenz(y: np.ndarray, p: np.ndarray, y_hat: np.ndarray) -> LorenzCurve:

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import expit
 
-from .model import Dataset, LatentAssignment, model_log_likelihood_value
+from .model import Dataset, LatentAssignment, intercept_log_prior, model_log_likelihood_value
 from .tweedie import LOG_2PI, TruncationConfig
 
 BLOCK_ORDER = ("w", "raw_p", "raw_log_dispersion", "raw_log_sigma_b", "b")
@@ -134,14 +134,14 @@ def log_unnormalized_posterior(data: Dataset, z: LatentAssignment,
         np.asarray(z.fixed_weights, dtype=float),
         [float(z.raw_p), float(z.raw_log_dispersion), float(z.raw_log_sigma_b)],
     ])
+    return model_log_likelihood_value(data, z, t, b=b) + _globals_log_prior(
+        raw, prior_loc, prior_scale)
+
+
+def _globals_log_prior(raw: np.ndarray, prior_loc: np.ndarray,
+                       prior_scale: np.ndarray) -> float:
     resid = (raw - prior_loc) / prior_scale
-    prior = float(np.sum(-0.5 * LOG_2PI - np.log(prior_scale) - 0.5 * resid ** 2))
-    return model_log_likelihood_value(data, z, t, b=b) + prior
-
-
-def _b_prior_only(raw_log_sigma_b: float, b: np.ndarray) -> float:
-    sigma = math.exp(raw_log_sigma_b)
-    return float(np.sum(-0.5 * LOG_2PI - math.log(sigma) - b * b / (2.0 * sigma ** 2)))
+    return float(np.sum(-0.5 * LOG_2PI - np.log(prior_scale) - 0.5 * resid ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +233,6 @@ def run_chain(data: Dataset, cfg: ChainConfig,
     g = data.group_count
 
     def log_target(state: dict) -> float:
-        raw = np.concatenate([state["w"], state["raw_p"], state["raw_log_dispersion"],
-                              state["raw_log_sigma_b"]])
-        resid = (raw - prior_loc) / prior_scale
-        lp = float(np.sum(-0.5 * LOG_2PI - np.log(prior_scale) - 0.5 * resid ** 2))
         b = state.get("b", np.zeros(0))
         if include_likelihood:
             z = LatentAssignment(
@@ -247,11 +243,14 @@ def run_chain(data: Dataset, cfg: ChainConfig,
                 group_noise=np.zeros(g),
             )
             try:
-                return lp + model_log_likelihood_value(data, z, t, b=b)
+                return log_unnormalized_posterior(data, z, prior_loc, prior_scale, t, b=b)
             except (OverflowError, FloatingPointError, ValueError):
                 return -math.inf
+        raw = np.concatenate([state["w"], state["raw_p"], state["raw_log_dispersion"],
+                              state["raw_log_sigma_b"]])
+        lp = _globals_log_prior(raw, prior_loc, prior_scale)
         if g:
-            lp += _b_prior_only(float(state["raw_log_sigma_b"][0]), b)
+            lp += intercept_log_prior(b, math.exp(float(state["raw_log_sigma_b"][0])))
         return lp
 
     init = {

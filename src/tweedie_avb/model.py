@@ -7,16 +7,16 @@ unconstrained index parameter, log dispersion, log random-effect scale)
 plus per-group noise.  Constraint maps: p_index = 1 + sigmoid(raw),
 dispersion = exp(raw), sigma_b = exp(raw); the link is log.
 
-The log likelihood exists in two forms that agree to rounding: a
-differentiable tape graph (used by the variational trainer) and a plain
-numpy evaluation (used by the MCMC validator and tests).
+The log likelihood has one formula, the numpy Tweedie density.  The MCMC
+validator calls it for values; the variational trainer wraps it as a
+single tape node whose local partials are the density's analytic
+partials chained through the linear predictor and the constraint maps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -29,11 +29,9 @@ from .tweedie import (
     EdmParams,
     InvalidParameterError,
     TruncationConfig,
-    compound_arrays,
-    series_slope,
-    summation_range,
     to_compound,
     tweedie_log_pdf,
+    tweedie_log_pdf_partials,
 )
 
 ETA_OVERFLOW_LIMIT = 30.0
@@ -162,10 +160,7 @@ def per_obs_params(eta: np.ndarray, p_index: float, dispersion: float) -> list[C
     producing infinities.
     """
     eta = np.asarray(eta, dtype=float)
-    big = np.abs(eta) > ETA_OVERFLOW_LIMIT
-    if big.any():
-        i = int(np.argmax(big))
-        raise FlaggedObservationError(i, float(eta[i]))
+    _check_overflow(eta)
     return [
         to_compound(EdmParams(mu=math.exp(e), p_index=p_index, dispersion=dispersion))
         for e in eta
@@ -173,8 +168,20 @@ def per_obs_params(eta: np.ndarray, p_index: float, dispersion: float) -> list[C
 
 
 # ---------------------------------------------------------------------------
-# Log likelihood: numpy path
+# Log likelihood
 # ---------------------------------------------------------------------------
+
+def _check_overflow(eta: np.ndarray) -> None:
+    big = np.abs(eta) > ETA_OVERFLOW_LIMIT
+    if big.any():
+        i = int(np.argmax(big))
+        raise FlaggedObservationError(i, float(eta[i]))
+
+
+def intercept_log_prior(b: np.ndarray, sigma_b: float) -> float:
+    """sum_g log N(b_g; 0, sigma_b^2)."""
+    return float(np.sum(-0.5 * LOG_2PI - math.log(sigma_b) - b * b / (2.0 * sigma_b ** 2)))
+
 
 def model_log_likelihood_value(data: Dataset, z: LatentAssignment,
                                t: TruncationConfig, b=None) -> float:
@@ -190,24 +197,14 @@ def model_log_likelihood_value(data: Dataset, z: LatentAssignment,
     if b is None:
         b = reparam_random_effects(sigma_b, z.group_noise)
     eta = linear_predictor(data, np.asarray(z.fixed_weights, dtype=float), b)
-    big = np.abs(eta) > ETA_OVERFLOW_LIMIT
-    if big.any():
-        i = int(np.argmax(big))
-        raise FlaggedObservationError(i, float(eta[i]))
+    _check_overflow(eta)
     mu = np.exp(eta)
     data_term = float(tweedie_log_pdf(data.responses, mu, p, phi, t).sum())
     prior_term = 0.0
     if data.group_count > 0:
-        b = np.asarray(b, dtype=float)
-        prior_term = float(
-            np.sum(-0.5 * LOG_2PI - math.log(sigma_b) - b * b / (2.0 * sigma_b ** 2))
-        )
+        prior_term = intercept_log_prior(np.asarray(b, dtype=float), sigma_b)
     return data_term + prior_term
 
-
-# ---------------------------------------------------------------------------
-# Log likelihood: tape path
-# ---------------------------------------------------------------------------
 
 def model_log_likelihood(tape: Tape, data: Dataset, z: LatentAssignment,
                          t: TruncationConfig, b=None,
@@ -219,104 +216,39 @@ def model_log_likelihood(tape: Tape, data: Dataset, z: LatentAssignment,
     field (and to explicit ``b`` nodes when provided).  ``data_scale``
     multiplies the per-observation data terms only (minibatch
     reweighting); the intercept prior term is never scaled.
+
+    The result is one node: its value and its partials in the latent
+    nodes come from :func:`tweedie_log_pdf_partials` in numpy.
     """
-    s = ad.sigmoid(z.raw_p)          # = p - 1
-    two_m_p = 1.0 - s                # = 2 - p
-    log_pm1 = ad.log(s)
-    log_2mp = ad.log(two_m_p)
-    alpha = two_m_p / s
-    log_phi = z.raw_log_dispersion
-    sigma_b = ad.exp(z.raw_log_sigma_b)
-
-    # shared affine offsets for per-observation log(lambda) and log(beta)
-    c_lam = ad.neg(log_phi + log_2mp)
-    c_beta = log_phi + log_pm1
-
     w_nodes = list(z.fixed_weights)
     if len(w_nodes) != data.n_covariates + 1:
         raise ShapeError(f"fixed_weights must have length {data.n_covariates + 1}")
-
+    b_nodes = []
     if data.group_count > 0:
         if b is None:
-            b = reparam_random_effects(sigma_b, z.group_noise)
+            b = reparam_random_effects(ad.exp(z.raw_log_sigma_b), z.group_noise)
         b_nodes = list(b)
-    else:
-        b_nodes = []
-
-    # window selection uses plain float values (non-differentiable choice)
-    p_val = 1.0 + s.value
-    phi_val = math.exp(log_phi.value)
-    w_val = np.array([n.value for n in w_nodes])
-    b_val = np.array([_value(n) for n in b_nodes]) if b_nodes else np.zeros(0)
-    eta_val = linear_predictor(data, w_val, b_val)
-    big = np.abs(eta_val) > ETA_OVERFLOW_LIMIT
-    if big.any():
-        i = int(np.argmax(big))
-        raise FlaggedObservationError(i, float(eta_val[i]))
-    y = data.responses
-    pos = y > 0.0
-    mu_val = np.exp(eta_val)
-    # the same counts as the numpy path: core window plus non-negligible tails
-    lo = np.ones(data.n_obs, dtype=int)
-    hi = lo.copy()
-    if pos.any():
-        lam_val, alpha_val, beta_val = compound_arrays(mu_val[pos], p_val, phi_val)
-        lo[pos], hi[pos], _ = summation_range(
-            series_slope(y[pos], lam_val, alpha_val, beta_val), alpha_val, t)
-
-    na_cache: dict[int, tuple[TapeNode, TapeNode]] = {}
-
-    def nalpha_terms(n: int) -> tuple[TapeNode, TapeNode]:
-        cached = na_cache.get(n)
-        if cached is None:
-            na = alpha * float(n)
-            cached = (na, ad.log_gamma(na))
-            na_cache[n] = cached
-        return cached
-
-    contributions = []
-    for i in range(data.n_obs):
-        pairs = [(wn, x) for wn, x in zip(w_nodes[1:], data.fixed_design[i])]
-        if b_nodes:
-            pairs.append((b_nodes[data.group_index[i]], 1.0))
-        eta_i = ad.dot(pairs, bias=w_nodes[0])
-        log_lam_i = ad.dot([(two_m_p, eta_i)], bias=c_lam)
-        lam_i = ad.exp(log_lam_i)
-        if y[i] == 0.0:
-            contributions.append(ad.neg(lam_i))
-            continue
-        log_y = math.log(y[i])
-        log_beta_i = ad.dot([(s, eta_i)], bias=c_beta)
-        lydiff_i = log_y - log_beta_i
-        y_over_beta_i = float(y[i]) * ad.exp(ad.neg(log_beta_i))
-        terms = []
-        for n in range(lo[i], hi[i]):
-            na, lg_na = nalpha_terms(n)
-            terms.append(
-                ad.dot(
-                    [
-                        (na, lydiff_i),
-                        (lg_na, -1.0),
-                        (log_lam_i, float(n)),
-                        (y_over_beta_i, -1.0),
-                        (lam_i, -1.0),
-                    ],
-                    bias=-log_y - math.lgamma(n + 1.0),
-                )
-            )
-        contributions.append(ad.log_sum_exp(terms))
-
-    total = ad.dot([(c, data_scale) for c in contributions])
-
+    s = float(expit(_value(z.raw_p)))  # = p - 1
+    if not 0.0 < s < 1.0:
+        raise ad.DomainError(f"p_index - 1 = {s!r} outside (0, 1) at raw_p={_value(z.raw_p)!r}")
+    b_val = np.array([_value(n) for n in b_nodes])
+    eta = linear_predictor(data, np.array([_value(n) for n in w_nodes]), b_val)
+    _check_overflow(eta)
+    log_pdf, d_eta, d_p, d_log_phi = tweedie_log_pdf_partials(
+        data.responses, np.exp(eta), 1.0 + s, math.exp(_value(z.raw_log_dispersion)), t)
+    value = data_scale * float(log_pdf.sum())
+    d_eta = data_scale * d_eta
+    parents = [(w_nodes[0], float(d_eta.sum()))]
+    parents += zip(w_nodes[1:], (data.fixed_design.T @ d_eta).tolist())
+    parents.append((z.raw_p, s * (1.0 - s) * data_scale * float(d_p.sum())))
+    parents.append((z.raw_log_dispersion, data_scale * float(d_log_phi.sum())))
     if b_nodes:
-        g = data.group_count
-        # log N(b_g; 0, sigma_b^2) summed over groups
-        log_sigma_b = z.raw_log_sigma_b
-        inv_two_var = 0.5 * ad.exp(-2.0 * log_sigma_b)
-        bsq = ad.dot([(bn, bn) for bn in b_nodes])
-        prior = ad.dot(
-            [(log_sigma_b, -float(g)), (bsq, ad.neg(inv_two_var))],
-            bias=-0.5 * LOG_2PI * g,
-        )
-        total = total + prior
-    return total
+        sigma_b = z.sigma_b
+        value += intercept_log_prior(b_val, sigma_b)
+        d_b = np.bincount(data.group_index, d_eta, data.group_count) - b_val / sigma_b ** 2
+        parents += zip(b_nodes, d_b.tolist())
+        parents.append((z.raw_log_sigma_b,
+                        float(b_val @ b_val) / sigma_b ** 2 - data.group_count))
+    return TapeNode(tape, value,
+                    tuple((n, c) for n, c in parents if isinstance(n, TapeNode)),
+                    "tweedie_log_likelihood")

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import digamma, gammaln
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -111,12 +111,17 @@ def to_edm(c: CompoundParams) -> EdmParams:
     return EdmParams(mu=mu, p_index=p, dispersion=phi)
 
 
-def to_compound(e: EdmParams) -> CompoundParams:
-    """Map mean/power/dispersion parameters to the compound form."""
-    p, mu, phi = e.p_index, e.mu, e.dispersion
+def compound_arrays(mu, p: float, phi: float):
+    """(lambda, alpha, beta) for a mean or an array of means with shared p and phi."""
     lam = mu ** (2.0 - p) / (phi * (2.0 - p))
     alpha = (2.0 - p) / (p - 1.0)
     beta = phi * (p - 1.0) * mu ** (p - 1.0)
+    return lam, alpha, beta
+
+
+def to_compound(e: EdmParams) -> CompoundParams:
+    """Map mean/power/dispersion parameters to the compound form."""
+    lam, alpha, beta = compound_arrays(e.mu, e.p_index, e.dispersion)
     return CompoundParams(lam=lam, alpha=alpha, beta=beta)
 
 
@@ -219,6 +224,16 @@ def summation_range(slope: np.ndarray, alpha: float,
     bisection.  Returns ``(lo, hi, log_mass)`` with
     log_mass[i] = log sum_n exp(n * slope[i] - G(n)) over the row's range.
     """
+    lo, hi, _, terms = _summed_terms(slope, alpha, t)
+    return lo, hi, _log_row_sums(terms)
+
+
+def _summed_terms(slope, alpha: float, t: TruncationConfig):
+    """(lo, hi, counts, log terms) of :func:`summation_range` on a rectangular grid.
+
+    Row i of ``counts`` starts at lo[i]; cells at or past hi[i] hold a
+    log term of -inf.
+    """
     slope = np.asarray(slope, dtype=float)
     if t.adaptive:
         # non-finite slopes give non-finite sums; plan their range as slope 0
@@ -250,10 +265,14 @@ def summation_range(slope: np.ndarray, alpha: float,
     ns = lo[:, None] + np.arange((hi - lo).max(initial=1))
     raw = np.where(ns < hi[:, None],
                    ns * slope[:, None] - g[np.minimum(ns, g.size) - 1], -np.inf)
-    m = raw.max(axis=1, keepdims=True)
+    return lo, hi, ns, raw
+
+
+def _log_row_sums(terms: np.ndarray) -> np.ndarray:
+    """log sum(exp(terms)) along each row, shifted by the row maximum."""
+    m = terms.max(axis=1, keepdims=True)
     with np.errstate(invalid="ignore"):
-        log_mass = m[:, 0] + np.log(np.exp(raw - m).sum(axis=1))
-    return lo, hi, log_mass
+        return m[:, 0] + np.log(np.exp(terms - m).sum(axis=1))
 
 
 def truncation_window(y: float, c: CompoundParams, t: TruncationConfig) -> np.ndarray:
@@ -323,12 +342,12 @@ def series_log_density_oracle(y: float, e: EdmParams, rel_tol: float = 1e-12) ->
 # Vectorized fast path (shared p_index and dispersion across observations)
 # ---------------------------------------------------------------------------
 
-def compound_arrays(mu, p: float, phi: float):
-    """:func:`to_compound` for an array of means with shared p and phi."""
-    lam = mu ** (2.0 - p) / (phi * (2.0 - p))
-    alpha = (2.0 - p) / (p - 1.0)
-    beta = phi * (p - 1.0) * mu ** (p - 1.0)
-    return lam, alpha, beta
+def _checked_rows(y, mu) -> tuple[np.ndarray, np.ndarray]:
+    y = np.asarray(y, dtype=float)
+    mu = np.broadcast_to(np.asarray(mu, dtype=float), y.shape)
+    if (y < 0).any():
+        raise InvalidParameterError("y must be nonnegative")
+    return y, mu
 
 
 def tweedie_log_pdf(y: np.ndarray, mu: np.ndarray, p: float, phi: float,
@@ -339,10 +358,7 @@ def tweedie_log_pdf(y: np.ndarray, mu: np.ndarray, p: float, phi: float,
     :func:`marginal_log_likelihood`, vectorized for a shared index
     parameter and dispersion across observations.
     """
-    y = np.asarray(y, dtype=float)
-    mu = np.broadcast_to(np.asarray(mu, dtype=float), y.shape)
-    if (y < 0).any():
-        raise InvalidParameterError("y must be nonnegative")
+    y, mu = _checked_rows(y, mu)
     lam, alpha, beta = compound_arrays(mu, p, phi)
     out = -lam
     pos = y > 0.0
@@ -351,6 +367,46 @@ def tweedie_log_pdf(y: np.ndarray, mu: np.ndarray, p: float, phi: float,
         _, _, log_mass = summation_range(series_slope(yp, lamp, alpha, betap), alpha, t)
         out[pos] = log_mass - np.log(yp) - yp / betap - lamp
     return out
+
+
+def tweedie_log_pdf_partials(y: np.ndarray, mu: np.ndarray, p: float, phi: float,
+                             t: TruncationConfig):
+    """:func:`tweedie_log_pdf` and its partials in log(mu), p and log(phi), per row.
+
+    Returns ``(log_pdf, d_log_mu, d_p, d_log_phi)``.  The counts summed
+    are those of :func:`summation_range`, treated as fixed.  With softmax
+    weights pi over a row's summed terms, the partials in the compound
+    parameters are d/dlog(lambda) = E_pi[n] - lambda,
+    d/dlog(beta) = y / beta - alpha * E_pi[n] and
+    d/dalpha = E_pi[n * (log(y / beta) - digamma(n * alpha))]; a zero
+    row has log density -lambda.  The chain rule through
+    :func:`compound_arrays` then gives the returned partials.
+    """
+    y, mu = _checked_rows(y, mu)
+    lam, alpha, beta = compound_arrays(mu, p, phi)
+    out = -lam
+    d_log_lam = -lam
+    d_log_beta = np.zeros(y.shape)
+    d_alpha = np.zeros(y.shape)
+    pos = y > 0.0
+    if pos.any():
+        yp, lamp, betap = y[pos], lam[pos], beta[pos]
+        _, _, ns, terms = _summed_terms(series_slope(yp, lamp, alpha, betap), alpha, t)
+        log_mass = _log_row_sums(terms)
+        out[pos] = log_mass - np.log(yp) - yp / betap - lamp
+        weights = np.exp(terms - log_mass[:, None])
+        mean_n = (weights * ns).sum(axis=1)
+        d_log_lam[pos] = mean_n - lamp
+        d_log_beta[pos] = yp / betap - alpha * mean_n
+        d_alpha[pos] = (mean_n * (np.log(yp) - np.log(betap))
+                        - (weights * ns * digamma(ns * alpha)).sum(axis=1))
+    # log(lambda) = (2 - p) log(mu) - log(phi) - log(2 - p), alpha = (2 - p) / (p - 1),
+    # log(beta) = log(phi) + log(p - 1) + (p - 1) log(mu)
+    log_mu = np.log(mu)
+    d_log_mu = (2.0 - p) * d_log_lam + (p - 1.0) * d_log_beta
+    d_p = (d_log_lam * (1.0 / (2.0 - p) - log_mu) - d_alpha / (p - 1.0) ** 2
+           + d_log_beta * (1.0 / (p - 1.0) + log_mu))
+    return out, d_log_mu, d_p, d_log_beta - d_log_lam
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,11 @@ from tweedie_avb.avb import (
     generator_loss,
     posterior_predict,
     sample_posterior,
-    sample_prior,
     split_raw_globals,
     train,
 )
 from tweedie_avb.data import SimTruth, simulate_dataset
-from tweedie_avb.model import model_log_likelihood_value
+from tweedie_avb.model import FlaggedObservationError, model_log_likelihood_value
 from tweedie_avb.tweedie import TruncationConfig
 
 
@@ -283,6 +282,18 @@ class TestTrainLoop:
                              "eval_every": 2})
         fit = train(data, cfg, valid=valid)
         assert fit.generator_trace.size < 2000
+
+    @pytest.mark.parametrize("scaled", ["train", "valid"])
+    def test_overflow_aborts_with_checkpoint(self, scaled):
+        # covariates x1e4 push eta past the log-link limit
+        data = small_dataset(m=40)
+        valid = small_dataset(m=12, seed=5)
+        (data if scaled == "train" else valid).fixed_design *= 1e4
+        cfg = TrainConfig(**{**self.CFG, "eval_every": 1})
+        with pytest.raises(TrainingAbortError) as exc:
+            train(data, cfg, valid=valid)
+        assert isinstance(exc.value.__context__, FlaggedObservationError)
+        assert exc.value.checkpoint is not None
 
     def test_likelihood_ascends_with_frozen_critic(self):
         # with the critic at zero the generator step is maximum-likelihood

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tweedie_avb.cli import main
+from tweedie_avb.data import SimTruth, simulate_dataset, write_csv
 
 
 def write_json(path, doc):
@@ -103,6 +104,20 @@ class TestFit:
         assert main(["fit", "--config", cfg]) == 0
         doc = json.loads((tmp_path / "withchain" / "mcmc.json").read_text())
         assert "p_index" in doc["draws"]
+
+    def test_numerical_abort_exits_2_with_checkpoint(self, tmp_path):
+        # unstandardized covariates x1e4 overflow the log link
+        truth = SimTruth.from_dict(TRUTH)
+        data, _ = simulate_dataset(truth, np.random.default_rng(0))
+        data.fixed_design *= 1e4
+        write_csv(data, tmp_path / "big.csv")
+        cfg = write_json(tmp_path / "f.json", {
+            "data_csv": str(tmp_path / "big.csv"), "schema": SCHEMA,
+            "standardize": False, "train": TRAIN,
+        })
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert (tmp_path / "o" / "fit_checkpoint.json").exists()
+        assert not (tmp_path / "o" / "fit.json").exists()
 
 
 class TestEvaluate:

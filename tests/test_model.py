@@ -271,22 +271,42 @@ class TestLikelihoodTape:
         store.register("raw_log_dispersion", np.array([z_ref.raw_log_dispersion]))
         store.register("raw_log_sigma_b", np.array([z_ref.raw_log_sigma_b]))
 
-        def f(p):
+        # data_scale != 1 is the minibatch reweighting used in training
+        for data_scale in (1.0, 3.0):
+            def f(p):
+                tape = Tape()
+                leaves = p.leaves(tape)
+                d1 = data.n_covariates + 1
+                z = LatentAssignment(
+                    fixed_weights=leaves[:d1],
+                    raw_p=leaves[d1],
+                    raw_log_dispersion=leaves[d1 + 1],
+                    raw_log_sigma_b=leaves[d1 + 2],
+                    group_noise=z_ref.group_noise,
+                )
+                node = model_log_likelihood(tape, data, z, t, data_scale=data_scale)
+                backward(node)
+                return node.value, collect_gradient(leaves)
+
+            assert finite_diff_check(f, store, h=1e-5) < 1e-4
+
+    def test_node_count_independent_of_rows(self):
+        z_ref = make_assignment(2, 2, seed=15)
+        added = []
+        for m in (5, 50):
+            data = toy_dataset(m=m, d=2, g=2, seed=16)
             tape = Tape()
-            leaves = p.leaves(tape)
-            d1 = data.n_covariates + 1
             z = LatentAssignment(
-                fixed_weights=leaves[:d1],
-                raw_p=leaves[d1],
-                raw_log_dispersion=leaves[d1 + 1],
-                raw_log_sigma_b=leaves[d1 + 2],
+                fixed_weights=[tape.leaf(v) for v in z_ref.fixed_weights],
+                raw_p=tape.leaf(z_ref.raw_p),
+                raw_log_dispersion=tape.leaf(z_ref.raw_log_dispersion),
+                raw_log_sigma_b=tape.leaf(z_ref.raw_log_sigma_b),
                 group_noise=z_ref.group_noise,
             )
-            node = model_log_likelihood(tape, data, z, t)
-            backward(node)
-            return node.value, collect_gradient(leaves)
-
-        assert finite_diff_check(f, store, h=1e-5) < 1e-4
+            before = len(tape)
+            model_log_likelihood(tape, data, z, TruncationConfig())
+            added.append(len(tape) - before)
+        assert added[0] == added[1]
 
     def test_explicit_b_gradient(self):
         data = toy_dataset(m=5, d=1, g=2, seed=13)
