@@ -6,11 +6,12 @@ needed).  Nodes store their parents together with the local partial
 derivative evaluated at forward time, which keeps the backward loop
 generic across all primitives.
 
-Networks in this project have at most a few thousand parameters, so a
-scalar tape with a fused affine/dot primitive is fast enough for them.
 A vectorised computation enters the tape as one node whose parents carry
-partials computed outside it, as the Tweedie likelihood does in
-``model.model_log_likelihood``.
+partials computed outside it in numpy: the Tweedie likelihood does so in
+``model.model_log_likelihood``, and the critic's density-ratio loss and
+its logit in the generator loss do so in ``avb``.  The scalar primitives
+build everything else (the inference net, the sampling maps) and stay
+the reference that the fused nodes are tested against.
 """
 
 from __future__ import annotations

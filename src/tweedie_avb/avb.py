@@ -8,7 +8,12 @@ handled in closed form by a reparameterized Gaussian posterior, so the
 adversarial ratio is only needed for the intractable globals.
 
 Training alternates a fixed number of critic updates with one update of
-the inference-side parameters, all via Adam on the scalar tape.
+the inference-side parameters, all via Adam on the scalar tape.  The
+critic runs batched in numpy with a hand-written backward pass
+(:meth:`MLP.vjp`): its density-ratio loss enters the tape as one node
+whose parents are the critic's parameters, and its logit enters the
+generator loss as one node whose parents are the latent draw, the same
+way the likelihood enters as one node.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .model import (
     Dataset,
     FlaggedObservationError,
     LatentAssignment,
+    _check_overflow,
     model_log_likelihood,
     model_log_likelihood_value,
 )
@@ -89,13 +95,40 @@ class MLP:
     def bias(self, layer: int) -> np.ndarray:
         return self.store.get(f"{self.prefix}.b{layer}")
 
-    def forward_np(self, x: np.ndarray) -> np.ndarray:
-        h = np.asarray(x, dtype=float)
+    def _activations(self, x: np.ndarray) -> list:
+        hs = [np.asarray(x, dtype=float)]
         for l in range(self.n_layers):
-            h = h @ self.weight(l).T + self.bias(l)
-            if l < self.n_layers - 1:
-                h = np.tanh(h)
-        return h
+            h = hs[-1] @ self.weight(l).T + self.bias(l)
+            hs.append(np.tanh(h) if l < self.n_layers - 1 else h)
+        return hs
+
+    def forward_np(self, x: np.ndarray) -> np.ndarray:
+        return self._activations(x)[-1]
+
+    def vjp(self, x: np.ndarray):
+        """Batched forward pass and its pullback (vector-Jacobian product).
+
+        ``x`` is (rows, fan_in).  Returns ``(out, pullback)``;
+        ``pullback(g)`` takes the cotangent ``g`` of ``out`` (same shape)
+        and returns ``(param_grad, input_grad)``: the first aligned with
+        ``store.values`` (zero outside this net's slices), the second
+        shaped like ``x``.
+        """
+        hs = self._activations(x)
+
+        def pullback(g: np.ndarray):
+            param_grad = np.zeros(self.store.size)
+            for l in reversed(range(self.n_layers)):
+                if l < self.n_layers - 1:
+                    g = g * (1.0 - hs[l + 1] ** 2)  # through tanh
+                offset, size = self.store.names[f"{self.prefix}.W{l}"]
+                param_grad[offset:offset + size] = (g.T @ hs[l]).ravel()
+                offset, size = self.store.names[f"{self.prefix}.b{l}"]
+                param_grad[offset:offset + size] = g.sum(axis=0)
+                g = g @ self.weight(l)
+            return param_grad, g
+
+        return hs[-1], pullback
 
     def forward_tape(self, tape: Tape, x: Sequence, leaves=None) -> list:
         """Build the forward graph for one input vector.
@@ -154,9 +187,6 @@ class Discriminator:
     def logit_np(self, z: np.ndarray) -> np.ndarray:
         out = self.net.forward_np(z)
         return out[..., 0]
-
-    def logit_tape(self, tape: Tape, z: Sequence, leaves=None) -> TapeNode:
-        return self.net.forward_tape(tape, z, leaves)[0]
 
 
 class HyperPrior:
@@ -363,9 +393,9 @@ class LossGraph:
 # ---------------------------------------------------------------------------
 
 def split_raw_globals(raw: np.ndarray, n_covariates: int):
-    """(fixed_weights, raw_p, raw_log_dispersion, raw_log_sigma_b)."""
+    """(fixed_weights, raw_p, raw_log_dispersion, raw_log_sigma_b), split on the last axis."""
     d1 = n_covariates + 1
-    return raw[:d1], raw[d1], raw[d1 + 1], raw[d1 + 2]
+    return raw[..., :d1], raw[..., d1], raw[..., d1 + 1], raw[..., d1 + 2]
 
 
 def sample_posterior(q: InferenceNet, rng: np.random.Generator,
@@ -391,22 +421,26 @@ def discriminator_loss(disc: Discriminator, posterior_batch: np.ndarray,
     """Logistic density-ratio loss; gradients reach only critic parameters.
 
     mean[-log sigmoid(T(z_Q))] + mean[-log(1 - sigmoid(T(z_P)))], with
-    the latent batches entering as constants.
+    the latent batches entering as constants.  Both batches run through
+    the critic in one numpy pass; the loss is one tape node whose parents
+    are the critic store's leaves, with the backpropagated gradient as
+    partials.
     """
     posterior_batch = np.atleast_2d(np.asarray(posterior_batch, dtype=float))
     prior_batch = np.atleast_2d(np.asarray(prior_batch, dtype=float))
     if posterior_batch.shape[0] == 0 or prior_batch.shape[0] == 0:
         raise ValueError("batches must be non-empty")
+    n_q = posterior_batch.shape[0]
+    logits, pullback = disc.net.vjp(np.concatenate([posterior_batch, prior_batch]))
+    t_q, t_p = logits[:n_q, 0], logits[n_q:, 0]
+    value = np.logaddexp(0.0, -t_q).mean() + np.logaddexp(0.0, t_p).mean()
+    # d softplus(x) / dx = sigmoid(x)
+    d_logits = np.concatenate([-expit(-t_q) / t_q.size, expit(t_p) / t_p.size])
+    param_grad, _ = pullback(d_logits[:, None])
     tape = Tape()
     leaves = disc.store.leaves(tape)
-    terms = []
-    for z in posterior_batch:
-        t = disc.logit_tape(tape, list(z), leaves)
-        terms.append((ad.softplus(ad.neg(t)), 1.0 / posterior_batch.shape[0]))
-    for z in prior_batch:
-        t = disc.logit_tape(tape, list(z), leaves)
-        terms.append((ad.softplus(t), 1.0 / prior_batch.shape[0]))
-    loss = ad.dot(terms)
+    loss = TapeNode(tape, float(value), tuple(zip(leaves, param_grad.tolist())),
+                    "critic_loss")
     return LossGraph(tape, loss, leaves)
 
 
@@ -417,9 +451,10 @@ def generator_loss(batch: Dataset, q: InferenceNet, disc: Discriminator,
     """Critic-estimated negative ELBO; gradients reach the inference side.
 
     mean over latent draws of [T(z_Q) - model log likelihood], with the
-    critic's parameters entering as constants.  The intercept
-    posterior's entropy is added when one is supplied so the
-    random-effect scale stays identified.
+    critic's parameters entering as constants: T(z_Q) is one tape node
+    whose parents are the latent draw, with the critic's input gradient
+    as partials.  The intercept posterior's entropy is added when one is
+    supplied so the random-effect scale stays identified.
     """
     tape = Tape()
     leaves = q.store.leaves(tape)
@@ -435,7 +470,10 @@ def generator_loss(batch: Dataset, q: InferenceNet, disc: Discriminator,
             raw_log_sigma_b=raw_nodes[d1 + 2],
             group_noise=rng.standard_normal(batch.group_count),
         )
-        t_node = disc.logit_tape(tape, raw_nodes, leaves=None)
+        logit, pullback = disc.net.vjp(np.array([[n.value for n in raw_nodes]]))
+        _, d_raw = pullback(np.ones((1, 1)))
+        t_node = TapeNode(tape, float(logit[0, 0]), tuple(zip(raw_nodes, d_raw[0].tolist())),
+                          "critic_logit")
         b_nodes = None
         if group_posterior is not None and batch.group_count > 0:
             b_nodes = group_posterior.sample_tape(tape, leaves, z.group_noise)
@@ -488,23 +526,16 @@ def _validation_nll(trainer: _Trainer, valid: Dataset, cfg: TrainConfig,
 
 
 def _collect_draws(trainer: _Trainer, count: int, rng: np.random.Generator) -> dict:
-    d1 = trainer.q.n_covariates + 1
-    w = np.empty((count, d1))
-    p = np.empty(count)
-    phi = np.empty(count)
-    sigma_b = np.empty(count)
-    g = trainer.group_posterior.group_count if trainer.group_posterior is not None else 0
-    b = np.empty((count, g))
-    for s in range(count):
-        raw = trainer.q.latents_np(rng.standard_normal(trainer.q.noise_dim))
-        wv, raw_p, raw_ld, raw_ls = split_raw_globals(raw, trainer.q.n_covariates)
-        w[s] = wv
-        p[s] = 1.0 + expit(raw_p)
-        phi[s] = math.exp(raw_ld)
-        sigma_b[s] = math.exp(raw_ls)
-        if g:
-            b[s] = trainer.group_posterior.sample_np(rng)
-    return {"fixed_weights": w, "p_index": p, "dispersion": phi, "sigma_b": sigma_b, "b": b}
+    noise_dim = trainer.q.noise_dim
+    gp = trainer.group_posterior
+    g = gp.group_count if gp is not None else 0
+    # one row per draw: net noise, then group noise (the per-draw stream order)
+    noise = rng.standard_normal((count, noise_dim + g))
+    w, raw_p, raw_ld, raw_ls = split_raw_globals(trainer.q.latents_np(noise[:, :noise_dim]),
+                                                 trainer.q.n_covariates)
+    b = gp.loc + gp.scale * noise[:, noise_dim:] if g else np.empty((count, 0))
+    return {"fixed_weights": w, "p_index": 1.0 + expit(raw_p), "dispersion": np.exp(raw_ld),
+            "sigma_b": np.exp(raw_ls), "b": b}
 
 
 def train(data: Dataset, cfg: TrainConfig, valid: Optional[Dataset] = None) -> FitResult:
@@ -545,10 +576,7 @@ def train(data: Dataset, cfg: TrainConfig, valid: Optional[Dataset] = None) -> F
         last_good = (trainer.gen_store.copy(), trainer.critic_store.copy())
         critic_loss = math.nan
         for _ in range(cfg.n_critic):
-            post = np.stack([
-                trainer.q.latents_np(rng.standard_normal(cfg.noise_dim))
-                for _ in range(cfg.critic_batch)
-            ])
+            post = trainer.q.latents_np(rng.standard_normal((cfg.critic_batch, cfg.noise_dim)))
             prior = trainer.hyper.sample_np(rng, cfg.critic_batch)
             graph = discriminator_loss(trainer.disc, post, prior)
             critic_loss = graph.loss.value
@@ -625,7 +653,9 @@ def posterior_predict(fit: FitResult, fixed_design: np.ndarray,
     """Per-row predictive mean and response quantiles.
 
     Group ids outside [0, group_count) are treated as unseen groups and
-    integrated over fresh sigma_b-scaled intercepts per draw.
+    integrated over fresh sigma_b-scaled intercepts per draw.  A linear
+    predictor past the log-link limit raises FlaggedObservationError, as
+    in training.
     """
     fixed_design = np.atleast_2d(np.asarray(fixed_design, dtype=float))
     group_ids = np.asarray(group_ids, dtype=int)
@@ -655,7 +685,7 @@ def posterior_predict(fit: FitResult, fixed_design: np.ndarray,
             eta[seen] = eta[seen] + b[s, group_ids[seen]]
         if (~seen).any():
             eta[~seen] = eta[~seen] + sigma_b[s] * rng.standard_normal((~seen).sum())
-        eta = np.clip(eta, -30.0, 30.0)
+        _check_overflow(eta)
         mu[s] = np.exp(eta)
         lam, alpha, beta = compound_arrays(mu[s], p[s], phi[s])
         samples[s] = tweedie_sample_array(lam, alpha, beta, rng)

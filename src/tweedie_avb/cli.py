@@ -27,6 +27,7 @@ from .autodiff import NonFiniteGradientError
 from .avb import FitResult, TrainConfig, TrainingAbortError, posterior_predict, train
 from .data import SchemaConfig, SimTruth, SplitSpec, load_csv, simulate_dataset, split_dataset, standardize, write_csv
 from .mcmc import ChainConfig, run_chain
+from .model import FlaggedObservationError
 from .tweedie import NonConvergenceError, TruncationConfig
 
 log = logging.getLogger("tweedie_avb")
@@ -370,7 +371,8 @@ def main(argv=None) -> int:
             mcmc.ChainConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (TrainingAbortError, NonFiniteGradientError, NonConvergenceError) as exc:
+    except (TrainingAbortError, NonFiniteGradientError, NonConvergenceError,
+            FlaggedObservationError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 2
 

@@ -5,8 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import expit
 
+from tweedie_avb import autodiff as ad
 from tweedie_avb.autodiff import ParamStore, Tape, backward, collect_gradient, finite_diff_check
 from tweedie_avb.avb import (
     Discriminator,
@@ -17,6 +21,7 @@ from tweedie_avb.avb import (
     MLP,
     TrainConfig,
     TrainingAbortError,
+    _collect_draws,
     build_trainer,
     discriminator_loss,
     generator_loss,
@@ -37,6 +42,22 @@ def small_dataset(m=40, d=1, g=2, seed=0):
     )
     data, _ = simulate_dataset(truth, np.random.default_rng(seed))
     return data
+
+
+def critic_loss_tape_reference(disc, post, prior):
+    """The density-ratio loss built node by node on the scalar tape."""
+    tape = Tape()
+    leaves = disc.store.leaves(tape)
+    terms = []
+    for z in post:
+        t = disc.net.forward_tape(tape, list(z), leaves)[0]
+        terms.append((ad.softplus(ad.neg(t)), 1.0 / len(post)))
+    for z in prior:
+        t = disc.net.forward_tape(tape, list(z), leaves)[0]
+        terms.append((ad.softplus(t), 1.0 / len(prior)))
+    loss = ad.dot(terms)
+    backward(loss)
+    return loss.value, collect_gradient(leaves)
 
 
 class TestMLP:
@@ -67,6 +88,22 @@ class TestMLP:
         assert out.shape == (6, 1)
         for i in range(6):
             assert_allclose(out[i], net.forward_np(batch[i]), rtol=1e-12)
+
+    def test_vjp_matches_forward_tape(self):
+        store = ParamStore()
+        net = MLP("m", [3, 5, 4, 2], store, np.random.default_rng(4))
+        x = np.random.default_rng(5).standard_normal(3)
+        cotangent = np.array([0.7, -1.3])
+        out, pullback = net.vjp(x[None, :])
+        param_grad, input_grad = pullback(cotangent[None, :])
+        tape = Tape()
+        leaves = store.leaves(tape)
+        inputs = [tape.leaf(v) for v in x]
+        outs = net.forward_tape(tape, inputs, leaves)
+        backward(ad.dot(zip(outs, cotangent)))
+        assert_allclose(out[0], [n.value for n in outs], rtol=1e-12)
+        assert_allclose(param_grad, collect_gradient(leaves), rtol=1e-12, atol=1e-15)
+        assert_allclose(input_grad[0], collect_gradient(inputs), rtol=1e-12, atol=1e-15)
 
 
 class TestSampling:
@@ -168,6 +205,61 @@ class TestDiscriminatorLoss:
             return value, grad
 
         assert finite_diff_check(f, store.copy(), h=1e-5) < 1e-4
+
+    def test_fused_matches_tape_reference_past_softplus_cutoffs(self):
+        store = ParamStore()
+        disc = Discriminator(3, store, np.random.default_rng(8), hidden=(32, 32))
+        store.set("critic.W2", 100.0 * store.get("critic.W2"))
+        post = np.random.default_rng(9).standard_normal((5, 3))
+        prior = np.random.default_rng(10).standard_normal((3, 3))
+        args = np.concatenate([-disc.logit_np(post), disc.logit_np(prior)])
+        assert args.max() > 30.0 and args.min() < -30.0  # both softplus branches
+        graph = discriminator_loss(disc, post, prior)
+        want_value, want_grad = critic_loss_tape_reference(disc, post, prior)
+        assert_allclose(graph.loss.value, want_value, rtol=1e-12)
+        assert_allclose(graph.gradient(), want_grad, rtol=1e-12,
+                        atol=1e-12 * np.abs(want_grad).max())
+
+    def test_node_count_independent_of_batch(self):
+        disc = self.make_disc(dim=3)
+        rng = np.random.default_rng(11)
+        for rows in (1, 7, 40):
+            graph = discriminator_loss(disc, rng.standard_normal((rows, 3)),
+                                       rng.standard_normal((rows + 2, 3)))
+            assert len(graph.tape) == disc.store.size + 1
+
+    def test_gradient_two_hidden_layers(self):
+        store = ParamStore()
+        disc = Discriminator(3, store, np.random.default_rng(12), hidden=(6, 5))
+        post = np.random.default_rng(13).standard_normal((7, 3))
+        prior = np.random.default_rng(14).standard_normal((4, 3))
+
+        def f(p):
+            saved = store.values.copy()
+            store.values[:] = p.values
+            graph = discriminator_loss(disc, post, prior)
+            value, grad = graph.loss.value, graph.gradient()
+            store.values[:] = saved
+            return value, grad
+
+        assert finite_diff_check(f, store.copy(), h=1e-5) < 1e-4
+
+    @given(depth=st.integers(0, 2), n_post=st.integers(1, 20), n_prior=st.integers(1, 20),
+           scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_tape_reference_property(self, depth, n_post, n_prior, scale, seed):
+        rng = np.random.default_rng(seed)
+        store = ParamStore()
+        disc = Discriminator(3, store, rng, hidden=(4,) * depth)
+        post = scale * rng.standard_normal((n_post, 3))
+        prior = scale * rng.standard_normal((n_prior, 3))
+        graph = discriminator_loss(disc, post, prior)
+        assert math.isfinite(graph.loss.value)
+        want_value, want_grad = critic_loss_tape_reference(disc, post, prior)
+        assert_allclose(graph.loss.value, want_value, rtol=1e-12)
+        # first-layer partials carry the input scale
+        assert_allclose(graph.gradient(), want_grad, rtol=1e-12,
+                        atol=1e-12 * max(1.0, scale) * max(1.0, np.abs(want_grad).max()))
 
 
 class TestGeneratorLoss:
@@ -322,6 +414,21 @@ class TestTrainLoop:
         end = np.mean(fit.generator_trace[-20:])
         assert end < start  # loss (negative log-likelihood) decreased
 
+    def test_collected_draws_match_per_draw_loop(self):
+        cfg = TrainConfig(**self.CFG)
+        trainer = build_trainer(2, 3, cfg, np.random.default_rng(0))
+        got = _collect_draws(trainer, 25, np.random.default_rng(1))
+        rng = np.random.default_rng(1)
+        gp = trainer.group_posterior
+        for s in range(25):
+            raw = trainer.q.latents_np(rng.standard_normal(cfg.noise_dim))
+            w, raw_p, raw_ld, raw_ls = split_raw_globals(raw, 2)
+            assert_allclose(got["fixed_weights"][s], w, rtol=1e-14, atol=1e-15)
+            assert_allclose(got["p_index"][s], 1.0 + expit(raw_p), rtol=1e-14)
+            assert_allclose(got["dispersion"][s], math.exp(raw_ld), rtol=1e-14)
+            assert_allclose(got["sigma_b"][s], math.exp(raw_ls), rtol=1e-14)
+            assert_allclose(got["b"][s], gp.sample_np(rng), rtol=1e-14, atol=1e-15)
+
 
 class TestFitResult:
     def make_fit(self):
@@ -415,6 +522,14 @@ class TestPosteriorPredict:
         with pytest.raises(ValueError):
             posterior_predict(fit, np.zeros((1, 5)), np.array([0]),
                               np.random.default_rng(0))
+
+    def test_eta_overflow_raises(self):
+        # eta = 0.5 * 80 = 40 on the second row, past the log-link limit
+        fit = self.make_fit([[0.0, 0.5]])
+        with pytest.raises(FlaggedObservationError) as exc:
+            posterior_predict(fit, np.array([[1.0], [80.0]]), np.array([0, 0]),
+                              np.random.default_rng(0))
+        assert exc.value.index == 1
 
     def test_predictive_mean_tracks_truth(self):
         truth = SimTruth(fixed_weights=np.array([0.1, 0.4]), p_index=1.5,

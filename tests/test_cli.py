@@ -181,6 +181,21 @@ class TestPredict:
         })
         assert main(["predict", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
+    def test_runaway_weights_exit_2(self, workspace, tmp_path, capsys):
+        doc = json.loads((workspace / "fit" / "fit.json").read_text())
+        w = np.asarray(doc["draws"]["fixed_weights"])
+        w[:, 0] += 40.0  # intercepts past the log-link limit
+        doc["draws"]["fixed_weights"] = w.tolist()
+        fit_json = write_json(tmp_path / "runaway.json", doc)
+        cfg = write_json(tmp_path / "p.json", {
+            "fit_json": fit_json,
+            "data_csv": str(workspace / "sim" / "dataset.csv"),
+            "seed": 0,
+        })
+        assert main(["predict", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "numerical abort" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "predictions.csv").exists()
+
     def test_schema_mismatch_names_columns(self, workspace, tmp_path, capsys):
         src = (workspace / "sim" / "dataset.csv").read_text().splitlines()
         header = src[0].replace("x1", "x9")
