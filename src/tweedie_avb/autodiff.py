@@ -6,12 +6,16 @@ needed).  Nodes store their parents together with the local partial
 derivative evaluated at forward time, which keeps the backward loop
 generic across all primitives.
 
-A vectorised computation enters the tape as one node whose parents carry
-partials computed outside it in numpy: the Tweedie likelihood does so in
-``model.model_log_likelihood``, and the critic's density-ratio loss and
-its logit in the generator loss do so in ``avb``.  The scalar primitives
-build everything else (the inference net, the sampling maps) and stay
-the reference that the fused nodes are tested against.
+Training does not build tapes: the losses in ``avb`` and the likelihood
+in ``model`` return numpy values and gradients, and the optimizer here
+(:func:`adam_step`, :func:`clip_global_norm`) works on flat arrays
+aligned with a :class:`ParamStore`.  The tape is the reference and test
+API: the scalar primitives build the networks and sampling maps node by
+node to check those gradients, a vectorised computation enters a tape as
+one node whose parents carry its numpy partials
+(``model.model_log_likelihood``, ``avb.discriminator_loss``,
+``avb.generator_loss``), and :func:`finite_diff_check` checks any
+``(value, gradient)`` function against central differences.
 """
 
 from __future__ import annotations
@@ -347,9 +351,13 @@ class ParamStore:
         self.names[name] = (offset, init.size)
         self.values = np.concatenate([self.values, init])
 
-    def get(self, name: str) -> np.ndarray:
+    def span(self, name: str) -> slice:
+        """Where ``name`` lives in ``values`` (and in any array aligned with it)."""
         offset, length = self.names[name]
-        return self.values[offset:offset + length]
+        return slice(offset, offset + length)
+
+    def get(self, name: str) -> np.ndarray:
+        return self.values[self.span(name)]
 
     def set(self, name: str, arr) -> None:
         offset, length = self.names[name]
@@ -376,8 +384,7 @@ class ParamStore:
 
 
 def slice_leaves(leaves: Sequence[TapeNode], store: ParamStore, name: str) -> list[TapeNode]:
-    offset, length = store.names[name]
-    return list(leaves[offset:offset + length])
+    return list(leaves[store.span(name)])
 
 
 def collect_gradient(leaves: Sequence[TapeNode]) -> np.ndarray:

@@ -3,17 +3,21 @@
 Three small networks drive the fit: an inference network mapping noise
 to the global latents, a discriminator (critic) estimating the log
 density ratio between posterior and prior samples of those globals, and
-a trainable Gaussian hyper prior.  Per-group random intercepts are
-handled in closed form by a reparameterized Gaussian posterior, so the
-adversarial ratio is only needed for the intractable globals.
+a Gaussian hyper prior.  Per-group random intercepts are handled in
+closed form by a reparameterized Gaussian posterior, so the adversarial
+ratio is only needed for the intractable globals.
 
-Training alternates a fixed number of critic updates with one update of
-the inference-side parameters, all via Adam on the scalar tape.  The
-critic runs batched in numpy with a hand-written backward pass
-(:meth:`MLP.vjp`): its density-ratio loss enters the tape as one node
-whose parents are the critic's parameters, and its logit enters the
-generator loss as one node whose parents are the latent draw, the same
-way the likelihood enters as one node.
+Training alternates a fixed number of critic updates with one Adam
+update of the inference-side parameters.  Both losses run in numpy and
+return a value and a flat gradient aligned with their parameter store:
+the networks' gradients come from a hand-written batched backward pass
+(:meth:`MLP.vjp`), and the likelihood's from its analytic partials
+(:func:`model.log_likelihood_partials`).  No scalar tape is built while
+training.  :func:`discriminator_loss` and :func:`generator_loss` wrap the
+same numbers as one tape node over the store's leaves; the scalar-tape
+forms of the networks and the sampling maps (``forward_tape``,
+``sample_tape``, ``entropy_tape``) are the reference the tests check the
+numpy gradients against.
 """
 
 from __future__ import annotations
@@ -42,14 +46,20 @@ from .model import (
     FlaggedObservationError,
     LatentAssignment,
     _check_overflow,
-    model_log_likelihood,
+    log_likelihood_partials,
+    model_log_likelihood,  # noqa: F401  (bench/tracer.py looks it up here)
     model_log_likelihood_value,
+    split_raw_globals,
 )
-from .tweedie import TruncationConfig, compound_arrays, tweedie_sample_array
+from .tweedie import InvalidParameterError, TruncationConfig, compound_arrays, tweedie_sample_array
 
 LOG_2PI_E = math.log(2.0 * math.pi) + 1.0
-#: Likelihood failures at a latent draw that training turns into a TrainingAbortError.
-_LIKELIHOOD_FAILURES = (FlaggedObservationError, ad.DomainError)
+#: Likelihood failures at a latent draw that training turns into a TrainingAbortError:
+#: eta past the log link's limit, p_index rounding to 1 or 2, a latent-count series
+#: past its term budget, and (ArithmeticError) ``exp`` of a raw log dispersion or log
+#: scale past ~709: OverflowError from ``math.exp``, FloatingPointError from ``np.exp``.
+_LIKELIHOOD_FAILURES = (FlaggedObservationError, ad.DomainError, InvalidParameterError,
+                        ArithmeticError)
 
 
 class TrainingAbortError(RuntimeError):
@@ -121,10 +131,8 @@ class MLP:
             for l in reversed(range(self.n_layers)):
                 if l < self.n_layers - 1:
                     g = g * (1.0 - hs[l + 1] ** 2)  # through tanh
-                offset, size = self.store.names[f"{self.prefix}.W{l}"]
-                param_grad[offset:offset + size] = (g.T @ hs[l]).ravel()
-                offset, size = self.store.names[f"{self.prefix}.b{l}"]
-                param_grad[offset:offset + size] = g.sum(axis=0)
+                param_grad[self.store.span(f"{self.prefix}.W{l}")] = (g.T @ hs[l]).ravel()
+                param_grad[self.store.span(f"{self.prefix}.b{l}")] = g.sum(axis=0)
                 g = g @ self.weight(l)
             return param_grad, g
 
@@ -190,7 +198,12 @@ class Discriminator:
 
 
 class HyperPrior:
-    """Trainable Gaussian prior over the raw global latents."""
+    """Gaussian prior over the raw global latents; the critic's prior batches.
+
+    Its location and log scale live in the generator store, but no loss
+    term depends on them, so their gradient is zero and they keep their
+    initial values (a standard normal).
+    """
 
     def __init__(self, dim: int, store: ParamStore, prefix: str = "prior"):
         self.dim = dim
@@ -392,12 +405,6 @@ class LossGraph:
 # Sampling operations
 # ---------------------------------------------------------------------------
 
-def split_raw_globals(raw: np.ndarray, n_covariates: int):
-    """(fixed_weights, raw_p, raw_log_dispersion, raw_log_sigma_b), split on the last axis."""
-    d1 = n_covariates + 1
-    return raw[..., :d1], raw[..., d1], raw[..., d1 + 1], raw[..., d1 + 2]
-
-
 def sample_posterior(q: InferenceNet, rng: np.random.Generator,
                      group_count: int = 0) -> LatentAssignment:
     """One posterior draw: globals from the inference net, fresh group noise."""
@@ -416,15 +423,22 @@ def sample_posterior(q: InferenceNet, rng: np.random.Generator,
 # Losses
 # ---------------------------------------------------------------------------
 
-def discriminator_loss(disc: Discriminator, posterior_batch: np.ndarray,
-                       prior_batch: np.ndarray) -> LossGraph:
-    """Logistic density-ratio loss; gradients reach only critic parameters.
+def _loss_graph(store: ParamStore, value: float, grad: np.ndarray, op: str) -> LossGraph:
+    """One tape node over ``store``'s leaves, with ``grad`` as its partials."""
+    tape = Tape()
+    leaves = store.leaves(tape)
+    loss = TapeNode(tape, value, tuple(zip(leaves, grad.tolist())), op)
+    return LossGraph(tape, loss, leaves)
+
+
+def discriminator_loss_np(disc: Discriminator, posterior_batch: np.ndarray,
+                          prior_batch: np.ndarray) -> tuple[float, np.ndarray]:
+    """Logistic density-ratio loss and its gradient in the critic's parameters.
 
     mean[-log sigmoid(T(z_Q))] + mean[-log(1 - sigmoid(T(z_P)))], with
     the latent batches entering as constants.  Both batches run through
-    the critic in one numpy pass; the loss is one tape node whose parents
-    are the critic store's leaves, with the backpropagated gradient as
-    partials.
+    the critic in one numpy pass; the gradient, aligned with the critic
+    store, is the backpropagated one.
     """
     posterior_batch = np.atleast_2d(np.asarray(posterior_batch, dtype=float))
     prior_batch = np.atleast_2d(np.asarray(prior_batch, dtype=float))
@@ -437,54 +451,79 @@ def discriminator_loss(disc: Discriminator, posterior_batch: np.ndarray,
     # d softplus(x) / dx = sigmoid(x)
     d_logits = np.concatenate([-expit(-t_q) / t_q.size, expit(t_p) / t_p.size])
     param_grad, _ = pullback(d_logits[:, None])
-    tape = Tape()
-    leaves = disc.store.leaves(tape)
-    loss = TapeNode(tape, float(value), tuple(zip(leaves, param_grad.tolist())),
-                    "critic_loss")
-    return LossGraph(tape, loss, leaves)
+    return float(value), param_grad
+
+
+def discriminator_loss(disc: Discriminator, posterior_batch: np.ndarray,
+                       prior_batch: np.ndarray) -> LossGraph:
+    """:func:`discriminator_loss_np` as one tape node over the critic store's leaves."""
+    return _loss_graph(disc.store, *discriminator_loss_np(disc, posterior_batch, prior_batch),
+                       "critic_loss")
+
+
+def generator_loss_np(batch: Dataset, q: InferenceNet, disc: Discriminator,
+                      truncation: TruncationConfig, rng: np.random.Generator,
+                      group_posterior: Optional[GroupPosterior] = None,
+                      data_scale: float = 1.0,
+                      n_draws: int = 1) -> tuple[float, np.ndarray]:
+    """Critic-estimated negative ELBO and its gradient in the inference-side parameters.
+
+    mean over latent draws of [T(z_Q) - model log likelihood - entropy of
+    the intercept posterior], with the critic's parameters entering as
+    constants; the entropy keeps the random-effect scale identified.
+    Without an intercept posterior, groups get b = sigma_b * noise and no
+    entropy term.  Each draw takes its net noise, then its group noise,
+    from ``rng``.  The gradient is aligned with ``q.store``; the hyper
+    prior sharing that store gets zero.
+    """
+    g = batch.group_count
+    noise = rng.standard_normal((n_draws, q.noise_dim + g))
+    raw, q_pullback = q.net.vjp(noise[:, :q.noise_dim])
+    logits, critic_pullback = disc.net.vjp(raw)
+    _, d_raw = critic_pullback(np.ones((n_draws, 1)))
+    grad = np.zeros(q.store.size)
+    has_posterior = group_posterior is not None and g > 0
+    if has_posterior:
+        loc_span = q.store.span(f"{group_posterior.prefix}.loc")
+        scale_span = q.store.span(f"{group_posterior.prefix}.log_scale")
+        log_scale = q.store.values[scale_span]
+        with np.errstate(over="raise"):
+            scale = np.exp(log_scale)
+        entropy = float(log_scale.sum()) + 0.5 * LOG_2PI_E * g
+    value = 0.0
+    for k in range(n_draws):
+        group_noise = noise[k, q.noise_dim:]
+        b = None
+        if has_posterior:
+            b = q.store.values[loc_span] + scale * group_noise
+        elif g:
+            b = math.exp(raw[k, -1]) * group_noise  # sigma_b * noise
+        ll, d_ll, d_b = log_likelihood_partials(batch, raw[k], b, truncation, data_scale)
+        d_raw[k] -= d_ll
+        term = logits[k, 0] - ll
+        if has_posterior:
+            term -= entropy
+            grad[loc_span] -= d_b / n_draws
+            grad[scale_span] -= (d_b * scale * group_noise + 1.0) / n_draws
+        elif g:
+            d_raw[k, -1] -= d_b @ b  # through b = exp(raw_log_sigma_b) * noise
+        value += term / n_draws
+    param_grad, _ = q_pullback(d_raw / n_draws)
+    return float(value), grad + param_grad
 
 
 def generator_loss(batch: Dataset, q: InferenceNet, disc: Discriminator,
                    h: HyperPrior, cfg: TrainConfig, rng: np.random.Generator,
                    group_posterior: Optional[GroupPosterior] = None,
                    data_scale: float = 1.0, n_draws: int = 1) -> LossGraph:
-    """Critic-estimated negative ELBO; gradients reach the inference side.
+    """:func:`generator_loss_np` as one tape node over the generator store's leaves.
 
-    mean over latent draws of [T(z_Q) - model log likelihood], with the
-    critic's parameters entering as constants: T(z_Q) is one tape node
-    whose parents are the latent draw, with the critic's input gradient
-    as partials.  The intercept posterior's entropy is added when one is
-    supplied so the random-effect scale stays identified.
+    ``h`` is not read: no term of the loss depends on the hyper prior.
     """
-    tape = Tape()
-    leaves = q.store.leaves(tape)
-    draw_terms = []
-    for _ in range(n_draws):
-        eps = rng.standard_normal(q.noise_dim)
-        raw_nodes = q.forward_tape(tape, leaves, eps)
-        d1 = q.n_covariates + 1
-        z = LatentAssignment(
-            fixed_weights=raw_nodes[:d1],
-            raw_p=raw_nodes[d1],
-            raw_log_dispersion=raw_nodes[d1 + 1],
-            raw_log_sigma_b=raw_nodes[d1 + 2],
-            group_noise=rng.standard_normal(batch.group_count),
-        )
-        logit, pullback = disc.net.vjp(np.array([[n.value for n in raw_nodes]]))
-        _, d_raw = pullback(np.ones((1, 1)))
-        t_node = TapeNode(tape, float(logit[0, 0]), tuple(zip(raw_nodes, d_raw[0].tolist())),
-                          "critic_logit")
-        b_nodes = None
-        if group_posterior is not None and batch.group_count > 0:
-            b_nodes = group_posterior.sample_tape(tape, leaves, z.group_noise)
-        mll = model_log_likelihood(tape, batch, z, cfg.truncation, b=b_nodes,
-                                   data_scale=data_scale)
-        term = t_node - mll
-        if b_nodes is not None:
-            term = term - group_posterior.entropy_tape(tape, leaves)
-        draw_terms.append((term, 1.0 / n_draws))
-    loss = ad.dot(draw_terms)
-    return LossGraph(tape, loss, leaves)
+    value, grad = generator_loss_np(batch, q, disc, cfg.truncation, rng,
+                                    group_posterior=group_posterior,
+                                    data_scale=data_scale, n_draws=n_draws)
+    return _loss_graph(q.store, value, grad, "generator_loss")
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +584,9 @@ def train(data: Dataset, cfg: TrainConfig, valid: Optional[Dataset] = None) -> F
     the density-ratio loss, then one Adam update of the inference-side
     parameters on the critic-estimated negative ELBO.  Deterministic
     given the seed.  A non-finite loss, or a likelihood that overflows
-    the log link or leaves its domain, aborts with the last good
-    parameter checkpoint attached.
+    the log link, leaves its domain or overflows ``exp`` of a raw latent,
+    aborts with a checkpoint of the parameters at the start of the last
+    step whose losses were finite.
     """
     if data.n_obs == 0:
         raise ValueError("dataset is empty")
@@ -564,6 +604,8 @@ def train(data: Dataset, cfg: TrainConfig, valid: Optional[Dataset] = None) -> F
     best_nll = math.inf
     best_params = None
     stale_evals = 0
+    # parameters at the start of the last step whose losses were finite (the
+    # updates a step applies are not evaluated until the next one)
     last_good = (trainer.gen_store.copy(), trainer.critic_store.copy())
 
     def _abort(step: int, message: str):
@@ -573,30 +615,29 @@ def train(data: Dataset, cfg: TrainConfig, valid: Optional[Dataset] = None) -> F
         raise TrainingAbortError(step, message, checkpoint)
 
     for step in range(cfg.outer_steps):
-        last_good = (trainer.gen_store.copy(), trainer.critic_store.copy())
+        step_start = (trainer.gen_store.copy(), trainer.critic_store.copy())
         critic_loss = math.nan
         for _ in range(cfg.n_critic):
             post = trainer.q.latents_np(rng.standard_normal((cfg.critic_batch, cfg.noise_dim)))
             prior = trainer.hyper.sample_np(rng, cfg.critic_batch)
-            graph = discriminator_loss(trainer.disc, post, prior)
-            critic_loss = graph.loss.value
+            critic_loss, grad = discriminator_loss_np(trainer.disc, post, prior)
             if not math.isfinite(critic_loss):
                 _abort(step, f"non-finite critic loss {critic_loss!r}")
-            grad = clip_global_norm(graph.gradient(), cfg.grad_clip_norm)
-            adam_step(trainer.critic_store, grad, adam_critic)
+            adam_step(trainer.critic_store, clip_global_norm(grad, cfg.grad_clip_norm),
+                      adam_critic)
         rows = rng.choice(m, size=batch_size, replace=False)
         minibatch = data.subset(np.sort(rows))
         try:
-            graph = generator_loss(minibatch, trainer.q, trainer.disc, trainer.hyper,
-                                   cfg, rng, group_posterior=trainer.group_posterior,
-                                   data_scale=m / batch_size)
+            gen_loss, grad = generator_loss_np(minibatch, trainer.q, trainer.disc,
+                                               cfg.truncation, rng,
+                                               group_posterior=trainer.group_posterior,
+                                               data_scale=m / batch_size)
         except _LIKELIHOOD_FAILURES as exc:
             _abort(step, f"generator loss: {exc}")
-        gen_loss = graph.loss.value
         if not math.isfinite(gen_loss):
             _abort(step, f"non-finite generator loss {gen_loss!r}")
-        grad = clip_global_norm(graph.gradient(), cfg.grad_clip_norm)
-        adam_step(trainer.gen_store, grad, adam_gen)
+        last_good = step_start
+        adam_step(trainer.gen_store, clip_global_norm(grad, cfg.grad_clip_norm), adam_gen)
         critic_trace.append(critic_loss)
         gen_trace.append(gen_loss)
 

@@ -8,9 +8,10 @@ plus per-group noise.  Constraint maps: p_index = 1 + sigmoid(raw),
 dispersion = exp(raw), sigma_b = exp(raw); the link is log.
 
 The log likelihood has one formula, the numpy Tweedie density.  The MCMC
-validator calls it for values; the variational trainer wraps it as a
-single tape node whose local partials are the density's analytic
-partials chained through the linear predictor and the constraint maps.
+validator calls it for values; the variational trainer calls
+:func:`log_likelihood_partials` for the value and the density's analytic
+partials chained through the linear predictor and the constraint maps,
+and :func:`model_log_likelihood` wraps the same as a single tape node.
 """
 
 from __future__ import annotations
@@ -123,6 +124,12 @@ class LatentAssignment:
         return math.exp(_value(self.raw_log_sigma_b))
 
 
+def split_raw_globals(raw: np.ndarray, n_covariates: int):
+    """(fixed_weights, raw_p, raw_log_dispersion, raw_log_sigma_b), split on the last axis."""
+    d1 = n_covariates + 1
+    return raw[..., :d1], raw[..., d1], raw[..., d1 + 1], raw[..., d1 + 2]
+
+
 def _value(x) -> float:
     return x.value if isinstance(x, TapeNode) else float(x)
 
@@ -206,6 +213,45 @@ def model_log_likelihood_value(data: Dataset, z: LatentAssignment,
     return data_term + prior_term
 
 
+def log_likelihood_partials(data: Dataset, raw: np.ndarray, b: np.ndarray,
+                            t: TruncationConfig, data_scale: float = 1.0):
+    """Value of :func:`model_log_likelihood` and its partials, in numpy.
+
+    ``raw`` holds the raw globals in the layout of :func:`split_raw_globals`
+    and ``b`` the intercept values (ignored without groups).  Returns
+    ``(value, d_raw, d_b)`` with ``d_raw`` aligned with ``raw`` and ``d_b``
+    with ``b``; the intercept prior term reaches ``b`` and raw_log_sigma_b
+    directly, so a caller whose ``b`` depends on sigma_b chains ``d_b``
+    through that dependence itself.  ``data_scale`` multiplies the data
+    terms only.
+    """
+    d1 = data.n_covariates + 1
+    if raw.shape != (d1 + 3,):
+        raise ShapeError(f"raw globals must be {d1} fixed weights and 3 scalars, got {raw.shape}")
+    w, raw_p, raw_log_dispersion, raw_log_sigma_b = split_raw_globals(raw, data.n_covariates)
+    s = float(expit(raw_p))  # = p - 1
+    if not 0.0 < s < 1.0:
+        raise ad.DomainError(f"p_index - 1 = {s!r} outside (0, 1) at raw_p={float(raw_p)!r}")
+    eta = linear_predictor(data, w, b)
+    _check_overflow(eta)
+    log_pdf, d_eta, d_p, d_log_phi = tweedie_log_pdf_partials(
+        data.responses, np.exp(eta), 1.0 + s, math.exp(raw_log_dispersion), t)
+    value = data_scale * float(log_pdf.sum())
+    d_eta = data_scale * d_eta
+    d_raw = np.zeros(d1 + 3)
+    d_raw[0] = d_eta.sum()
+    d_raw[1:d1] = data.fixed_design.T @ d_eta
+    d_raw[d1] = s * (1.0 - s) * data_scale * float(d_p.sum())
+    d_raw[d1 + 1] = data_scale * float(d_log_phi.sum())
+    d_b = np.zeros(0)
+    if data.group_count > 0:
+        sigma_b = math.exp(raw_log_sigma_b)
+        value += intercept_log_prior(b, sigma_b)
+        d_b = np.bincount(data.group_index, d_eta, data.group_count) - b / sigma_b ** 2
+        d_raw[d1 + 2] = float(b @ b) / sigma_b ** 2 - data.group_count
+    return value, d_raw, d_b
+
+
 def model_log_likelihood(tape: Tape, data: Dataset, z: LatentAssignment,
                          t: TruncationConfig, b=None,
                          data_scale: float = 1.0) -> TapeNode:
@@ -218,37 +264,18 @@ def model_log_likelihood(tape: Tape, data: Dataset, z: LatentAssignment,
     reweighting); the intercept prior term is never scaled.
 
     The result is one node: its value and its partials in the latent
-    nodes come from :func:`tweedie_log_pdf_partials` in numpy.
+    nodes come from :func:`log_likelihood_partials`.
     """
-    w_nodes = list(z.fixed_weights)
-    if len(w_nodes) != data.n_covariates + 1:
-        raise ShapeError(f"fixed_weights must have length {data.n_covariates + 1}")
     b_nodes = []
     if data.group_count > 0:
         if b is None:
             b = reparam_random_effects(ad.exp(z.raw_log_sigma_b), z.group_noise)
         b_nodes = list(b)
-    s = float(expit(_value(z.raw_p)))  # = p - 1
-    if not 0.0 < s < 1.0:
-        raise ad.DomainError(f"p_index - 1 = {s!r} outside (0, 1) at raw_p={_value(z.raw_p)!r}")
-    b_val = np.array([_value(n) for n in b_nodes])
-    eta = linear_predictor(data, np.array([_value(n) for n in w_nodes]), b_val)
-    _check_overflow(eta)
-    log_pdf, d_eta, d_p, d_log_phi = tweedie_log_pdf_partials(
-        data.responses, np.exp(eta), 1.0 + s, math.exp(_value(z.raw_log_dispersion)), t)
-    value = data_scale * float(log_pdf.sum())
-    d_eta = data_scale * d_eta
-    parents = [(w_nodes[0], float(d_eta.sum()))]
-    parents += zip(w_nodes[1:], (data.fixed_design.T @ d_eta).tolist())
-    parents.append((z.raw_p, s * (1.0 - s) * data_scale * float(d_p.sum())))
-    parents.append((z.raw_log_dispersion, data_scale * float(d_log_phi.sum())))
-    if b_nodes:
-        sigma_b = z.sigma_b
-        value += intercept_log_prior(b_val, sigma_b)
-        d_b = np.bincount(data.group_index, d_eta, data.group_count) - b_val / sigma_b ** 2
-        parents += zip(b_nodes, d_b.tolist())
-        parents.append((z.raw_log_sigma_b,
-                        float(b_val @ b_val) / sigma_b ** 2 - data.group_count))
+    raw_nodes = [*z.fixed_weights, z.raw_p, z.raw_log_dispersion, z.raw_log_sigma_b]
+    value, d_raw, d_b = log_likelihood_partials(
+        data, np.array([_value(n) for n in raw_nodes]), np.array([_value(n) for n in b_nodes]),
+        t, data_scale)
+    parents = [*zip(raw_nodes, d_raw.tolist()), *zip(b_nodes, d_b.tolist())]
     return TapeNode(tape, value,
                     tuple((n, c) for n, c in parents if isinstance(n, TapeNode)),
                     "tweedie_log_likelihood")

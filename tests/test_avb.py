@@ -25,13 +25,19 @@ from tweedie_avb.avb import (
     build_trainer,
     discriminator_loss,
     generator_loss,
+    generator_loss_np,
     posterior_predict,
     sample_posterior,
     split_raw_globals,
     train,
 )
 from tweedie_avb.data import SimTruth, simulate_dataset
-from tweedie_avb.model import FlaggedObservationError, model_log_likelihood_value
+from tweedie_avb.model import (
+    FlaggedObservationError,
+    LatentAssignment,
+    model_log_likelihood,
+    model_log_likelihood_value,
+)
 from tweedie_avb.tweedie import TruncationConfig
 
 
@@ -56,6 +62,38 @@ def critic_loss_tape_reference(disc, post, prior):
         t = disc.net.forward_tape(tape, list(z), leaves)[0]
         terms.append((ad.softplus(t), 1.0 / len(prior)))
     loss = ad.dot(terms)
+    backward(loss)
+    return loss.value, collect_gradient(leaves)
+
+
+def generator_loss_tape_reference(batch, q, disc, cfg, rng, group_posterior=None,
+                                  data_scale=1.0, n_draws=1):
+    """The critic-estimated negative ELBO built node by node on the scalar tape."""
+    tape = Tape()
+    leaves = q.store.leaves(tape)
+    draw_terms = []
+    for _ in range(n_draws):
+        eps = rng.standard_normal(q.noise_dim)
+        raw_nodes = q.forward_tape(tape, leaves, eps)
+        d1 = q.n_covariates + 1
+        z = LatentAssignment(
+            fixed_weights=raw_nodes[:d1],
+            raw_p=raw_nodes[d1],
+            raw_log_dispersion=raw_nodes[d1 + 1],
+            raw_log_sigma_b=raw_nodes[d1 + 2],
+            group_noise=rng.standard_normal(batch.group_count),
+        )
+        t_node = disc.net.forward_tape(tape, raw_nodes)[0]  # critic weights as constants
+        b_nodes = None
+        if group_posterior is not None and batch.group_count > 0:
+            b_nodes = group_posterior.sample_tape(tape, leaves, z.group_noise)
+        mll = model_log_likelihood(tape, batch, z, cfg.truncation, b=b_nodes,
+                                   data_scale=data_scale)
+        term = t_node - mll
+        if b_nodes is not None:
+            term = term - group_posterior.entropy_tape(tape, leaves)
+        draw_terms.append((term, 1.0 / n_draws))
+    loss = ad.dot(draw_terms)
     backward(loss)
     return loss.value, collect_gradient(leaves)
 
@@ -316,6 +354,41 @@ class TestGeneratorLoss:
         assert (trainer.critic_store.values == before).all()
 
 
+    @pytest.mark.parametrize("groups, posterior, n_draws, data_scale", [
+        (2, True, 1, 1.0),   # with groups
+        (0, False, 1, 1.0),  # without groups
+        (2, True, 3, 1.0),
+        (2, True, 1, 4.0),   # minibatch reweighting
+        (2, False, 2, 1.0),  # groups without a posterior: b = sigma_b * noise
+    ])
+    def test_numpy_matches_tape_reference(self, groups, posterior, n_draws, data_scale):
+        data = small_dataset(m=6, d=2, g=groups, seed=4)
+        cfg = TrainConfig(outer_steps=1, seed=0, inference_hidden=(4,), critic_hidden=(5,))
+        trainer = build_trainer(data.n_covariates, data.group_count, cfg,
+                                np.random.default_rng(5))
+        gp = trainer.group_posterior if posterior else None
+        if gp is not None:
+            trainer.gen_store.set("b_post.loc", [0.2, -0.3])
+            trainer.gen_store.set("b_post.log_scale", [-1.0, -0.5])
+
+        def numpy_loss(p):
+            saved = trainer.gen_store.values.copy()
+            trainer.gen_store.values[:] = p.values
+            value, grad = generator_loss_np(data, trainer.q, trainer.disc, cfg.truncation,
+                                            np.random.default_rng(6), group_posterior=gp,
+                                            data_scale=data_scale, n_draws=n_draws)
+            trainer.gen_store.values[:] = saved
+            return value, grad
+
+        value, grad = numpy_loss(trainer.gen_store)
+        want_value, want_grad = generator_loss_tape_reference(
+            data, trainer.q, trainer.disc, cfg, np.random.default_rng(6), group_posterior=gp,
+            data_scale=data_scale, n_draws=n_draws)
+        assert_allclose(value, want_value, rtol=1e-12)
+        assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12 * np.abs(want_grad).max())
+        assert finite_diff_check(numpy_loss, trainer.gen_store.copy(), h=1e-5) < 1e-4
+
+
 class TestGroupPosterior:
     def test_entropy_value(self):
         store = ParamStore()
@@ -386,6 +459,43 @@ class TestTrainLoop:
             train(data, cfg, valid=valid)
         assert isinstance(exc.value.__context__, FlaggedObservationError)
         assert exc.value.checkpoint is not None
+
+    @pytest.mark.parametrize("learning_rate, seed, with_valid", [
+        (1e2, 0, False), (1e4, 0, False), (1e4, 0, True), (1.0, 1, False), (1.0, 1, True)])
+    def test_runaway_step_aborts_with_checkpoint(self, learning_rate, seed, with_valid):
+        # large Adam steps throw the raw latents far out: exp overflows,
+        # p_index rounds to 2 or the dispersion gets so small that the
+        # latent-count series exceeds its term budget, in the generator loss
+        # or, with a validation set checked every step, in the validation
+        # likelihood
+        cfg = TrainConfig(outer_steps=40, seed=seed, inference_hidden=(4,), critic_hidden=(4,),
+                          generator_learning_rate=learning_rate, eval_every=1)
+        valid = small_dataset(m=12, seed=5) if with_valid else None
+        with pytest.raises(TrainingAbortError) as exc:
+            train(small_dataset(m=40), cfg, valid=valid)
+        assert exc.value.checkpoint is not None
+
+    def test_abort_checkpoint_is_last_finite_step(self):
+        # the generator loss fails at step 6 on the update step 5 applied, so
+        # the checkpoint holds the parameters step 5 evaluated: those after 5 steps
+        data = small_dataset(m=40)
+        cfg = TrainConfig(outer_steps=40, seed=1, inference_hidden=(4,), critic_hidden=(4,),
+                          generator_learning_rate=1.0)
+        with pytest.raises(TrainingAbortError) as exc:
+            train(data, cfg)
+        assert exc.value.step == 6
+        five = train(data, TrainConfig(**{**cfg.to_dict(), "outer_steps": 5}))
+        assert exc.value.checkpoint.gen_params == five.gen_params
+        assert exc.value.checkpoint.critic_params == five.critic_params
+
+    def test_training_builds_no_tape_node(self, monkeypatch):
+        def refuse(node, *args, **kwargs):
+            raise AssertionError("train() built a tape node")
+
+        monkeypatch.setattr(ad.TapeNode, "__init__", refuse)
+        cfg = TrainConfig(**{**self.CFG, "eval_every": 2})
+        fit = train(small_dataset(m=30), cfg, valid=small_dataset(m=12, seed=5))
+        assert fit.generator_trace.size == cfg.outer_steps
 
     def test_likelihood_ascends_with_frozen_critic(self):
         # with the critic at zero the generator step is maximum-likelihood

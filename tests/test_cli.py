@@ -119,6 +119,16 @@ class TestFit:
         assert (tmp_path / "o" / "fit_checkpoint.json").exists()
         assert not (tmp_path / "o" / "fit.json").exists()
 
+    def test_runaway_step_exits_2_with_checkpoint(self, workspace, tmp_path):
+        # one generator step of size 1e4 overflows exp of the raw latents
+        echo = json.loads((workspace / "fit" / "config_echo.json").read_text())
+        echo["out"] = str(tmp_path / "o")
+        echo["train"] = {**TRAIN, "generator_learning_rate": 1e4}
+        cfg = write_json(tmp_path / "f.json", echo)
+        assert main(["fit", "--config", cfg]) == 2
+        assert (tmp_path / "o" / "fit_checkpoint.json").exists()
+        assert not (tmp_path / "o" / "fit.json").exists()
+
 
 class TestEvaluate:
     def test_artifacts_and_summary(self, workspace, tmp_path):
