@@ -1,11 +1,12 @@
 """Adversarial variational inference for the Tweedie mixed model.
 
-Three small networks drive the fit: an inference network mapping noise
-to the global latents, a discriminator (critic) estimating the log
-density ratio between posterior and prior samples of those globals, and
-a Gaussian hyper prior.  Per-group random intercepts are handled in
-closed form by a reparameterized Gaussian posterior, so the adversarial
-ratio is only needed for the intractable globals.
+Two small networks drive the fit: an inference network mapping noise
+to the global latents, and a discriminator (critic) estimating the log
+density ratio between posterior draws of those globals and draws from
+their fixed standard normal prior (:func:`model.globals_log_prior`, the
+prior the MCMC chain targets too).  Per-group random intercepts are
+handled in closed form by a reparameterized Gaussian posterior, so the
+adversarial ratio is only needed for the intractable globals.
 
 Training alternates a fixed number of critic updates with one Adam
 update of the inference-side parameters.  Both losses run in numpy and
@@ -49,6 +50,7 @@ from .model import (
     log_likelihood_partials,
     model_log_likelihood,  # noqa: F401  (bench/tracer.py looks it up here)
     model_log_likelihood_value,
+    sample_globals_prior,
     split_raw_globals,
 )
 from .tweedie import InvalidParameterError, TruncationConfig, compound_arrays, tweedie_sample_array
@@ -122,17 +124,19 @@ class MLP:
         ``pullback(g)`` takes the cotangent ``g`` of ``out`` (same shape)
         and returns ``(param_grad, input_grad)``: the first aligned with
         ``store.values`` (zero outside this net's slices), the second
-        shaped like ``x``.
+        shaped like ``x``.  ``pullback(g, params=False)`` skips the
+        parameter gradient and returns ``(None, input_grad)``.
         """
         hs = self._activations(x)
 
-        def pullback(g: np.ndarray):
-            param_grad = np.zeros(self.store.size)
+        def pullback(g: np.ndarray, params: bool = True):
+            param_grad = np.zeros(self.store.size) if params else None
             for l in reversed(range(self.n_layers)):
                 if l < self.n_layers - 1:
                     g = g * (1.0 - hs[l + 1] ** 2)  # through tanh
-                param_grad[self.store.span(f"{self.prefix}.W{l}")] = (g.T @ hs[l]).ravel()
-                param_grad[self.store.span(f"{self.prefix}.b{l}")] = g.sum(axis=0)
+                if params:
+                    param_grad[self.store.span(f"{self.prefix}.W{l}")] = (g.T @ hs[l]).ravel()
+                    param_grad[self.store.span(f"{self.prefix}.b{l}")] = g.sum(axis=0)
                 g = g @ self.weight(l)
             return param_grad, g
 
@@ -197,44 +201,6 @@ class Discriminator:
         return out[..., 0]
 
 
-class HyperPrior:
-    """Gaussian prior over the raw global latents; the critic's prior batches.
-
-    Its location and log scale live in the generator store, but no loss
-    term depends on them, so their gradient is zero and they keep their
-    initial values (a standard normal).
-    """
-
-    def __init__(self, dim: int, store: ParamStore, prefix: str = "prior"):
-        self.dim = dim
-        self.store = store
-        self.prefix = prefix
-        store.register(f"{prefix}.loc", np.zeros(dim))
-        store.register(f"{prefix}.log_scale", np.zeros(dim))
-
-    @property
-    def loc(self) -> np.ndarray:
-        return self.store.get(f"{self.prefix}.loc")
-
-    @property
-    def scale(self) -> np.ndarray:
-        return np.exp(self.store.get(f"{self.prefix}.log_scale"))
-
-    def sample_np(self, rng: np.random.Generator, count: Optional[int] = None) -> np.ndarray:
-        shape = (self.dim,) if count is None else (count, self.dim)
-        return self.loc + self.scale * rng.standard_normal(shape)
-
-    def sample_tape(self, tape: Tape, leaves, eps: np.ndarray) -> list:
-        loc = slice_leaves(leaves, self.store, f"{self.prefix}.loc")
-        log_scale = slice_leaves(leaves, self.store, f"{self.prefix}.log_scale")
-        return [loc[i] + ad.exp(log_scale[i]) * float(eps[i]) for i in range(self.dim)]
-
-    def log_density_np(self, z: np.ndarray) -> float:
-        scale = self.scale
-        resid = (np.asarray(z, dtype=float) - self.loc) / scale
-        return float(np.sum(-0.5 * math.log(2.0 * math.pi) - np.log(scale) - 0.5 * resid ** 2))
-
-
 class GroupPosterior:
     """Reparameterized Gaussian posterior over the per-group intercepts.
 
@@ -260,9 +226,6 @@ class GroupPosterior:
     @property
     def scale(self) -> np.ndarray:
         return np.exp(self.store.get(f"{self.prefix}.log_scale"))
-
-    def sample_np(self, rng: np.random.Generator) -> np.ndarray:
-        return self.loc + self.scale * rng.standard_normal(self.group_count)
 
     def sample_tape(self, tape: Tape, leaves, eps: np.ndarray) -> list:
         loc = slice_leaves(leaves, self.store, f"{self.prefix}.loc")
@@ -473,14 +436,13 @@ def generator_loss_np(batch: Dataset, q: InferenceNet, disc: Discriminator,
     constants; the entropy keeps the random-effect scale identified.
     Without an intercept posterior, groups get b = sigma_b * noise and no
     entropy term.  Each draw takes its net noise, then its group noise,
-    from ``rng``.  The gradient is aligned with ``q.store``; the hyper
-    prior sharing that store gets zero.
+    from ``rng``.  The gradient is aligned with ``q.store``.
     """
     g = batch.group_count
     noise = rng.standard_normal((n_draws, q.noise_dim + g))
     raw, q_pullback = q.net.vjp(noise[:, :q.noise_dim])
     logits, critic_pullback = disc.net.vjp(raw)
-    _, d_raw = critic_pullback(np.ones((n_draws, 1)))
+    _, d_raw = critic_pullback(np.ones((n_draws, 1)), params=False)
     grad = np.zeros(q.store.size)
     has_posterior = group_posterior is not None and g > 0
     if has_posterior:
@@ -513,13 +475,10 @@ def generator_loss_np(batch: Dataset, q: InferenceNet, disc: Discriminator,
 
 
 def generator_loss(batch: Dataset, q: InferenceNet, disc: Discriminator,
-                   h: HyperPrior, cfg: TrainConfig, rng: np.random.Generator,
+                   cfg: TrainConfig, rng: np.random.Generator,
                    group_posterior: Optional[GroupPosterior] = None,
                    data_scale: float = 1.0, n_draws: int = 1) -> LossGraph:
-    """:func:`generator_loss_np` as one tape node over the generator store's leaves.
-
-    ``h`` is not read: no term of the loss depends on the hyper prior.
-    """
+    """:func:`generator_loss_np` as one tape node over the generator store's leaves."""
     value, grad = generator_loss_np(batch, q, disc, cfg.truncation, rng,
                                     group_posterior=group_posterior,
                                     data_scale=data_scale, n_draws=n_draws)
@@ -536,7 +495,6 @@ class _Trainer:
 
     q: InferenceNet
     disc: Discriminator
-    hyper: HyperPrior
     group_posterior: Optional[GroupPosterior]
     gen_store: ParamStore
     critic_store: ParamStore
@@ -547,11 +505,10 @@ def build_trainer(n_covariates: int, group_count: int, cfg: TrainConfig,
     gen_store = ParamStore()
     q = InferenceNet(n_covariates, gen_store, rng, noise_dim=cfg.noise_dim,
                      hidden=cfg.inference_hidden)
-    hyper = HyperPrior(n_covariates + 4, gen_store)
     gp = GroupPosterior(group_count, gen_store) if group_count > 0 else None
     critic_store = ParamStore()
     disc = Discriminator(n_covariates + 4, critic_store, rng, hidden=cfg.critic_hidden)
-    return _Trainer(q, disc, hyper, gp, gen_store, critic_store)
+    return _Trainer(q, disc, gp, gen_store, critic_store)
 
 
 def _validation_nll(trainer: _Trainer, valid: Dataset, cfg: TrainConfig,
@@ -619,7 +576,7 @@ def train(data: Dataset, cfg: TrainConfig, valid: Optional[Dataset] = None) -> F
         critic_loss = math.nan
         for _ in range(cfg.n_critic):
             post = trainer.q.latents_np(rng.standard_normal((cfg.critic_batch, cfg.noise_dim)))
-            prior = trainer.hyper.sample_np(rng, cfg.critic_batch)
+            prior = sample_globals_prior(rng, cfg.critic_batch, trainer.disc.latent_dim)
             critic_loss, grad = discriminator_loss_np(trainer.disc, post, prior)
             if not math.isfinite(critic_loss):
                 _abort(step, f"non-finite critic loss {critic_loss!r}")

@@ -18,8 +18,14 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import expit
 
-from .model import Dataset, LatentAssignment, intercept_log_prior, model_log_likelihood_value
-from .tweedie import LOG_2PI, TruncationConfig
+from .model import (
+    Dataset,
+    LatentAssignment,
+    globals_log_prior,
+    intercept_log_prior,
+    model_log_likelihood_value,
+)
+from .tweedie import TruncationConfig
 
 BLOCK_ORDER = ("w", "raw_p", "raw_log_dispersion", "raw_log_sigma_b", "b")
 
@@ -123,25 +129,17 @@ class ChainResult:
 # ---------------------------------------------------------------------------
 
 def log_unnormalized_posterior(data: Dataset, z: LatentAssignment,
-                               prior_loc: np.ndarray, prior_scale: np.ndarray,
                                t: TruncationConfig, b=None) -> float:
-    """Model log likelihood plus a fixed Gaussian prior on the raw globals.
+    """Model log likelihood plus :func:`model.globals_log_prior` of the raw globals.
 
-    Shares the likelihood code path with the variational fit; the prior
-    snapshot (location/scale per raw global coordinate) is frozen.
+    Shares the likelihood code path with the variational fit, and the
+    prior with the critic's prior batches.
     """
     raw = np.concatenate([
         np.asarray(z.fixed_weights, dtype=float),
         [float(z.raw_p), float(z.raw_log_dispersion), float(z.raw_log_sigma_b)],
     ])
-    return model_log_likelihood_value(data, z, t, b=b) + _globals_log_prior(
-        raw, prior_loc, prior_scale)
-
-
-def _globals_log_prior(raw: np.ndarray, prior_loc: np.ndarray,
-                       prior_scale: np.ndarray) -> float:
-    resid = (raw - prior_loc) / prior_scale
-    return float(np.sum(-0.5 * LOG_2PI - np.log(prior_scale) - 0.5 * resid ** 2))
+    return model_log_likelihood_value(data, z, t, b=b) + globals_log_prior(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -216,20 +214,16 @@ def run_chain_generic(log_target: Callable[[dict], float], init: dict,
 
 def run_chain(data: Dataset, cfg: ChainConfig,
               t: Optional[TruncationConfig] = None,
-              prior_loc: Optional[np.ndarray] = None,
-              prior_scale: Optional[np.ndarray] = None,
               include_likelihood: bool = True) -> ChainResult:
     """Sample the Tweedie mixed-model posterior for a dataset.
 
-    With ``include_likelihood=False`` the chain targets the prior alone
-    (global Gaussian prior plus the sigma_b-scaled intercept prior),
-    which is the stationarity smoke test.
+    The target is :func:`log_unnormalized_posterior`, the posterior that
+    AVB fits.  With ``include_likelihood=False`` the chain targets the
+    prior alone (the raw globals' standard normal plus the sigma_b-scaled
+    intercept prior), which is the stationarity smoke test.
     """
     t = t or TruncationConfig()
     d1 = data.n_covariates + 1
-    dim = d1 + 3
-    prior_loc = np.zeros(dim) if prior_loc is None else np.asarray(prior_loc, dtype=float)
-    prior_scale = np.ones(dim) if prior_scale is None else np.asarray(prior_scale, dtype=float)
     g = data.group_count
 
     def log_target(state: dict) -> float:
@@ -243,12 +237,12 @@ def run_chain(data: Dataset, cfg: ChainConfig,
                 group_noise=np.zeros(g),
             )
             try:
-                return log_unnormalized_posterior(data, z, prior_loc, prior_scale, t, b=b)
+                return log_unnormalized_posterior(data, z, t, b=b)
             except (OverflowError, FloatingPointError, ValueError):
                 return -math.inf
         raw = np.concatenate([state["w"], state["raw_p"], state["raw_log_dispersion"],
                               state["raw_log_sigma_b"]])
-        lp = _globals_log_prior(raw, prior_loc, prior_scale)
+        lp = globals_log_prior(raw)
         if g:
             lp += intercept_log_prior(b, math.exp(float(state["raw_log_sigma_b"][0])))
         return lp

@@ -26,11 +26,8 @@ from . import autodiff as ad
 from .autodiff import Tape, TapeNode
 from .tweedie import (
     LOG_2PI,
-    CompoundParams,
-    EdmParams,
     InvalidParameterError,
     TruncationConfig,
-    to_compound,
     tweedie_log_pdf,
     tweedie_log_pdf_partials,
 )
@@ -159,21 +156,6 @@ def linear_predictor(data: Dataset, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return eta
 
 
-def per_obs_params(eta: np.ndarray, p_index: float, dispersion: float) -> list[CompoundParams]:
-    """Compound parameters per observation under the log link.
-
-    p_index and dispersion are shared; mu_i = exp(eta_i).  Overflowing
-    predictors are flagged with their row index rather than silently
-    producing infinities.
-    """
-    eta = np.asarray(eta, dtype=float)
-    _check_overflow(eta)
-    return [
-        to_compound(EdmParams(mu=math.exp(e), p_index=p_index, dispersion=dispersion))
-        for e in eta
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Log likelihood
 # ---------------------------------------------------------------------------
@@ -187,7 +169,27 @@ def _check_overflow(eta: np.ndarray) -> None:
 
 def intercept_log_prior(b: np.ndarray, sigma_b: float) -> float:
     """sum_g log N(b_g; 0, sigma_b^2)."""
-    return float(np.sum(-0.5 * LOG_2PI - math.log(sigma_b) - b * b / (2.0 * sigma_b ** 2)))
+    # (b / sigma_b) ** 2 stays 0 at b = 0 when sigma_b ** 2 underflows
+    return float(np.sum(-0.5 * LOG_2PI - math.log(sigma_b) - 0.5 * (b / sigma_b) ** 2))
+
+
+def globals_log_prior(raw: np.ndarray):
+    """sum_k log N(raw_k; 0, 1) over the last axis: the prior over the raw globals.
+
+    ``raw`` is laid out as in :func:`split_raw_globals`; one vector gives a
+    scalar, a batch one value per row.  This is the one prior of the model's
+    globals: AVB's critic tells posterior draws apart from
+    :func:`sample_globals_prior`'s batches, and the MCMC chain's target adds
+    this term, so both target the same posterior.  The paper's flexible
+    hyper prior is not implemented; if it is ever added, it must enter the
+    chain's target too, or the chain checks a different posterior.
+    """
+    return np.sum(-0.5 * LOG_2PI - 0.5 * raw ** 2, axis=-1)
+
+
+def sample_globals_prior(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """(count, dim) draws from :func:`globals_log_prior`'s standard normal."""
+    return rng.standard_normal((count, dim))
 
 
 def model_log_likelihood_value(data: Dataset, z: LatentAssignment,

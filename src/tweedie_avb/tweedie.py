@@ -342,12 +342,20 @@ def series_log_density_oracle(y: float, e: EdmParams, rel_tol: float = 1e-12) ->
 # Vectorized fast path (shared p_index and dispersion across observations)
 # ---------------------------------------------------------------------------
 
-def _checked_rows(y, mu) -> tuple[np.ndarray, np.ndarray]:
+def _compound_rows(y, mu, p: float, phi: float):
+    """Checked ``(y, mu, lambda, alpha, beta)`` for the vectorized paths."""
     y = np.asarray(y, dtype=float)
     mu = np.broadcast_to(np.asarray(mu, dtype=float), y.shape)
     if (y < 0).any():
         raise InvalidParameterError("y must be nonnegative")
-    return y, mu
+    if not 1.0 < p < 2.0:  # 1 + sigmoid(raw) rounds to 1 or 2 for |raw| past ~37
+        raise InvalidParameterError(f"p_index must lie in the open interval (1, 2), got {p!r}")
+    lam, alpha, beta = compound_arrays(mu, p, phi)
+    # an extreme dispersion over- or underflows lambda or beta
+    if not (np.isfinite(lam) & (lam > 0.0) & np.isfinite(beta) & (beta > 0.0)).all():
+        raise InvalidParameterError(
+            f"compound parameters out of range at p_index={p!r}, dispersion={phi!r}")
+    return y, mu, lam, alpha, beta
 
 
 def tweedie_log_pdf(y: np.ndarray, mu: np.ndarray, p: float, phi: float,
@@ -358,8 +366,7 @@ def tweedie_log_pdf(y: np.ndarray, mu: np.ndarray, p: float, phi: float,
     :func:`marginal_log_likelihood`, vectorized for a shared index
     parameter and dispersion across observations.
     """
-    y, mu = _checked_rows(y, mu)
-    lam, alpha, beta = compound_arrays(mu, p, phi)
+    y, mu, lam, alpha, beta = _compound_rows(y, mu, p, phi)
     out = -lam
     pos = y > 0.0
     if pos.any():
@@ -382,8 +389,7 @@ def tweedie_log_pdf_partials(y: np.ndarray, mu: np.ndarray, p: float, phi: float
     row has log density -lambda.  The chain rule through
     :func:`compound_arrays` then gives the returned partials.
     """
-    y, mu = _checked_rows(y, mu)
-    lam, alpha, beta = compound_arrays(mu, p, phi)
+    y, mu, lam, alpha, beta = _compound_rows(y, mu, p, phi)
     out = -lam
     d_log_lam = -lam
     d_log_beta = np.zeros(y.shape)

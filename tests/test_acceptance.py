@@ -220,7 +220,7 @@ def test_criterion_5_gradient_suite():
     def gen(p):
         saved = trainer.gen_store.values.copy()
         trainer.gen_store.values[:] = p.values
-        graph = generator_loss(data, trainer.q, trainer.disc, trainer.hyper,
+        graph = generator_loss(data, trainer.q, trainer.disc,
                                cfg, np.random.default_rng(7),
                                group_posterior=trainer.group_posterior)
         value, grad = graph.loss.value, graph.gradient()

@@ -16,7 +16,6 @@ from tweedie_avb.avb import (
     Discriminator,
     FitResult,
     GroupPosterior,
-    HyperPrior,
     InferenceNet,
     MLP,
     TrainConfig,
@@ -35,8 +34,10 @@ from tweedie_avb.data import SimTruth, simulate_dataset
 from tweedie_avb.model import (
     FlaggedObservationError,
     LatentAssignment,
+    globals_log_prior,
     model_log_likelihood,
     model_log_likelihood_value,
+    sample_globals_prior,
 )
 from tweedie_avb.tweedie import TruncationConfig
 
@@ -143,6 +144,15 @@ class TestMLP:
         assert_allclose(param_grad, collect_gradient(leaves), rtol=1e-12, atol=1e-15)
         assert_allclose(input_grad[0], collect_gradient(inputs), rtol=1e-12, atol=1e-15)
 
+    def test_input_only_pullback(self):
+        store = ParamStore()
+        net = MLP("m", [3, 5, 2], store, np.random.default_rng(6))
+        _, pullback = net.vjp(np.random.default_rng(7).standard_normal((4, 3)))
+        cotangent = np.random.default_rng(8).standard_normal((4, 2))
+        param_grad, input_grad = pullback(cotangent, params=False)
+        assert param_grad is None
+        assert (input_grad == pullback(cotangent)[1]).all()
+
 
 class TestSampling:
     def test_zero_network_maps_to_constraint_midpoints(self):
@@ -170,23 +180,16 @@ class TestSampling:
         assert q.out_dim == 5 + 4  # D weights + intercept + three raw globals
 
     def test_prior_location(self):
-        store = ParamStore()
-        h = HyperPrior(3, store)
-        draws = h.sample_np(np.random.default_rng(0), count=100_000)
+        draws = sample_globals_prior(np.random.default_rng(0), 100_000, 3)
         se = 1.0 / math.sqrt(100_000)
         assert np.abs(draws.mean(axis=0)).max() < 3 * se
 
-    def test_prior_reparam_gradient(self):
-        store = ParamStore()
-        h = HyperPrior(2, store)
-        tape = Tape()
-        leaves = store.leaves(tape)
-        draw = h.sample_tape(tape, leaves, np.array([0.3, -0.8]))
-        backward(draw[0])
-        grads = collect_gradient(leaves)
-        offset, _ = store.names["prior.loc"]
-        assert grads[offset] == 1.0
-        assert grads[offset + 1] == 0.0
+    def test_prior_scale_matches_globals_log_prior(self):
+        # the critic's prior batches follow the density the chain's target adds
+        draws = sample_globals_prior(np.random.default_rng(1), 100_000, 3)
+        assert np.abs(draws.var(axis=0) - 1.0).max() < 3 * math.sqrt(2.0 / 100_000)
+        mean_log_density = globals_log_prior(draws).mean()
+        assert abs(mean_log_density - 3 * (-0.5 * math.log(2 * math.pi) - 0.5)) < 0.03
 
 
 class TestDiscriminatorLoss:
@@ -312,13 +315,12 @@ class TestGeneratorLoss:
         rng = np.random.default_rng(0)
         q = InferenceNet(0, store, rng, noise_dim=cfg.noise_dim,
                          hidden=cfg.inference_hidden)
-        hyper = HyperPrior(4, store)
         store.values[:] = 0.0
         store.set("q.b1", np.array([0.0, 0.0, math.log(2.0), 0.0]))
         critic_store = ParamStore()
         disc = Discriminator(4, critic_store, rng)
         critic_store.values[:] = 0.0
-        graph = generator_loss(data, q, disc, hyper, cfg, np.random.default_rng(1))
+        graph = generator_loss(data, q, disc, cfg, np.random.default_rng(1))
         assert_allclose(graph.loss.value, 1.0, rtol=1e-12)
 
     def test_gradient_vs_central_differences(self):
@@ -331,7 +333,7 @@ class TestGeneratorLoss:
         def f(p):
             saved = trainer.gen_store.values.copy()
             trainer.gen_store.values[:] = p.values
-            graph = generator_loss(data, trainer.q, trainer.disc, trainer.hyper,
+            graph = generator_loss(data, trainer.q, trainer.disc,
                                    cfg, np.random.default_rng(3),
                                    group_posterior=trainer.group_posterior)
             value = graph.loss.value
@@ -345,7 +347,7 @@ class TestGeneratorLoss:
         data = small_dataset(m=4, d=1, g=2, seed=2)
         cfg = TrainConfig(outer_steps=1, seed=0)
         trainer = build_trainer(1, 2, cfg, np.random.default_rng(0))
-        graph = generator_loss(data, trainer.q, trainer.disc, trainer.hyper,
+        graph = generator_loss(data, trainer.q, trainer.disc,
                                cfg, np.random.default_rng(1),
                                group_posterior=trainer.group_posterior)
         assert len(graph.leaves) == trainer.gen_store.size
@@ -488,6 +490,23 @@ class TestTrainLoop:
         assert exc.value.checkpoint.gen_params == five.gen_params
         assert exc.value.checkpoint.critic_params == five.critic_params
 
+    def test_generator_step_moves_every_parameter(self):
+        # every entry of the generator store feeds the loss, so every entry
+        # gets a gradient and one Adam step moves it
+        data = small_dataset(m=30)
+        cfg = TrainConfig(**{**self.CFG, "outer_steps": 1})
+        trainer = build_trainer(data.n_covariates, data.group_count, cfg,
+                                np.random.default_rng(cfg.seed))
+        _, grad = generator_loss_np(data, trainer.q, trainer.disc, cfg.truncation,
+                                    np.random.default_rng(1),
+                                    group_posterior=trainer.group_posterior)
+        assert grad.shape == (trainer.gen_store.size,)
+        assert (grad != 0.0).all()
+        fit = train(data, cfg)
+        assert set(fit.gen_params) == set(trainer.gen_store.names)
+        for name, after in fit.gen_params.items():
+            assert (np.asarray(after) != trainer.gen_store.get(name)).all(), name
+
     def test_training_builds_no_tape_node(self, monkeypatch):
         def refuse(node, *args, **kwargs):
             raise AssertionError("train() built a tape node")
@@ -537,7 +556,8 @@ class TestTrainLoop:
             assert_allclose(got["p_index"][s], 1.0 + expit(raw_p), rtol=1e-14)
             assert_allclose(got["dispersion"][s], math.exp(raw_ld), rtol=1e-14)
             assert_allclose(got["sigma_b"][s], math.exp(raw_ls), rtol=1e-14)
-            assert_allclose(got["b"][s], gp.sample_np(rng), rtol=1e-14, atol=1e-15)
+            b = gp.loc + gp.scale * rng.standard_normal(gp.group_count)
+            assert_allclose(got["b"][s], b, rtol=1e-14, atol=1e-15)
 
 
 class TestFitResult:

@@ -179,6 +179,25 @@ class TestPredict:
         for row in rows:
             assert float(row["q05"]) <= float(row["q50"]) <= float(row["q95"])
 
+    def test_fit_with_stored_prior_parameters_still_predicts(self, workspace, tmp_path):
+        # fit.json files written while the generator store held a trainable
+        # prior carry prior.loc and prior.log_scale; they load and predict alike
+        doc = json.loads((workspace / "fit" / "fit.json").read_text())
+        gen = doc["parameters"]["generator"]
+        assert not any(name.startswith("prior.") for name in gen)
+        dim = len(TRUTH["fixed_weights"]) + 3
+        gen.update({"prior.loc": [0.0] * dim, "prior.log_scale": [0.0] * dim})
+        old_json = write_json(tmp_path / "old_fit.json", doc)
+        for name, fit_json in (("new", str(workspace / "fit" / "fit.json")), ("old", old_json)):
+            cfg = write_json(tmp_path / f"{name}.json", {
+                "fit_json": fit_json,
+                "data_csv": str(workspace / "sim" / "dataset.csv"),
+                "seed": 0,
+            })
+            assert main(["predict", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        assert ((tmp_path / "old" / "predictions.csv").read_bytes()
+                == (tmp_path / "new" / "predictions.csv").read_bytes())
+
     def test_unseen_group_handled(self, workspace, tmp_path):
         src = (workspace / "sim" / "dataset.csv").read_text().splitlines()
         new = src[:1] + [line.rsplit(",", 1)[0] + ",brand_new" for line in src[1:4]]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from tweedie_avb.data import SimTruth, simulate_dataset
@@ -15,7 +17,12 @@ from tweedie_avb.mcmc import (
     run_chain,
     run_chain_generic,
 )
-from tweedie_avb.model import Dataset, LatentAssignment, model_log_likelihood_value
+from tweedie_avb.model import (
+    Dataset,
+    LatentAssignment,
+    globals_log_prior,
+    model_log_likelihood_value,
+)
 from tweedie_avb.tweedie import LOG_2PI, TruncationConfig
 
 
@@ -42,9 +49,7 @@ class TestLogPosterior:
                              raw_log_dispersion=-0.1, raw_log_sigma_b=-0.5,
                              group_noise=np.array([0.3, -0.2]))
         t = TruncationConfig()
-        loc = np.zeros(5)
-        scale = np.ones(5)
-        got = log_unnormalized_posterior(data, z, loc, scale, t)
+        got = log_unnormalized_posterior(data, z, t)
         raw = np.array([0.05, 0.1, 0.2, -0.1, -0.5])
         prior = float(np.sum(-0.5 * LOG_2PI - 0.5 * raw ** 2))
         assert_allclose(got, model_log_likelihood_value(data, z, t) + prior, rtol=1e-12)
@@ -55,12 +60,48 @@ class TestLogPosterior:
         z = LatentAssignment(fixed_weights=np.zeros(1), raw_p=0.0,
                              raw_log_dispersion=math.log(2.0), raw_log_sigma_b=0.0,
                              group_noise=np.zeros(0))
-        loc = np.zeros(4)
-        scale = np.ones(4)
-        got = log_unnormalized_posterior(data, z, loc, scale, TruncationConfig())
+        got = log_unnormalized_posterior(data, z, TruncationConfig())
         # likelihood -lam = -1; Gaussian prior at (0, 0, log 2, 0)
         prior = 4 * (-0.5 * LOG_2PI) - 0.5 * math.log(2.0) ** 2
         assert_allclose(got, -1.0 + prior, rtol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_prior_term_is_the_shared_globals_prior(self, seed):
+        # the chain targets the likelihood plus the same prior the critic samples
+        rng = np.random.default_rng(seed)
+        truth = SimTruth(fixed_weights=np.array([0.1, 0.2, -0.3]), p_index=1.4,
+                         dispersion=1.2, sigma_b=0.5, n_obs=15, group_count=3)
+        data, _ = simulate_dataset(truth, rng)
+        raw = 0.5 * rng.standard_normal(6)
+        z = LatentAssignment(fixed_weights=raw[:3], raw_p=raw[3], raw_log_dispersion=raw[4],
+                             raw_log_sigma_b=raw[5], group_noise=np.zeros(3))
+        b = 0.3 * rng.standard_normal(3)
+        t = TruncationConfig()
+        got = log_unnormalized_posterior(data, z, t, b=b)
+        assert got == model_log_likelihood_value(data, z, t, b=b) + globals_log_prior(raw)
+
+    @given(w=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2),
+           raw_p=st.floats(-1e3, 1e3) | st.sampled_from([-45.0, -40.5, 40.5, 45.0]),
+           raw_log_dispersion=st.floats(-1e3, 1e3) | st.sampled_from([-710.0, 709.5, 710.0]),
+           raw_log_sigma_b=st.floats(-1e3, 1e3) | st.sampled_from([-710.0, -400.0, 710.0]),
+           b=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    # p_index rounds to 1; lambda overflows; sigma_b ** 2 underflows at b = 0
+    @example(w=[0.0, 0.0], raw_p=-37.0, raw_log_dispersion=0.0, raw_log_sigma_b=0.0, b=[0.0] * 3)
+    @example(w=[0.0, 0.0], raw_p=0.0, raw_log_dispersion=-710.0, raw_log_sigma_b=0.0, b=[0.0] * 3)
+    @example(w=[0.0, 0.0], raw_p=0.0, raw_log_dispersion=0.0, raw_log_sigma_b=-710.0, b=[0.0] * 3)
+    def test_extreme_raw_globals_give_finite_or_minus_inf(self, w, raw_p, raw_log_dispersion,
+                                                          raw_log_sigma_b, b):
+        # anything else than these errors escapes run_chain's target
+        data = prior_only_dataset()
+        z = LatentAssignment(fixed_weights=np.array(w), raw_p=raw_p,
+                             raw_log_dispersion=raw_log_dispersion,
+                             raw_log_sigma_b=raw_log_sigma_b, group_noise=np.zeros(3))
+        try:
+            lp = log_unnormalized_posterior(data, z, TruncationConfig(), b=np.array(b))
+        except (OverflowError, FloatingPointError, ValueError):
+            return
+        assert math.isfinite(lp) or lp == -math.inf
 
 
 class TestGenericChain:

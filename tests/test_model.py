@@ -13,14 +13,16 @@ from tweedie_avb.model import (
     FlaggedObservationError,
     LatentAssignment,
     ShapeError,
+    globals_log_prior,
     linear_predictor,
+    log_likelihood_partials,
     model_log_likelihood,
     model_log_likelihood_value,
-    per_obs_params,
     reparam_random_effects,
 )
 from tweedie_avb.tweedie import (
     LOG_2PI,
+    CompoundParams,
     TruncationConfig,
     compound_arrays,
     series_slope,
@@ -105,29 +107,35 @@ class TestLinearPredictor:
 
 
 class TestPerObsParams:
+    """Per-row compound parameters under the log link, mu_i = exp(eta_i)."""
+
     def test_unit_case(self):
-        c = per_obs_params(np.array([0.0]), 1.5, 2.0)[0]
-        assert_allclose([c.lam, c.alpha, c.beta], [1.0, 1.0, 1.0], rtol=1e-14)
+        lam, alpha, beta = compound_arrays(np.exp(np.array([0.0])), 1.5, 2.0)
+        assert_allclose([lam[0], alpha, beta[0]], [1.0, 1.0, 1.0], rtol=1e-14)
 
     def test_mu_three_case(self):
         phi = 2.0 ** -0.25 * 1.5 ** 0.75 / 0.75
-        c = per_obs_params(np.array([math.log(3.0)]), 1.25, phi)[0]
-        assert_allclose([c.lam, c.alpha, c.beta], [2.0, 3.0, 0.5], rtol=1e-12)
+        lam, alpha, beta = compound_arrays(np.exp(np.array([math.log(3.0)])), 1.25, phi)
+        assert_allclose([lam[0], alpha, beta[0]], [2.0, 3.0, 0.5], rtol=1e-12)
 
     def test_monotone_in_eta(self):
-        params = per_obs_params(np.array([-1.0, 0.0, 1.0]), 1.5, 1.0)
-        lams = [c.lam for c in params]
-        assert lams == sorted(lams)
+        lam, _, _ = compound_arrays(np.exp(np.array([-1.0, 0.0, 1.0])), 1.5, 1.0)
+        assert list(lam) == sorted(lam)
 
     def test_overflow_flagged_with_index(self):
+        # w = (0, 1) on covariates (0, 31) gives eta = (0, 31)
+        data = Dataset(responses=np.zeros(2), fixed_design=np.array([[0.0], [31.0]]),
+                       group_index=np.zeros(2, dtype=int), group_count=0)
+        raw = np.array([0.0, 1.0, 0.0, 0.0, 0.0])
         with pytest.raises(FlaggedObservationError) as exc:
-            per_obs_params(np.array([0.0, 31.0]), 1.5, 1.0)
+            log_likelihood_partials(data, raw, np.zeros(0), TruncationConfig())
         assert exc.value.index == 1
 
     def test_round_trip_through_edm(self):
         eta = np.array([-0.5, 0.7])
-        for c, e in zip(per_obs_params(eta, 1.3, 0.9), eta):
-            back = to_edm(c)
+        lam, alpha, beta = compound_arrays(np.exp(eta), 1.3, 0.9)
+        for l, b, e in zip(lam, beta, eta):
+            back = to_edm(CompoundParams(lam=l, alpha=alpha, beta=b))
             assert_allclose([back.mu, back.p_index, back.dispersion],
                             [math.exp(e), 1.3, 0.9], rtol=1e-10)
 
@@ -141,6 +149,19 @@ def make_assignment(d, g, seed=3):
         raw_log_sigma_b=math.log(0.5),
         group_noise=rng.standard_normal(g),
     )
+
+
+class TestGlobalsPrior:
+    def test_standard_normal_log_density(self):
+        raw = np.array([0.0, 1.5, -2.0])
+        assert_allclose(globals_log_prior(raw), -1.5 * LOG_2PI - 0.5 * (1.5 ** 2 + 2.0 ** 2),
+                        rtol=1e-15)
+
+    def test_batch_gives_one_value_per_row(self):
+        raw = np.random.default_rng(0).standard_normal((5, 4))
+        got = globals_log_prior(raw)
+        assert got.shape == (5,)
+        assert (got == [globals_log_prior(row) for row in raw]).all()
 
 
 class TestLikelihoodNumpy:
