@@ -6,7 +6,7 @@ from .avb import FitResult, TrainConfig, TrainingAbortError, posterior_predict, 
 from .data import SchemaConfig, SimTruth, SplitSpec, load_csv, simulate_dataset, split_dataset
 from .evaluation import gini, gini_index, ordered_lorenz, pairwise_gini_matrix
 from .mcmc import ChainConfig, ChainResult, run_chain
-from .model import Dataset, LatentAssignment, model_log_likelihood, model_log_likelihood_value
+from .model import Dataset, LatentAssignment, model_log_likelihood_value
 from .tweedie import (
     CompoundParams,
     EdmParams,
@@ -41,7 +41,6 @@ __all__ = [
     "joint_log_density",
     "load_csv",
     "marginal_log_likelihood",
-    "model_log_likelihood",
     "model_log_likelihood_value",
     "ordered_lorenz",
     "pairwise_gini_matrix",

@@ -6,16 +6,16 @@ needed).  Nodes store their parents together with the local partial
 derivative evaluated at forward time, which keeps the backward loop
 generic across all primitives.
 
-Training does not build tapes: the losses in ``avb`` and the likelihood
+No program code builds tapes: the losses in ``avb`` and the likelihood
 in ``model`` return numpy values and gradients, and the optimizer here
 (:func:`adam_step`, :func:`clip_global_norm`) works on flat arrays
-aligned with a :class:`ParamStore`.  The tape is the reference and test
-API: the scalar primitives build the networks and sampling maps node by
-node to check those gradients, a vectorised computation enters a tape as
-one node whose parents carry its numpy partials
-(``model.model_log_likelihood``, ``avb.discriminator_loss``,
-``avb.generator_loss``), and :func:`finite_diff_check` checks any
-``(value, gradient)`` function against central differences.
+aligned with a :class:`ParamStore`.  The tape is a tested library piece
+and the reference for those gradients: the scalar primitives build the
+networks and sampling maps node by node (``avb``'s ``forward_tape``,
+``sample_tape``, ``entropy_tape``), a vectorised computation enters a
+tape as one :class:`TapeNode` whose parents carry its numpy partials,
+and :func:`finite_diff_check` checks any ``(value, gradient)`` function
+against central differences.
 """
 
 from __future__ import annotations

@@ -14,11 +14,9 @@ return a value and a flat gradient aligned with their parameter store:
 the networks' gradients come from a hand-written batched backward pass
 (:meth:`MLP.vjp`), and the likelihood's from its analytic partials
 (:func:`model.log_likelihood_partials`).  No scalar tape is built while
-training.  :func:`discriminator_loss` and :func:`generator_loss` wrap the
-same numbers as one tape node over the store's leaves; the scalar-tape
-forms of the networks and the sampling maps (``forward_tape``,
-``sample_tape``, ``entropy_tape``) are the reference the tests check the
-numpy gradients against.
+training.  The scalar-tape forms of the networks and the sampling maps
+(``forward_tape``, ``sample_tape``, ``entropy_tape``) are the reference
+the tests check the numpy gradients against.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ from .autodiff import (
     TapeNode,
     adam_step,
     clip_global_norm,
-    collect_gradient,
     slice_leaves,
 )
 from .model import (
@@ -48,7 +45,6 @@ from .model import (
     LatentAssignment,
     _check_overflow,
     log_likelihood_partials,
-    model_log_likelihood,  # noqa: F401  (bench/tracer.py looks it up here)
     model_log_likelihood_value,
     sample_globals_prior,
     split_raw_globals,
@@ -57,11 +53,11 @@ from .tweedie import InvalidParameterError, TruncationConfig, compound_arrays, t
 
 LOG_2PI_E = math.log(2.0 * math.pi) + 1.0
 #: Likelihood failures at a latent draw that training turns into a TrainingAbortError:
-#: eta past the log link's limit, p_index rounding to 1 or 2, a latent-count series
-#: past its term budget, and (ArithmeticError) ``exp`` of a raw log dispersion or log
-#: scale past ~709: OverflowError from ``math.exp``, FloatingPointError from ``np.exp``.
-_LIKELIHOOD_FAILURES = (FlaggedObservationError, ad.DomainError, InvalidParameterError,
-                        ArithmeticError)
+#: eta past the log link's limit; (InvalidParameterError) p_index rounding to 1 or 2,
+#: compound parameters over- or underflowing, or a latent-count series past its term
+#: budget; and (ArithmeticError) ``exp`` of a raw log dispersion or log scale past
+#: ~709: OverflowError from ``math.exp``, FloatingPointError from ``np.exp``.
+_LIKELIHOOD_FAILURES = (FlaggedObservationError, InvalidParameterError, ArithmeticError)
 
 
 class TrainingAbortError(RuntimeError):
@@ -351,19 +347,6 @@ class FitResult:
             return cls.from_json_dict(json.load(fh))
 
 
-@dataclass
-class LossGraph:
-    """A built loss with the leaves of the store being trained."""
-
-    tape: Tape
-    loss: TapeNode
-    leaves: list
-
-    def gradient(self) -> np.ndarray:
-        ad.backward(self.loss)
-        return collect_gradient(self.leaves)
-
-
 # ---------------------------------------------------------------------------
 # Sampling operations
 # ---------------------------------------------------------------------------
@@ -386,16 +369,8 @@ def sample_posterior(q: InferenceNet, rng: np.random.Generator,
 # Losses
 # ---------------------------------------------------------------------------
 
-def _loss_graph(store: ParamStore, value: float, grad: np.ndarray, op: str) -> LossGraph:
-    """One tape node over ``store``'s leaves, with ``grad`` as its partials."""
-    tape = Tape()
-    leaves = store.leaves(tape)
-    loss = TapeNode(tape, value, tuple(zip(leaves, grad.tolist())), op)
-    return LossGraph(tape, loss, leaves)
-
-
-def discriminator_loss_np(disc: Discriminator, posterior_batch: np.ndarray,
-                          prior_batch: np.ndarray) -> tuple[float, np.ndarray]:
+def discriminator_loss(disc: Discriminator, posterior_batch: np.ndarray,
+                       prior_batch: np.ndarray) -> tuple[float, np.ndarray]:
     """Logistic density-ratio loss and its gradient in the critic's parameters.
 
     mean[-log sigmoid(T(z_Q))] + mean[-log(1 - sigmoid(T(z_P)))], with
@@ -417,35 +392,30 @@ def discriminator_loss_np(disc: Discriminator, posterior_batch: np.ndarray,
     return float(value), param_grad
 
 
-def discriminator_loss(disc: Discriminator, posterior_batch: np.ndarray,
-                       prior_batch: np.ndarray) -> LossGraph:
-    """:func:`discriminator_loss_np` as one tape node over the critic store's leaves."""
-    return _loss_graph(disc.store, *discriminator_loss_np(disc, posterior_batch, prior_batch),
-                       "critic_loss")
-
-
-def generator_loss_np(batch: Dataset, q: InferenceNet, disc: Discriminator,
-                      truncation: TruncationConfig, rng: np.random.Generator,
-                      group_posterior: Optional[GroupPosterior] = None,
-                      data_scale: float = 1.0,
-                      n_draws: int = 1) -> tuple[float, np.ndarray]:
+def generator_loss(batch: Dataset, q: InferenceNet, disc: Discriminator,
+                   truncation: TruncationConfig, rng: np.random.Generator,
+                   group_posterior: Optional[GroupPosterior] = None,
+                   data_scale: float = 1.0,
+                   n_draws: int = 1) -> tuple[float, np.ndarray]:
     """Critic-estimated negative ELBO and its gradient in the inference-side parameters.
 
     mean over latent draws of [T(z_Q) - model log likelihood - entropy of
     the intercept posterior], with the critic's parameters entering as
-    constants; the entropy keeps the random-effect scale identified.
-    Without an intercept posterior, groups get b = sigma_b * noise and no
-    entropy term.  Each draw takes its net noise, then its group noise,
-    from ``rng``.  The gradient is aligned with ``q.store``.
+    constants; the entropy keeps the random-effect scale identified.  A
+    batch with groups needs ``group_posterior`` for its intercepts (a
+    ValueError otherwise); without groups it is ignored.  Each draw takes
+    its net noise, then its group noise, from ``rng``.  The gradient is
+    aligned with ``q.store``.
     """
     g = batch.group_count
+    if g and group_posterior is None:
+        raise ValueError("a batch with groups needs a GroupPosterior for its intercepts")
     noise = rng.standard_normal((n_draws, q.noise_dim + g))
     raw, q_pullback = q.net.vjp(noise[:, :q.noise_dim])
     logits, critic_pullback = disc.net.vjp(raw)
     _, d_raw = critic_pullback(np.ones((n_draws, 1)), params=False)
     grad = np.zeros(q.store.size)
-    has_posterior = group_posterior is not None and g > 0
-    if has_posterior:
+    if g:
         loc_span = q.store.span(f"{group_posterior.prefix}.loc")
         scale_span = q.store.span(f"{group_posterior.prefix}.log_scale")
         log_scale = q.store.values[scale_span]
@@ -455,34 +425,17 @@ def generator_loss_np(batch: Dataset, q: InferenceNet, disc: Discriminator,
     value = 0.0
     for k in range(n_draws):
         group_noise = noise[k, q.noise_dim:]
-        b = None
-        if has_posterior:
-            b = q.store.values[loc_span] + scale * group_noise
-        elif g:
-            b = math.exp(raw[k, -1]) * group_noise  # sigma_b * noise
+        b = q.store.values[loc_span] + scale * group_noise if g else None
         ll, d_ll, d_b = log_likelihood_partials(batch, raw[k], b, truncation, data_scale)
         d_raw[k] -= d_ll
         term = logits[k, 0] - ll
-        if has_posterior:
+        if g:
             term -= entropy
             grad[loc_span] -= d_b / n_draws
             grad[scale_span] -= (d_b * scale * group_noise + 1.0) / n_draws
-        elif g:
-            d_raw[k, -1] -= d_b @ b  # through b = exp(raw_log_sigma_b) * noise
         value += term / n_draws
     param_grad, _ = q_pullback(d_raw / n_draws)
     return float(value), grad + param_grad
-
-
-def generator_loss(batch: Dataset, q: InferenceNet, disc: Discriminator,
-                   cfg: TrainConfig, rng: np.random.Generator,
-                   group_posterior: Optional[GroupPosterior] = None,
-                   data_scale: float = 1.0, n_draws: int = 1) -> LossGraph:
-    """:func:`generator_loss_np` as one tape node over the generator store's leaves."""
-    value, grad = generator_loss_np(batch, q, disc, cfg.truncation, rng,
-                                    group_posterior=group_posterior,
-                                    data_scale=data_scale, n_draws=n_draws)
-    return _loss_graph(q.store, value, grad, "generator_loss")
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +530,7 @@ def train(data: Dataset, cfg: TrainConfig, valid: Optional[Dataset] = None) -> F
         for _ in range(cfg.n_critic):
             post = trainer.q.latents_np(rng.standard_normal((cfg.critic_batch, cfg.noise_dim)))
             prior = sample_globals_prior(rng, cfg.critic_batch, trainer.disc.latent_dim)
-            critic_loss, grad = discriminator_loss_np(trainer.disc, post, prior)
+            critic_loss, grad = discriminator_loss(trainer.disc, post, prior)
             if not math.isfinite(critic_loss):
                 _abort(step, f"non-finite critic loss {critic_loss!r}")
             adam_step(trainer.critic_store, clip_global_norm(grad, cfg.grad_clip_norm),
@@ -585,10 +538,10 @@ def train(data: Dataset, cfg: TrainConfig, valid: Optional[Dataset] = None) -> F
         rows = rng.choice(m, size=batch_size, replace=False)
         minibatch = data.subset(np.sort(rows))
         try:
-            gen_loss, grad = generator_loss_np(minibatch, trainer.q, trainer.disc,
-                                               cfg.truncation, rng,
-                                               group_posterior=trainer.group_posterior,
-                                               data_scale=m / batch_size)
+            gen_loss, grad = generator_loss(minibatch, trainer.q, trainer.disc,
+                                            cfg.truncation, rng,
+                                            group_posterior=trainer.group_posterior,
+                                            data_scale=m / batch_size)
         except _LIKELIHOOD_FAILURES as exc:
             _abort(step, f"generator loss: {exc}")
         if not math.isfinite(gen_loss):

@@ -8,10 +8,10 @@ plus per-group noise.  Constraint maps: p_index = 1 + sigmoid(raw),
 dispersion = exp(raw), sigma_b = exp(raw); the link is log.
 
 The log likelihood has one formula, the numpy Tweedie density.  The MCMC
-validator calls it for values; the variational trainer calls
-:func:`log_likelihood_partials` for the value and the density's analytic
-partials chained through the linear predictor and the constraint maps,
-and :func:`model_log_likelihood` wraps the same as a single tape node.
+validator calls :func:`model_log_likelihood_value` for values; the
+variational trainer calls :func:`log_likelihood_partials` for the value
+and the density's analytic partials chained through the linear predictor
+and the constraint maps.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from . import autodiff as ad
-from .autodiff import Tape, TapeNode
 from .tweedie import (
     LOG_2PI,
     InvalidParameterError,
@@ -96,29 +94,25 @@ class Dataset:
 
 @dataclass
 class LatentAssignment:
-    """One draw of the global latents plus per-group random-effect noise.
+    """One draw of the global latents plus per-group random-effect noise."""
 
-    Fields hold floats/arrays on the numpy path, or TapeNodes when the
-    assignment participates in a differentiable graph.
-    """
-
-    fixed_weights: object  # length D+1 including intercept
-    raw_p: object
-    raw_log_dispersion: object
-    raw_log_sigma_b: object
+    fixed_weights: np.ndarray  # length D+1 including intercept
+    raw_p: float
+    raw_log_dispersion: float
+    raw_log_sigma_b: float
     group_noise: np.ndarray
 
     @property
     def p_index(self) -> float:
-        return 1.0 + float(expit(_value(self.raw_p)))
+        return 1.0 + float(expit(self.raw_p))
 
     @property
     def dispersion(self) -> float:
-        return math.exp(_value(self.raw_log_dispersion))
+        return math.exp(self.raw_log_dispersion)
 
     @property
     def sigma_b(self) -> float:
-        return math.exp(_value(self.raw_log_sigma_b))
+        return math.exp(self.raw_log_sigma_b)
 
 
 def split_raw_globals(raw: np.ndarray, n_covariates: int):
@@ -127,18 +121,12 @@ def split_raw_globals(raw: np.ndarray, n_covariates: int):
     return raw[..., :d1], raw[..., d1], raw[..., d1 + 1], raw[..., d1 + 2]
 
 
-def _value(x) -> float:
-    return x.value if isinstance(x, TapeNode) else float(x)
-
-
 # ---------------------------------------------------------------------------
 # Predictor assembly
 # ---------------------------------------------------------------------------
 
-def reparam_random_effects(sigma_b, noise):
-    """Random intercepts b_g = sigma_b * noise_g (pathwise differentiable)."""
-    if isinstance(sigma_b, TapeNode):
-        return [sigma_b * float(e) for e in np.asarray(noise, dtype=float)]
+def reparam_random_effects(sigma_b: float, noise) -> np.ndarray:
+    """Random intercepts b_g = sigma_b * noise_g."""
     return float(sigma_b) * np.asarray(noise, dtype=float)
 
 
@@ -169,8 +157,10 @@ def _check_overflow(eta: np.ndarray) -> None:
 
 def intercept_log_prior(b: np.ndarray, sigma_b: float) -> float:
     """sum_g log N(b_g; 0, sigma_b^2)."""
-    # (b / sigma_b) ** 2 stays 0 at b = 0 when sigma_b ** 2 underflows
-    return float(np.sum(-0.5 * LOG_2PI - math.log(sigma_b) - 0.5 * (b / sigma_b) ** 2))
+    # (b / sigma_b) ** 2 stays 0 at b = 0 when sigma_b ** 2 underflows; past the
+    # float range it is inf, and the log prior -inf
+    with np.errstate(over="ignore"):
+        return float(np.sum(-0.5 * LOG_2PI - math.log(sigma_b) - 0.5 * (b / sigma_b) ** 2))
 
 
 def globals_log_prior(raw: np.ndarray):
@@ -217,7 +207,7 @@ def model_log_likelihood_value(data: Dataset, z: LatentAssignment,
 
 def log_likelihood_partials(data: Dataset, raw: np.ndarray, b: np.ndarray,
                             t: TruncationConfig, data_scale: float = 1.0):
-    """Value of :func:`model_log_likelihood` and its partials, in numpy.
+    """Value of :func:`model_log_likelihood_value` and its partials.
 
     ``raw`` holds the raw globals in the layout of :func:`split_raw_globals`
     and ``b`` the intercept values (ignored without groups).  Returns
@@ -225,15 +215,14 @@ def log_likelihood_partials(data: Dataset, raw: np.ndarray, b: np.ndarray,
     with ``b``; the intercept prior term reaches ``b`` and raw_log_sigma_b
     directly, so a caller whose ``b`` depends on sigma_b chains ``d_b``
     through that dependence itself.  ``data_scale`` multiplies the data
-    terms only.
+    terms only.  A p_index rounding to 1 or 2 raises InvalidParameterError,
+    as in :func:`model_log_likelihood_value`.
     """
     d1 = data.n_covariates + 1
     if raw.shape != (d1 + 3,):
         raise ShapeError(f"raw globals must be {d1} fixed weights and 3 scalars, got {raw.shape}")
     w, raw_p, raw_log_dispersion, raw_log_sigma_b = split_raw_globals(raw, data.n_covariates)
     s = float(expit(raw_p))  # = p - 1
-    if not 0.0 < s < 1.0:
-        raise ad.DomainError(f"p_index - 1 = {s!r} outside (0, 1) at raw_p={float(raw_p)!r}")
     eta = linear_predictor(data, w, b)
     _check_overflow(eta)
     log_pdf, d_eta, d_p, d_log_phi = tweedie_log_pdf_partials(
@@ -249,35 +238,10 @@ def log_likelihood_partials(data: Dataset, raw: np.ndarray, b: np.ndarray,
     if data.group_count > 0:
         sigma_b = math.exp(raw_log_sigma_b)
         value += intercept_log_prior(b, sigma_b)
-        d_b = np.bincount(data.group_index, d_eta, data.group_count) - b / sigma_b ** 2
-        d_raw[d1 + 2] = float(b @ b) / sigma_b ** 2 - data.group_count
+        # b / sigma_b first: sigma_b ** 2 underflows to 0 below log sigma_b ~ -354;
+        # where the value is -inf (b / sigma_b past the float range) the partials are infinite
+        with np.errstate(over="ignore"):
+            scaled = b / sigma_b
+            d_b = np.bincount(data.group_index, d_eta, data.group_count) - scaled / sigma_b
+            d_raw[d1 + 2] = float(scaled @ scaled) - data.group_count
     return value, d_raw, d_b
-
-
-def model_log_likelihood(tape: Tape, data: Dataset, z: LatentAssignment,
-                         t: TruncationConfig, b=None,
-                         data_scale: float = 1.0) -> TapeNode:
-    """Differentiable version of :func:`model_log_likelihood_value`.
-
-    ``z``'s global fields must be TapeNodes living on ``tape``;
-    ``group_noise`` stays a float array.  Gradients flow to every latent
-    field (and to explicit ``b`` nodes when provided).  ``data_scale``
-    multiplies the per-observation data terms only (minibatch
-    reweighting); the intercept prior term is never scaled.
-
-    The result is one node: its value and its partials in the latent
-    nodes come from :func:`log_likelihood_partials`.
-    """
-    b_nodes = []
-    if data.group_count > 0:
-        if b is None:
-            b = reparam_random_effects(ad.exp(z.raw_log_sigma_b), z.group_noise)
-        b_nodes = list(b)
-    raw_nodes = [*z.fixed_weights, z.raw_p, z.raw_log_dispersion, z.raw_log_sigma_b]
-    value, d_raw, d_b = log_likelihood_partials(
-        data, np.array([_value(n) for n in raw_nodes]), np.array([_value(n) for n in b_nodes]),
-        t, data_scale)
-    parents = [*zip(raw_nodes, d_raw.tolist()), *zip(b_nodes, d_b.tolist())]
-    return TapeNode(tape, value,
-                    tuple((n, c) for n, c in parents if isinstance(n, TapeNode)),
-                    "tweedie_log_likelihood")

@@ -206,23 +206,19 @@ def _summand_mode(slope: np.ndarray, alpha: float,
         size *= 2
 
 
-def _core_start(mode, n_max: int):
-    """First count of the n_max-wide core window around the mode."""
-    return np.maximum(1, mode - n_max // 2)
-
-
 def summation_range(slope: np.ndarray, alpha: float,
                     t: TruncationConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Counts summed for each positive observation, and the sum itself.
 
     ``slope`` holds each row's :func:`series_slope`; ``alpha`` is shared.
     Row i sums n = lo[i] .. hi[i] - 1.  In fixed mode that is 1..n_max.
-    In adaptive mode it is the core window of :func:`truncation_window`
-    together with every count whose term is at least ``TAIL_REL_TOL``
-    times the largest term.  The log summand is concave in n, so those
-    counts form one run through the mode, whose ends are found by
-    bisection.  Returns ``(lo, hi, log_mass)`` with
-    log_mass[i] = log sum_n exp(n * slope[i] - G(n)) over the row's range.
+    In adaptive mode it is the core window of n_max counts around the
+    summand's mode (starting at max(1, mode - n_max // 2)) together with
+    every count whose term is at least ``TAIL_REL_TOL`` times the largest
+    term.  The log summand is concave in n, so those counts form one run
+    through the mode, whose ends are found by bisection.  Returns
+    ``(lo, hi, log_mass)`` with log_mass[i] = log sum_n exp(n * slope[i] - G(n))
+    over the row's range.
     """
     lo, hi, _, terms = _summed_terms(slope, alpha, t)
     return lo, hi, _log_row_sums(terms)
@@ -255,7 +251,7 @@ def _summed_terms(slope, alpha: float, t: TruncationConfig):
             mid = (down_out + down_ok + 1) // 2
             ok = kept(mid)
             down_out, down_ok = np.where(ok, down_out, mid), np.where(ok, mid, down_ok)
-        core_lo = _core_start(mode, t.n_max)
+        core_lo = np.maximum(1, mode - t.n_max // 2)
         lo = np.minimum(core_lo, down_ok)
         hi = np.maximum(core_lo + t.n_max, up_ok + 1)
     else:
@@ -273,20 +269,6 @@ def _log_row_sums(terms: np.ndarray) -> np.ndarray:
     m = terms.max(axis=1, keepdims=True)
     with np.errstate(invalid="ignore"):
         return m[:, 0] + np.log(np.exp(terms - m).sum(axis=1))
-
-
-def truncation_window(y: float, c: CompoundParams, t: TruncationConfig) -> np.ndarray:
-    """Core window of counts for y > 0: 1..n_max, or n_max counts around the mode.
-
-    In adaptive mode :func:`summation_range` widens this core by the
-    counts whose terms are not negligible.
-    """
-    if not t.adaptive:
-        return np.arange(1, t.n_max + 1)
-    slope = series_slope(np.array([y]), c.lam, c.alpha, c.beta)
-    mode, _, _ = _summand_mode(slope, c.alpha, t.n_max)
-    lo = int(_core_start(mode, t.n_max)[0])
-    return np.arange(lo, lo + t.n_max)
 
 
 def marginal_log_likelihood(y: float, c: CompoundParams, t: TruncationConfig) -> float:
@@ -350,8 +332,9 @@ def _compound_rows(y, mu, p: float, phi: float):
         raise InvalidParameterError("y must be nonnegative")
     if not 1.0 < p < 2.0:  # 1 + sigmoid(raw) rounds to 1 or 2 for |raw| past ~37
         raise InvalidParameterError(f"p_index must lie in the open interval (1, 2), got {p!r}")
-    lam, alpha, beta = compound_arrays(mu, p, phi)
-    # an extreme dispersion over- or underflows lambda or beta
+    # an extreme dispersion over- or underflows lambda or beta: checked below
+    with np.errstate(over="ignore", divide="ignore", under="ignore"):
+        lam, alpha, beta = compound_arrays(mu, p, phi)
     if not (np.isfinite(lam) & (lam > 0.0) & np.isfinite(beta) & (beta > 0.0)).all():
         raise InvalidParameterError(
             f"compound parameters out of range at p_index={p!r}, dispersion={phi!r}")

@@ -23,7 +23,6 @@ from tweedie_avb.autodiff import (
     adam_step,
     backward,
     clip_global_norm,
-    collect_gradient,
     finite_diff_check,
 )
 from tweedie_avb import autodiff as ad
@@ -39,7 +38,7 @@ from tweedie_avb.avb import (
 from tweedie_avb.data import SchemaConfig, SimTruth, load_csv, simulate_dataset
 from tweedie_avb.evaluation import gini, gini_standard_error
 from tweedie_avb.mcmc import ChainConfig, run_chain
-from tweedie_avb.model import LatentAssignment, model_log_likelihood
+from tweedie_avb.model import log_likelihood_partials
 from tweedie_avb.tweedie import (
     CompoundParams,
     EdmParams,
@@ -197,20 +196,16 @@ def test_criterion_5_gradient_suite():
                      dispersion=1.0, sigma_b=0.4, n_obs=5, group_count=2)
     data, _ = simulate_dataset(truth, np.random.default_rng(4))
     store = ParamStore()
-    store.register("latents", np.array([0.1, 0.2, -0.1, 0.05, -0.2, -0.4]))
-    noise = np.random.default_rng(5).standard_normal(2)
+    store.register("raw", np.array([0.1, 0.2, -0.1, 0.05, -0.2, -0.4]))
+    store.register("b", math.exp(-0.4) * np.random.default_rng(5).standard_normal(2))
 
     def mll(p):
-        tape = Tape()
-        leaves = p.leaves(tape)
-        z = LatentAssignment(fixed_weights=leaves[:3], raw_p=leaves[3],
-                             raw_log_dispersion=leaves[4],
-                             raw_log_sigma_b=leaves[5], group_noise=noise)
-        node = model_log_likelihood(tape, data, z, TruncationConfig())
-        backward(node)
-        return node.value, collect_gradient(leaves)
+        # raw globals and intercepts jointly
+        value, d_raw, d_b = log_likelihood_partials(data, p.get("raw"), p.get("b"),
+                                                    TruncationConfig())
+        return value, np.concatenate([d_raw, d_b])
 
-    errors["model_log_likelihood"] = finite_diff_check(mll, store, h=1e-5)
+    errors["log_likelihood_partials"] = finite_diff_check(mll, store, h=1e-5)
 
     # generator and discriminator losses on toy nets
     cfg = TrainConfig(outer_steps=1, inference_hidden=(4,), critic_hidden=(4,), seed=0)
@@ -220,10 +215,9 @@ def test_criterion_5_gradient_suite():
     def gen(p):
         saved = trainer.gen_store.values.copy()
         trainer.gen_store.values[:] = p.values
-        graph = generator_loss(data, trainer.q, trainer.disc,
-                               cfg, np.random.default_rng(7),
-                               group_posterior=trainer.group_posterior)
-        value, grad = graph.loss.value, graph.gradient()
+        value, grad = generator_loss(data, trainer.q, trainer.disc,
+                                     cfg.truncation, np.random.default_rng(7),
+                                     group_posterior=trainer.group_posterior)
         trainer.gen_store.values[:] = saved
         return value, grad
 
@@ -235,8 +229,7 @@ def test_criterion_5_gradient_suite():
     def disc_loss(p):
         saved = trainer.critic_store.values.copy()
         trainer.critic_store.values[:] = p.values
-        graph = discriminator_loss(trainer.disc, post, prior)
-        value, grad = graph.loss.value, graph.gradient()
+        value, grad = discriminator_loss(trainer.disc, post, prior)
         trainer.critic_store.values[:] = saved
         return value, grad
 
@@ -263,8 +256,8 @@ def test_criterion_6_critic_optimality():
             state.learning_rate *= 0.4
         post = rng.normal(1.0, 1.0, size=(128, 1))
         prior = rng.normal(0.0, 1.0, size=(128, 1))
-        graph = discriminator_loss(disc, post, prior)
-        adam_step(store, clip_global_norm(graph.gradient(), 10.0), state)
+        _, grad = discriminator_loss(disc, post, prior)
+        adam_step(store, clip_global_norm(grad, 10.0), state)
     z = np.linspace(-2.0, 3.0, 11)
     err = np.abs(disc.logit_np(z[:, None]) - (z - 0.5))
     report(6, "critic optimality", float(err.max()) < 0.1,

@@ -24,7 +24,6 @@ from tweedie_avb.avb import (
     build_trainer,
     discriminator_loss,
     generator_loss,
-    generator_loss_np,
     posterior_predict,
     sample_posterior,
     split_raw_globals,
@@ -33,13 +32,10 @@ from tweedie_avb.avb import (
 from tweedie_avb.data import SimTruth, simulate_dataset
 from tweedie_avb.model import (
     FlaggedObservationError,
-    LatentAssignment,
     globals_log_prior,
-    model_log_likelihood,
-    model_log_likelihood_value,
+    log_likelihood_partials,
     sample_globals_prior,
 )
-from tweedie_avb.tweedie import TruncationConfig
 
 
 def small_dataset(m=40, d=1, g=2, seed=0):
@@ -67,6 +63,15 @@ def critic_loss_tape_reference(disc, post, prior):
     return loss.value, collect_gradient(leaves)
 
 
+def likelihood_node(tape, batch, raw_nodes, b_nodes, truncation, data_scale):
+    """The model log likelihood as one tape node carrying its numpy partials."""
+    value, d_raw, d_b = log_likelihood_partials(
+        batch, np.array([n.value for n in raw_nodes]), np.array([n.value for n in b_nodes]),
+        truncation, data_scale)
+    parents = zip([*raw_nodes, *b_nodes], [*d_raw.tolist(), *d_b.tolist()])
+    return ad.TapeNode(tape, value, tuple(parents), "tweedie_log_likelihood")
+
+
 def generator_loss_tape_reference(batch, q, disc, cfg, rng, group_posterior=None,
                                   data_scale=1.0, n_draws=1):
     """The critic-estimated negative ELBO built node by node on the scalar tape."""
@@ -74,24 +79,15 @@ def generator_loss_tape_reference(batch, q, disc, cfg, rng, group_posterior=None
     leaves = q.store.leaves(tape)
     draw_terms = []
     for _ in range(n_draws):
-        eps = rng.standard_normal(q.noise_dim)
-        raw_nodes = q.forward_tape(tape, leaves, eps)
-        d1 = q.n_covariates + 1
-        z = LatentAssignment(
-            fixed_weights=raw_nodes[:d1],
-            raw_p=raw_nodes[d1],
-            raw_log_dispersion=raw_nodes[d1 + 1],
-            raw_log_sigma_b=raw_nodes[d1 + 2],
-            group_noise=rng.standard_normal(batch.group_count),
-        )
+        raw_nodes = q.forward_tape(tape, leaves, rng.standard_normal(q.noise_dim))
+        group_noise = rng.standard_normal(batch.group_count)
         t_node = disc.net.forward_tape(tape, raw_nodes)[0]  # critic weights as constants
-        b_nodes = None
-        if group_posterior is not None and batch.group_count > 0:
-            b_nodes = group_posterior.sample_tape(tape, leaves, z.group_noise)
-        mll = model_log_likelihood(tape, batch, z, cfg.truncation, b=b_nodes,
-                                   data_scale=data_scale)
-        term = t_node - mll
-        if b_nodes is not None:
+        b_nodes = []
+        if batch.group_count:
+            b_nodes = group_posterior.sample_tape(tape, leaves, group_noise)
+        term = t_node - likelihood_node(tape, batch, raw_nodes, b_nodes, cfg.truncation,
+                                        data_scale)
+        if b_nodes:
             term = term - group_posterior.entropy_tape(tape, leaves)
         draw_terms.append((term, 1.0 / n_draws))
     loss = ad.dot(draw_terms)
@@ -201,16 +197,16 @@ class TestDiscriminatorLoss:
         disc = self.make_disc()
         disc.store.values[:] = 0.0
         batch = np.random.default_rng(1).standard_normal((5, 2))
-        graph = discriminator_loss(disc, batch, batch + 1.0)
-        assert_allclose(graph.loss.value, 2.0 * math.log(2.0), rtol=1e-12)
+        value, _ = discriminator_loss(disc, batch, batch + 1.0)
+        assert_allclose(value, 2.0 * math.log(2.0), rtol=1e-12)
 
     def test_perfect_separation_near_zero_loss(self):
         store = ParamStore()
         disc = Discriminator(1, store, np.random.default_rng(0), hidden=())
         store.set("critic.W0", np.array([40.0]))
         store.set("critic.b0", np.array([0.0]))
-        graph = discriminator_loss(disc, np.array([[0.5]]), np.array([[-0.5]]))
-        assert graph.loss.value < 1e-8
+        value, _ = discriminator_loss(disc, np.array([[0.5]]), np.array([[-0.5]]))
+        assert value < 1e-8
 
     def test_swap_symmetry_with_negated_critic(self):
         store = ParamStore()
@@ -219,10 +215,10 @@ class TestDiscriminatorLoss:
         store.set("critic.b0", np.array([0.2]))
         post = np.random.default_rng(3).standard_normal((6, 1))
         prior = np.random.default_rng(4).standard_normal((6, 1))
-        direct = discriminator_loss(disc, post, prior).loss.value
+        direct, _ = discriminator_loss(disc, post, prior)
         store.set("critic.W0", np.array([-1.3]))
         store.set("critic.b0", np.array([-0.2]))
-        swapped = discriminator_loss(disc, prior, post).loss.value
+        swapped, _ = discriminator_loss(disc, prior, post)
         assert_allclose(direct, swapped, rtol=1e-12)
 
     def test_empty_batch_rejected(self):
@@ -239,9 +235,7 @@ class TestDiscriminatorLoss:
         def f(p):
             saved = store.values.copy()
             store.values[:] = p.values
-            graph = discriminator_loss(disc, post, prior)
-            value = graph.loss.value
-            grad = graph.gradient()
+            value, grad = discriminator_loss(disc, post, prior)
             store.values[:] = saved
             return value, grad
 
@@ -255,19 +249,10 @@ class TestDiscriminatorLoss:
         prior = np.random.default_rng(10).standard_normal((3, 3))
         args = np.concatenate([-disc.logit_np(post), disc.logit_np(prior)])
         assert args.max() > 30.0 and args.min() < -30.0  # both softplus branches
-        graph = discriminator_loss(disc, post, prior)
+        value, grad = discriminator_loss(disc, post, prior)
         want_value, want_grad = critic_loss_tape_reference(disc, post, prior)
-        assert_allclose(graph.loss.value, want_value, rtol=1e-12)
-        assert_allclose(graph.gradient(), want_grad, rtol=1e-12,
-                        atol=1e-12 * np.abs(want_grad).max())
-
-    def test_node_count_independent_of_batch(self):
-        disc = self.make_disc(dim=3)
-        rng = np.random.default_rng(11)
-        for rows in (1, 7, 40):
-            graph = discriminator_loss(disc, rng.standard_normal((rows, 3)),
-                                       rng.standard_normal((rows + 2, 3)))
-            assert len(graph.tape) == disc.store.size + 1
+        assert_allclose(value, want_value, rtol=1e-12)
+        assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12 * np.abs(want_grad).max())
 
     def test_gradient_two_hidden_layers(self):
         store = ParamStore()
@@ -278,8 +263,7 @@ class TestDiscriminatorLoss:
         def f(p):
             saved = store.values.copy()
             store.values[:] = p.values
-            graph = discriminator_loss(disc, post, prior)
-            value, grad = graph.loss.value, graph.gradient()
+            value, grad = discriminator_loss(disc, post, prior)
             store.values[:] = saved
             return value, grad
 
@@ -294,12 +278,12 @@ class TestDiscriminatorLoss:
         disc = Discriminator(3, store, rng, hidden=(4,) * depth)
         post = scale * rng.standard_normal((n_post, 3))
         prior = scale * rng.standard_normal((n_prior, 3))
-        graph = discriminator_loss(disc, post, prior)
-        assert math.isfinite(graph.loss.value)
+        value, grad = discriminator_loss(disc, post, prior)
+        assert math.isfinite(value)
         want_value, want_grad = critic_loss_tape_reference(disc, post, prior)
-        assert_allclose(graph.loss.value, want_value, rtol=1e-12)
+        assert_allclose(value, want_value, rtol=1e-12)
         # first-layer partials carry the input scale
-        assert_allclose(graph.gradient(), want_grad, rtol=1e-12,
+        assert_allclose(grad, want_grad, rtol=1e-12,
                         atol=1e-12 * max(1.0, scale) * max(1.0, np.abs(want_grad).max()))
 
 
@@ -320,8 +304,8 @@ class TestGeneratorLoss:
         critic_store = ParamStore()
         disc = Discriminator(4, critic_store, rng)
         critic_store.values[:] = 0.0
-        graph = generator_loss(data, q, disc, cfg, np.random.default_rng(1))
-        assert_allclose(graph.loss.value, 1.0, rtol=1e-12)
+        value, _ = generator_loss(data, q, disc, cfg.truncation, np.random.default_rng(1))
+        assert_allclose(value, 1.0, rtol=1e-12)
 
     def test_gradient_vs_central_differences(self):
         data = small_dataset(m=5, d=2, g=2, seed=1)
@@ -333,11 +317,9 @@ class TestGeneratorLoss:
         def f(p):
             saved = trainer.gen_store.values.copy()
             trainer.gen_store.values[:] = p.values
-            graph = generator_loss(data, trainer.q, trainer.disc,
-                                   cfg, np.random.default_rng(3),
-                                   group_posterior=trainer.group_posterior)
-            value = graph.loss.value
-            grad = graph.gradient()
+            value, grad = generator_loss(data, trainer.q, trainer.disc,
+                                         cfg.truncation, np.random.default_rng(3),
+                                         group_posterior=trainer.group_posterior)
             trainer.gen_store.values[:] = saved
             return value, grad
 
@@ -347,21 +329,27 @@ class TestGeneratorLoss:
         data = small_dataset(m=4, d=1, g=2, seed=2)
         cfg = TrainConfig(outer_steps=1, seed=0)
         trainer = build_trainer(1, 2, cfg, np.random.default_rng(0))
-        graph = generator_loss(data, trainer.q, trainer.disc,
-                               cfg, np.random.default_rng(1),
-                               group_posterior=trainer.group_posterior)
-        assert len(graph.leaves) == trainer.gen_store.size
         before = trainer.critic_store.values.copy()
-        graph.gradient()
+        _, grad = generator_loss(data, trainer.q, trainer.disc,
+                                 cfg.truncation, np.random.default_rng(1),
+                                 group_posterior=trainer.group_posterior)
+        assert grad.shape == (trainer.gen_store.size,)
         assert (trainer.critic_store.values == before).all()
 
+    def test_groups_without_posterior_rejected(self):
+        # b = sigma_b * noise cannot adapt to the data (see GroupPosterior)
+        data = small_dataset(m=4, d=1, g=2, seed=2)
+        cfg = TrainConfig(outer_steps=1, seed=0)
+        trainer = build_trainer(1, 2, cfg, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="GroupPosterior"):
+            generator_loss(data, trainer.q, trainer.disc, cfg.truncation,
+                           np.random.default_rng(1))
 
     @pytest.mark.parametrize("groups, posterior, n_draws, data_scale", [
         (2, True, 1, 1.0),   # with groups
         (0, False, 1, 1.0),  # without groups
         (2, True, 3, 1.0),
         (2, True, 1, 4.0),   # minibatch reweighting
-        (2, False, 2, 1.0),  # groups without a posterior: b = sigma_b * noise
     ])
     def test_numpy_matches_tape_reference(self, groups, posterior, n_draws, data_scale):
         data = small_dataset(m=6, d=2, g=groups, seed=4)
@@ -376,9 +364,9 @@ class TestGeneratorLoss:
         def numpy_loss(p):
             saved = trainer.gen_store.values.copy()
             trainer.gen_store.values[:] = p.values
-            value, grad = generator_loss_np(data, trainer.q, trainer.disc, cfg.truncation,
-                                            np.random.default_rng(6), group_posterior=gp,
-                                            data_scale=data_scale, n_draws=n_draws)
+            value, grad = generator_loss(data, trainer.q, trainer.disc, cfg.truncation,
+                                         np.random.default_rng(6), group_posterior=gp,
+                                         data_scale=data_scale, n_draws=n_draws)
             trainer.gen_store.values[:] = saved
             return value, grad
 
@@ -497,9 +485,9 @@ class TestTrainLoop:
         cfg = TrainConfig(**{**self.CFG, "outer_steps": 1})
         trainer = build_trainer(data.n_covariates, data.group_count, cfg,
                                 np.random.default_rng(cfg.seed))
-        _, grad = generator_loss_np(data, trainer.q, trainer.disc, cfg.truncation,
-                                    np.random.default_rng(1),
-                                    group_posterior=trainer.group_posterior)
+        _, grad = generator_loss(data, trainer.q, trainer.disc, cfg.truncation,
+                                 np.random.default_rng(1),
+                                 group_posterior=trainer.group_posterior)
         assert grad.shape == (trainer.gen_store.size,)
         assert (grad != 0.0).all()
         fit = train(data, cfg)
@@ -524,21 +512,6 @@ class TestTrainLoop:
                           latent_sample_count=10, inference_hidden=(8,),
                           critic_hidden=(8,), critic_learning_rate=0.0, seed=1)
         fit = train(data, cfg)
-        t = TruncationConfig()
-
-        def mean_ll(fit_result):
-            w = fit_result.draws["fixed_weights"].mean(axis=0)
-            from tweedie_avb.model import LatentAssignment
-            z = LatentAssignment(
-                fixed_weights=w,
-                raw_p=float(np.log((fit_result.draws["p_index"].mean() - 1.0)
-                                   / (2.0 - fit_result.draws["p_index"].mean()))),
-                raw_log_dispersion=float(np.log(fit_result.draws["dispersion"].mean())),
-                raw_log_sigma_b=0.0,
-                group_noise=np.zeros(0),
-            )
-            return model_log_likelihood_value(data, z, t)
-
         start = np.mean(fit.generator_trace[:20])
         end = np.mean(fit.generator_trace[-20:])
         assert end < start  # loss (negative log-likelihood) decreased

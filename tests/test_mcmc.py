@@ -86,10 +86,13 @@ class TestLogPosterior:
            raw_log_sigma_b=st.floats(-1e3, 1e3) | st.sampled_from([-710.0, -400.0, 710.0]),
            b=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3))
     @settings(max_examples=200, deadline=None)
-    # p_index rounds to 1; lambda overflows; sigma_b ** 2 underflows at b = 0
+    # p_index rounds to 1; lambda overflows; sigma_b ** 2 underflows at b = 0;
+    # b / sigma_b overflows
     @example(w=[0.0, 0.0], raw_p=-37.0, raw_log_dispersion=0.0, raw_log_sigma_b=0.0, b=[0.0] * 3)
     @example(w=[0.0, 0.0], raw_p=0.0, raw_log_dispersion=-710.0, raw_log_sigma_b=0.0, b=[0.0] * 3)
     @example(w=[0.0, 0.0], raw_p=0.0, raw_log_dispersion=0.0, raw_log_sigma_b=-710.0, b=[0.0] * 3)
+    @example(w=[0.0, 0.0], raw_p=0.0, raw_log_dispersion=0.0, raw_log_sigma_b=-710.0,
+             b=[0.0, 0.0, 1.0])
     def test_extreme_raw_globals_give_finite_or_minus_inf(self, w, raw_p, raw_log_dispersion,
                                                           raw_log_sigma_b, b):
         # anything else than these errors escapes run_chain's target

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from tweedie_avb import autodiff as ad
-from tweedie_avb.autodiff import ParamStore, Tape, backward, collect_gradient, finite_diff_check
+from tweedie_avb.autodiff import ParamStore, finite_diff_check
 from tweedie_avb.model import (
     Dataset,
     FlaggedObservationError,
@@ -16,7 +15,6 @@ from tweedie_avb.model import (
     globals_log_prior,
     linear_predictor,
     log_likelihood_partials,
-    model_log_likelihood,
     model_log_likelihood_value,
     reparam_random_effects,
 )
@@ -69,13 +67,6 @@ class TestReparamRandomEffects:
     def test_zero_limit(self):
         assert_allclose(reparam_random_effects(1e-300, np.array([3.0, -3.0])), [0.0, 0.0],
                         atol=1e-290)
-
-    def test_gradient_in_sigma(self):
-        tape = Tape()
-        sigma = tape.leaf(0.5)
-        b = reparam_random_effects(sigma, np.array([1.0, -2.0]))
-        backward(b[1])
-        assert sigma.grad == -2.0
 
 
 class TestLinearPredictor:
@@ -242,119 +233,85 @@ class TestLikelihoodNumpy:
             model_log_likelihood_value(data, z_big, TruncationConfig())
 
 
+def raw_globals(z):
+    return np.array([*z.fixed_weights, z.raw_p, z.raw_log_dispersion, z.raw_log_sigma_b])
+
+
+def partials_at(data, z, t, b=None, data_scale=1.0):
+    """log_likelihood_partials at ``z``, with b = sigma_b * noise unless given."""
+    if b is None:
+        b = reparam_random_effects(z.sigma_b, z.group_noise)
+    return log_likelihood_partials(data, raw_globals(z), b, t, data_scale)
+
+
+def partials_as_gradient(data, t, data_scale=1.0):
+    """(value, gradient) over a store of the raw globals and the intercepts, jointly."""
+    def f(p):
+        value, d_raw, d_b = log_likelihood_partials(data, p.get("raw"), p.get("b"), t,
+                                                    data_scale)
+        return value, np.concatenate([d_raw, d_b])
+    return f
+
+
+def latent_store(z, b):
+    store = ParamStore()
+    store.register("raw", raw_globals(z))
+    store.register("b", np.asarray(b, dtype=float))
+    return store
+
+
 class TestLikelihoodTape:
+    """The likelihood's analytic partials, the numbers a tape node of it would carry."""
+
     def test_tape_matches_numpy(self):
         data = toy_dataset(m=9, d=2, g=3, seed=7)
-        z_np = make_assignment(2, 3, seed=8)
+        z = make_assignment(2, 3, seed=8)
         t = TruncationConfig()
-        tape = Tape()
-        z_tape = LatentAssignment(
-            fixed_weights=[tape.leaf(v) for v in z_np.fixed_weights],
-            raw_p=tape.leaf(z_np.raw_p),
-            raw_log_dispersion=tape.leaf(z_np.raw_log_dispersion),
-            raw_log_sigma_b=tape.leaf(z_np.raw_log_sigma_b),
-            group_noise=z_np.group_noise,
-        )
-        node = model_log_likelihood(tape, data, z_tape, t)
-        assert_allclose(node.value, model_log_likelihood_value(data, z_np, t), rtol=1e-10)
+        value, _, _ = partials_at(data, z, t)
+        assert_allclose(value, model_log_likelihood_value(data, z, t), rtol=1e-12)
 
     def test_data_scale_scales_only_data_term(self):
         data = toy_dataset(m=6, d=1, g=2, seed=9)
-        z_np = make_assignment(1, 2, seed=10)
+        z = make_assignment(1, 2, seed=10)
         t = TruncationConfig()
-
-        def build(scale):
-            tape = Tape()
-            z = LatentAssignment(
-                fixed_weights=[tape.leaf(v) for v in z_np.fixed_weights],
-                raw_p=tape.leaf(z_np.raw_p),
-                raw_log_dispersion=tape.leaf(z_np.raw_log_dispersion),
-                raw_log_sigma_b=tape.leaf(z_np.raw_log_sigma_b),
-                group_noise=z_np.group_noise,
-            )
-            return model_log_likelihood(tape, data, z, t, data_scale=scale).value
-
-        full = model_log_likelihood_value(data, z_np, t)
-        b = reparam_random_effects(z_np.sigma_b, z_np.group_noise)
-        prior = float(np.sum(-0.5 * LOG_2PI - math.log(z_np.sigma_b)
-                             - b * b / (2 * z_np.sigma_b ** 2)))
+        full = model_log_likelihood_value(data, z, t)
+        b = reparam_random_effects(z.sigma_b, z.group_noise)
+        prior = float(np.sum(-0.5 * LOG_2PI - math.log(z.sigma_b)
+                             - b * b / (2 * z.sigma_b ** 2)))
         data_term = full - prior
-        assert_allclose(build(1.0), full, rtol=1e-10)
-        assert_allclose(build(3.0), 3.0 * data_term + prior, rtol=1e-10)
+        assert_allclose(partials_at(data, z, t)[0], full, rtol=1e-10)
+        assert_allclose(partials_at(data, z, t, data_scale=3.0)[0], 3.0 * data_term + prior,
+                        rtol=1e-10)
 
     def test_gradient_vs_central_differences(self):
+        # raw globals and intercepts jointly; data_scale != 1 is the
+        # minibatch reweighting used in training
         data = toy_dataset(m=5, d=2, g=2, seed=11)
-        z_ref = make_assignment(2, 2, seed=12)
+        z = make_assignment(2, 2, seed=12)
         t = TruncationConfig()
-        store = ParamStore()
-        store.register("w", np.asarray(z_ref.fixed_weights))
-        store.register("raw_p", np.array([z_ref.raw_p]))
-        store.register("raw_log_dispersion", np.array([z_ref.raw_log_dispersion]))
-        store.register("raw_log_sigma_b", np.array([z_ref.raw_log_sigma_b]))
-
-        # data_scale != 1 is the minibatch reweighting used in training
+        store = latent_store(z, reparam_random_effects(z.sigma_b, z.group_noise))
         for data_scale in (1.0, 3.0):
-            def f(p):
-                tape = Tape()
-                leaves = p.leaves(tape)
-                d1 = data.n_covariates + 1
-                z = LatentAssignment(
-                    fixed_weights=leaves[:d1],
-                    raw_p=leaves[d1],
-                    raw_log_dispersion=leaves[d1 + 1],
-                    raw_log_sigma_b=leaves[d1 + 2],
-                    group_noise=z_ref.group_noise,
-                )
-                node = model_log_likelihood(tape, data, z, t, data_scale=data_scale)
-                backward(node)
-                return node.value, collect_gradient(leaves)
-
-            assert finite_diff_check(f, store, h=1e-5) < 1e-4
-
-    def test_node_count_independent_of_rows(self):
-        z_ref = make_assignment(2, 2, seed=15)
-        added = []
-        for m in (5, 50):
-            data = toy_dataset(m=m, d=2, g=2, seed=16)
-            tape = Tape()
-            z = LatentAssignment(
-                fixed_weights=[tape.leaf(v) for v in z_ref.fixed_weights],
-                raw_p=tape.leaf(z_ref.raw_p),
-                raw_log_dispersion=tape.leaf(z_ref.raw_log_dispersion),
-                raw_log_sigma_b=tape.leaf(z_ref.raw_log_sigma_b),
-                group_noise=z_ref.group_noise,
-            )
-            before = len(tape)
-            model_log_likelihood(tape, data, z, TruncationConfig())
-            added.append(len(tape) - before)
-        assert added[0] == added[1]
+            assert finite_diff_check(partials_as_gradient(data, t, data_scale), store,
+                                     h=1e-5) < 1e-4
 
     def test_explicit_b_gradient(self):
+        # intercepts away from sigma_b * noise, as the group posterior draws them
         data = toy_dataset(m=5, d=1, g=2, seed=13)
-        z_ref = make_assignment(1, 2, seed=14)
+        z = make_assignment(1, 2, seed=14)
         t = TruncationConfig()
+        raw = raw_globals(z)
         store = ParamStore()
         store.register("b", np.array([0.2, -0.4]))
 
         def f(p):
-            tape = Tape()
-            leaves = p.leaves(tape)
-            z = LatentAssignment(
-                fixed_weights=[tape.leaf(v) for v in z_ref.fixed_weights],
-                raw_p=tape.leaf(z_ref.raw_p),
-                raw_log_dispersion=tape.leaf(z_ref.raw_log_dispersion),
-                raw_log_sigma_b=tape.leaf(z_ref.raw_log_sigma_b),
-                group_noise=z_ref.group_noise,
-            )
-            node = model_log_likelihood(tape, data, z, t, b=leaves)
-            backward(node)
-            return node.value, collect_gradient(leaves)
+            value, _, d_b = log_likelihood_partials(data, raw, p.get("b"), t)
+            return value, d_b
 
         assert finite_diff_check(f, store, h=1e-5) < 1e-4
 
     def test_tail_extended_window(self):
         # at mu=1, p=1.5, phi=1 the terms of y=10 that matter span more
-        # than n_max counts, so the tape must sum the widened range
+        # than n_max counts, so the partials must sum the widened range
         y = np.array([0.0, 10.0, 0.5, 10.0, 3.0])
         data = Dataset(responses=y, fixed_design=np.zeros((y.size, 1)),
                        group_index=np.zeros(y.size, dtype=int), group_count=0)
@@ -363,23 +320,25 @@ class TestLikelihoodTape:
         lo, hi, _ = summation_range(series_slope(y[[1, 3]], lam, alpha, beta), alpha, t)
         assert (hi - lo > t.n_max).all()
 
-        z_np = LatentAssignment(fixed_weights=np.zeros(2), raw_p=0.0, raw_log_dispersion=0.0,
-                                raw_log_sigma_b=0.0, group_noise=np.zeros(0))
-        store = ParamStore()
-        store.register("w", np.zeros(2))
-        store.register("raw_p", np.array([0.0]))
-        store.register("raw_log_dispersion", np.array([0.0]))
+        z = LatentAssignment(fixed_weights=np.zeros(2), raw_p=0.0, raw_log_dispersion=0.0,
+                             raw_log_sigma_b=0.0, group_noise=np.zeros(0))
+        value, _, _ = partials_at(data, z, t)
+        assert_allclose(value, model_log_likelihood_value(data, z, t), rtol=1e-12)
+        store = latent_store(z, np.zeros(0))
+        assert finite_diff_check(partials_as_gradient(data, t), store, h=1e-5) < 1e-4
 
-        def f(p):
-            tape = Tape()
-            leaves = p.leaves(tape)
-            z = LatentAssignment(fixed_weights=leaves[:2], raw_p=leaves[2],
-                                 raw_log_dispersion=leaves[3],
-                                 raw_log_sigma_b=tape.leaf(0.0), group_noise=np.zeros(0))
-            node = model_log_likelihood(tape, data, z, t)
-            backward(node)
-            return node.value, collect_gradient(leaves)
-
-        value, _ = f(store)
-        assert_allclose(value, model_log_likelihood_value(data, z_np, t), rtol=1e-12)
-        assert finite_diff_check(f, store, h=1e-5) < 1e-4
+    @pytest.mark.parametrize("at_zero", [True, False])
+    def test_tiny_sigma_b_gives_finite_partials(self, at_zero):
+        # sigma_b = exp(-400): sigma_b ** 2 underflows to 0, b / sigma_b does not
+        data = toy_dataset(m=3, d=1, g=2, seed=17)
+        z = LatentAssignment(fixed_weights=np.array([0.1, 0.2]), raw_p=0.0,
+                             raw_log_dispersion=0.0, raw_log_sigma_b=-400.0,
+                             group_noise=np.array([0.7, -1.2]))
+        t = TruncationConfig()
+        b = np.zeros(2) if at_zero else None
+        value, d_raw, d_b = partials_at(data, z, t, b=b)
+        assert_allclose(value, model_log_likelihood_value(data, z, t, b=b), rtol=1e-12)
+        assert np.isfinite(d_raw).all() and np.isfinite(d_b).all()
+        # d/d log sigma_b of the intercept prior is sum (b / sigma_b) ** 2 - G
+        noise_sq = 0.0 if at_zero else float(z.group_noise @ z.group_noise)
+        assert_allclose(d_raw[-1], noise_sq - 2.0, rtol=1e-12)

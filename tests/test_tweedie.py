@@ -19,9 +19,10 @@ from tweedie_avb.tweedie import (
     joint_log_density,
     marginal_log_likelihood,
     series_log_density_oracle,
+    series_slope,
+    summation_range,
     to_compound,
     to_edm,
-    truncation_window,
     tweedie_log_pdf,
     tweedie_moments,
     tweedie_sample,
@@ -130,14 +131,15 @@ class TestMarginal:
 
     def test_adaptive_window_covers_mode(self):
         c = to_compound(EdmParams(mu=1.0, p_index=1.5, dispersion=0.5))
-        window = truncation_window(8.0, c, TruncationConfig(n_max=10, adaptive=True))
-        assert window.size == 10
-        assert window[0] >= 1
-        # wide-window reference: the mode must be inside the chosen window
+        slope = series_slope(np.array([8.0]), c.lam, c.alpha, c.beta)
+        lo, hi, _ = summation_range(slope, c.alpha, TruncationConfig(n_max=10, adaptive=True))
+        assert lo[0] >= 1
+        assert hi[0] - lo[0] >= 10
+        # wide-window reference: the mode must be inside the summed range
         from tweedie_avb.tweedie import _log_summand
         wide = np.arange(1, 200)
         mode = wide[np.argmax(_log_summand(8.0, wide, c))]
-        assert window[0] <= mode <= window[-1]
+        assert lo[0] <= mode < hi[0]
 
     def test_bad_truncation_rejected(self):
         with pytest.raises(TruncationConfigError):
