@@ -22,13 +22,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import avb, data as data_io, evaluation, mcmc
+from . import data as data_io, evaluation, mcmc
 from .autodiff import NonFiniteGradientError
 from .avb import FitResult, TrainConfig, TrainingAbortError, posterior_predict, train
 from .data import SchemaConfig, SimTruth, SplitSpec, load_csv, simulate_dataset, split_dataset, standardize, write_csv
 from .mcmc import ChainConfig, run_chain
 from .model import FlaggedObservationError
-from .tweedie import NonConvergenceError, TruncationConfig
+from .tweedie import NonConvergenceError
 
 log = logging.getLogger("tweedie_avb")
 

@@ -9,9 +9,8 @@ level dropped), and an optional group column for the random intercept.
 from __future__ import annotations
 
 import csv
-import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np

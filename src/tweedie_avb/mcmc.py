@@ -5,6 +5,11 @@ Blocks: fixed-effect weights, the unconstrained index parameter, log
 dispersion, log random-effect scale, and the per-group intercepts.
 Proposals are Gaussian per block with step sizes auto-tuned during
 burn-in toward a target acceptance rate.
+
+The model's target comes in two parts: the Tweedie data log likelihood,
+which the random-effect scale does not enter, and the priors.  The
+sampler keeps the accepted state's data term, so a log random-effect
+scale proposal costs a prior evaluation only.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from scipy.special import expit
 from .model import (
     Dataset,
     LatentAssignment,
+    data_log_likelihood,
     globals_log_prior,
     intercept_log_prior,
     model_log_likelihood_value,
@@ -155,11 +161,25 @@ def run_chain_generic(log_target: Callable[[dict], float], init: dict,
     re-scaled every ``tune_interval`` iterations toward the target
     acceptance rate.
     """
+    return _run_blocks(log_target, lambda state, data_value: data_value, (), init, cfg)
+
+
+def _run_blocks(data_term: Callable[[dict], float],
+                log_target: Callable[[dict, float], float],
+                data_free: tuple, init: dict, cfg: ChainConfig) -> ChainResult:
+    """:func:`run_chain_generic` over a target split in two parts.
+
+    ``data_term(state)`` is the costly part and ``log_target(state, data_value)``
+    the whole log target given its value.  A proposal in a block named in
+    ``data_free``, which ``data_term`` does not read, reuses the accepted
+    state's data term.
+    """
     rng = np.random.default_rng(cfg.seed)
     state = {k: np.atleast_1d(np.asarray(v, dtype=float)).copy() for k, v in init.items()}
     blocks = [k for k in BLOCK_ORDER if k in state] + [k for k in state if k not in BLOCK_ORDER]
     steps = {k: float(cfg.step_sizes.get(k, 0.1)) for k in blocks}
-    current_lp = log_target(state)
+    current_data_value = data_term(state)
+    current_lp = log_target(state, current_data_value)
     if not math.isfinite(current_lp):
         raise ValueError("log target is non-finite at the initial state")
 
@@ -175,10 +195,11 @@ def run_chain_generic(log_target: Callable[[dict], float], init: dict,
             proposal = state[name] + steps[name] * rng.standard_normal(state[name].shape)
             old = state[name]
             state[name] = proposal
-            lp = log_target(state)
+            data_value = current_data_value if name in data_free else data_term(state)
+            lp = log_target(state, data_value)
             accept = math.isfinite(lp) and math.log(rng.random()) < lp - current_lp
             if accept:
-                current_lp = lp
+                current_lp, current_data_value = lp, data_value
             else:
                 state[name] = old
             if in_burn:
@@ -218,34 +239,36 @@ def run_chain(data: Dataset, cfg: ChainConfig,
     """Sample the Tweedie mixed-model posterior for a dataset.
 
     The target is :func:`log_unnormalized_posterior`, the posterior that
-    AVB fits.  With ``include_likelihood=False`` the chain targets the
-    prior alone (the raw globals' standard normal plus the sigma_b-scaled
-    intercept prior), which is the stationarity smoke test.
+    AVB fits, summed in the same order, in two parts: the data term
+    (:func:`model.data_log_likelihood`, which reads w, raw_p,
+    raw_log_dispersion and b) and the priors (the intercept prior and
+    :func:`model.globals_log_prior`).  A raw_log_sigma_b proposal reuses
+    the accepted state's data term.  A part that raises a numerical error
+    makes the log target -inf.  With ``include_likelihood=False`` the
+    chain targets the priors alone, which is the stationarity smoke test.
     """
     t = t or TruncationConfig()
     d1 = data.n_covariates + 1
     g = data.group_count
 
-    def log_target(state: dict) -> float:
-        b = state.get("b", np.zeros(0))
-        if include_likelihood:
-            z = LatentAssignment(
-                fixed_weights=state["w"],
-                raw_p=float(state["raw_p"][0]),
-                raw_log_dispersion=float(state["raw_log_dispersion"][0]),
-                raw_log_sigma_b=float(state["raw_log_sigma_b"][0]),
-                group_noise=np.zeros(g),
-            )
-            try:
-                return log_unnormalized_posterior(data, z, t, b=b)
-            except (OverflowError, FloatingPointError, ValueError):
-                return -math.inf
+    def data_term(state: dict) -> float:
+        try:
+            return data_log_likelihood(
+                data, state["w"], state.get("b"), 1.0 + float(expit(state["raw_p"][0])),
+                math.exp(float(state["raw_log_dispersion"][0])), t)
+        except (OverflowError, FloatingPointError, ValueError):
+            return -math.inf
+
+    def log_target(state: dict, data_value: float) -> float:
         raw = np.concatenate([state["w"], state["raw_p"], state["raw_log_dispersion"],
                               state["raw_log_sigma_b"]])
-        lp = globals_log_prior(raw)
-        if g:
-            lp += intercept_log_prior(b, math.exp(float(state["raw_log_sigma_b"][0])))
-        return lp
+        try:
+            if g:
+                data_value += intercept_log_prior(
+                    state["b"], math.exp(float(state["raw_log_sigma_b"][0])))
+            return data_value + globals_log_prior(raw)
+        except (OverflowError, FloatingPointError, ValueError):
+            return -math.inf
 
     init = {
         "w": np.zeros(d1),
@@ -255,4 +278,6 @@ def run_chain(data: Dataset, cfg: ChainConfig,
     }
     if g:
         init["b"] = np.zeros(g)
-    return run_chain_generic(log_target, init, cfg)
+    if not include_likelihood:
+        return _run_blocks(lambda state: 0.0, log_target, tuple(init), init, cfg)
+    return _run_blocks(data_term, log_target, ("raw_log_sigma_b",), init, cfg)

@@ -8,10 +8,11 @@ plus per-group noise.  Constraint maps: p_index = 1 + sigmoid(raw),
 dispersion = exp(raw), sigma_b = exp(raw); the link is log.
 
 The log likelihood has one formula, the numpy Tweedie density.  The MCMC
-validator calls :func:`model_log_likelihood_value` for values; the
-variational trainer calls :func:`log_likelihood_partials` for the value
-and the density's analytic partials chained through the linear predictor
-and the constraint maps.
+validator calls :func:`data_log_likelihood` for the data term and adds
+the priors itself; :func:`model_log_likelihood_value` adds the intercept
+prior to it; the variational trainer calls :func:`log_likelihood_partials`
+for the value and the density's analytic partials chained through the
+linear predictor and the constraint maps.
 """
 
 from __future__ import annotations
@@ -182,23 +183,29 @@ def sample_globals_prior(rng: np.random.Generator, count: int, dim: int) -> np.n
     return rng.standard_normal((count, dim))
 
 
+def data_log_likelihood(data: Dataset, w: np.ndarray, b, p: float, phi: float,
+                        t: TruncationConfig) -> float:
+    """sum_i log Tweedie(y_i; mu_i, p, phi) with mu = exp(:func:`linear_predictor`)."""
+    eta = linear_predictor(data, np.asarray(w, dtype=float), b)
+    _check_overflow(eta)
+    return float(tweedie_log_pdf(data.responses, np.exp(eta), p, phi, t).sum())
+
+
 def model_log_likelihood_value(data: Dataset, z: LatentAssignment,
                                t: TruncationConfig, b=None) -> float:
-    """Data log likelihood plus the random-intercept prior term (numpy).
+    """:func:`data_log_likelihood` plus the random-intercept prior term (numpy).
 
     ``b`` overrides the default reparameterization sigma_b * group_noise
-    with explicit intercept values (used by the MCMC sampler and by the
-    learned per-group posterior in training).
+    with explicit intercept values (used by the chain's
+    :func:`mcmc.log_unnormalized_posterior` and by the learned per-group
+    posterior in training).
     """
     p = z.p_index
     phi = z.dispersion
     sigma_b = z.sigma_b
     if b is None:
         b = reparam_random_effects(sigma_b, z.group_noise)
-    eta = linear_predictor(data, np.asarray(z.fixed_weights, dtype=float), b)
-    _check_overflow(eta)
-    mu = np.exp(eta)
-    data_term = float(tweedie_log_pdf(data.responses, mu, p, phi, t).sum())
+    data_term = data_log_likelihood(data, z.fixed_weights, b, p, phi, t)
     prior_term = 0.0
     if data.group_count > 0:
         prior_term = intercept_log_prior(np.asarray(b, dtype=float), sigma_b)

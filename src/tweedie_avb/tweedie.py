@@ -28,6 +28,9 @@ TAIL_REL_TOL = 1e-10
 _LOG_TAIL_TOL = math.log(TAIL_REL_TOL)
 #: Longest latent-count table the truncated sum may build.
 _MAX_TERMS = 100_000
+#: Counts past each end of the core window checked in one 2-D evaluation
+#: before a row whose summed range reaches further is bisected.
+_SCAN_WINDOW = 16
 
 
 class InvalidParameterError(ValueError):
@@ -216,59 +219,91 @@ def summation_range(slope: np.ndarray, alpha: float,
     summand's mode (starting at max(1, mode - n_max // 2)) together with
     every count whose term is at least ``TAIL_REL_TOL`` times the largest
     term.  The log summand is concave in n, so those counts form one run
-    through the mode, whose ends are found by bisection.  Returns
-    ``(lo, hi, log_mass)`` with log_mass[i] = log sum_n exp(n * slope[i] - G(n))
-    over the row's range.
+    through the mode, and a row's range leaves the core only on a side
+    where the count just outside the core is kept; see
+    :func:`_first_dropped`.  Returns ``(lo, hi, log_mass)`` with
+    log_mass[i] = log sum_n exp(n * slope[i] - G(n)) over the row's range.
     """
-    lo, hi, _, terms = _summed_terms(slope, alpha, t)
-    return lo, hi, _log_row_sums(terms)
+    lo, hi, starts, row, _, terms = _summed_terms(slope, alpha, t)
+    return lo, hi, _log_row_sums(terms, starts, row)
 
 
 def _summed_terms(slope, alpha: float, t: TruncationConfig):
-    """(lo, hi, counts, log terms) of :func:`summation_range` on a rectangular grid.
+    """(lo, hi, starts, row, counts, log terms) of :func:`summation_range`, laid out flat.
 
-    Row i of ``counts`` starts at lo[i]; cells at or past hi[i] hold a
-    log term of -inf.
+    Row i's counts lo[i] .. hi[i] - 1 fill positions starts[i] ..
+    starts[i] + hi[i] - lo[i] - 1 of ``counts``, one row after another
+    with no padding; ``row`` holds each position's row.
     """
     slope = np.asarray(slope, dtype=float)
     if t.adaptive:
         # non-finite slopes give non-finite sums; plan their range as slope 0
         plan = np.where(np.isfinite(slope), slope, 0.0)
         mode, g, peak = _summand_mode(plan, alpha, t.n_max)
+        table = np.concatenate(([np.inf], g))
         floor = peak + _LOG_TAIL_TOL
-
-        def kept(n):
-            return n * plan - g[n - 1] >= floor
-
-        # invariants: up_ok and down_ok are kept; up_out (past the table)
-        # and down_out (n = 0, no term for y > 0) are not
-        up_ok, up_out = mode, np.full(mode.shape, g.size)
-        down_out, down_ok = np.zeros_like(mode), mode
-        for _ in range(g.size.bit_length()):
-            mid = (up_ok + up_out) // 2
-            ok = kept(mid)
-            up_ok, up_out = np.where(ok, mid, up_ok), np.where(ok, up_out, mid)
-            mid = (down_out + down_ok + 1) // 2
-            ok = kept(mid)
-            down_out, down_ok = np.where(ok, down_out, mid), np.where(ok, mid, down_ok)
-        core_lo = np.maximum(1, mode - t.n_max // 2)
-        lo = np.minimum(core_lo, down_ok)
-        hi = np.maximum(core_lo + t.n_max, up_ok + 1)
+        lo = np.maximum(1, mode - t.n_max // 2)
+        hi = _first_dropped(plan, table, floor, lo + t.n_max, 1)
+        lo = _first_dropped(plan, table, floor, lo - 1, -1) + 1
     else:
-        g = _count_table(alpha, t.n_max)
+        table = np.concatenate(([np.inf], _count_table(alpha, t.n_max)))
         lo = np.ones(slope.shape, dtype=int)
         hi = lo + t.n_max
-    ns = lo[:, None] + np.arange((hi - lo).max(initial=1))
-    raw = np.where(ns < hi[:, None],
-                   ns * slope[:, None] - g[np.minimum(ns, g.size) - 1], -np.inf)
-    return lo, hi, ns, raw
+    widths = hi - lo
+    starts = np.cumsum(widths) - widths
+    row = np.repeat(np.arange(slope.size), widths)
+    ns = np.arange(row.size) + (lo - starts)[row]
+    return lo, hi, starts, row, ns, ns * slope[row] - table[ns]
 
 
-def _log_row_sums(terms: np.ndarray) -> np.ndarray:
-    """log sum(exp(terms)) along each row, shifted by the row maximum."""
-    m = terms.max(axis=1, keepdims=True)
+def _first_dropped(plan, table, floor, start, step: int) -> np.ndarray:
+    """Per row, the first count start + k * step (k >= 0) whose term is not kept.
+
+    ``table[n]`` is G(n) for n = 1 .. table.size - 1 and +inf at n = 0,
+    and n is kept when n * plan - table[n] >= floor.  Neither n = 0 (no
+    term for y > 0) nor the last count of the table (below the floor,
+    see :func:`_summand_mode`) is kept, so a count past the table in the
+    search direction is clamped to its edge.  The kept counts form one
+    run through the mode and ``start`` lies beyond the mode in the search
+    direction, so the first dropped count ends that run: it is start
+    itself on most rows, the first gap in the next ``_SCAN_WINDOW``
+    counts on most others, and bisection finds it on the rest.
+    """
+    edge = table.size - 1 if step > 0 else 0
+    clamp = np.minimum if step > 0 else np.maximum
+
+    def kept(s, p, f, k):
+        n = clamp(s + step * k, edge)
+        return n * p - table[n] >= f
+
+    first = np.zeros_like(start)
+    rows = np.flatnonzero(kept(start, plan, floor, 0))
+    if rows.size:
+        s, p, f = start[rows], plan[rows], floor[rows]
+        # one column per row, so each pass runs along the rows
+        window = np.arange(1, _SCAN_WINDOW + 1)[:, None]
+        scan = kept(s, p, f, window)
+        gap = ~scan.all(axis=0)
+        first[rows[gap]] = 1 + scan[:, gap].argmin(axis=0)
+        if not gap.all():
+            # bisect the rest: distance k_ok is kept, k_out is not
+            rest = ~gap
+            rows, s, p, f = rows[rest], s[rest], p[rest], f[rest]
+            k_ok = np.full(rows.shape, _SCAN_WINDOW)
+            k_out = step * (edge - s)
+            while (k_out - k_ok > 1).any():
+                mid = (k_ok + k_out) // 2
+                ok = kept(s, p, f, mid)
+                k_ok, k_out = np.where(ok, mid, k_ok), np.where(ok, k_out, mid)
+            first[rows] = k_out
+    return start + step * first
+
+
+def _log_row_sums(terms: np.ndarray, starts: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """log sum(exp(terms)) over each row of a flat layout, shifted by the row maximum."""
+    m = np.maximum.reduceat(terms, starts)
     with np.errstate(invalid="ignore"):
-        return m[:, 0] + np.log(np.exp(terms - m).sum(axis=1))
+        return m + np.log(np.add.reduceat(np.exp(terms - m[row]), starts))
 
 
 def marginal_log_likelihood(y: float, c: CompoundParams, t: TruncationConfig) -> float:
@@ -380,15 +415,16 @@ def tweedie_log_pdf_partials(y: np.ndarray, mu: np.ndarray, p: float, phi: float
     pos = y > 0.0
     if pos.any():
         yp, lamp, betap = y[pos], lam[pos], beta[pos]
-        _, _, ns, terms = _summed_terms(series_slope(yp, lamp, alpha, betap), alpha, t)
-        log_mass = _log_row_sums(terms)
+        _, _, starts, row, ns, terms = _summed_terms(
+            series_slope(yp, lamp, alpha, betap), alpha, t)
+        log_mass = _log_row_sums(terms, starts, row)
         out[pos] = log_mass - np.log(yp) - yp / betap - lamp
-        weights = np.exp(terms - log_mass[:, None])
-        mean_n = (weights * ns).sum(axis=1)
+        weighted_n = np.exp(terms - log_mass[row]) * ns
+        mean_n = np.add.reduceat(weighted_n, starts)
         d_log_lam[pos] = mean_n - lamp
         d_log_beta[pos] = yp / betap - alpha * mean_n
         d_alpha[pos] = (mean_n * (np.log(yp) - np.log(betap))
-                        - (weights * ns * digamma(ns * alpha)).sum(axis=1))
+                        - np.add.reduceat(weighted_n * digamma(ns * alpha), starts))
     # log(lambda) = (2 - p) log(mu) - log(phi) - log(2 - p), alpha = (2 - p) / (p - 1),
     # log(beta) = log(phi) + log(p - 1) + (p - 1) log(mu)
     log_mu = np.log(mu)

@@ -8,8 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from tweedie_avb import model
 from tweedie_avb.data import SimTruth, simulate_dataset
 from tweedie_avb.mcmc import (
+    BLOCK_ORDER,
     ChainConfig,
     ChainConfigError,
     ChainResult,
@@ -199,3 +201,53 @@ class TestModelChain:
         assert (a.draws["w"] != b.draws["w"]).any()
         se = math.sqrt(1.0 / a.retained) * 6.0
         assert abs(a.draws["raw_p"].mean() - b.draws["raw_p"].mean()) < 2 * 3 * se
+
+
+def small_grouped_dataset():
+    truth = SimTruth(fixed_weights=np.array([0.1, 0.3]), p_index=1.5,
+                     dispersion=1.0, sigma_b=0.4, n_obs=60, group_count=3)
+    return simulate_dataset(truth, np.random.default_rng(5))[0]
+
+
+class TestSplitTarget:
+    def test_matches_one_part_target(self):
+        # the data term cached for raw_log_sigma_b proposals and the parts
+        # summed in log_unnormalized_posterior's order leave every lp unchanged
+        data = small_grouped_dataset()
+        t = TruncationConfig()
+        cfg = ChainConfig(iterations=300, burn_in=100, thinning=3, seed=4)
+
+        def log_target(state):
+            z = LatentAssignment(fixed_weights=state["w"], raw_p=float(state["raw_p"][0]),
+                                 raw_log_dispersion=float(state["raw_log_dispersion"][0]),
+                                 raw_log_sigma_b=float(state["raw_log_sigma_b"][0]),
+                                 group_noise=np.zeros(data.group_count))
+            try:
+                return log_unnormalized_posterior(data, z, t, b=state["b"])
+            except (OverflowError, FloatingPointError, ValueError):
+                return -math.inf
+
+        init = {"w": np.zeros(2), "raw_p": np.zeros(1), "raw_log_dispersion": np.zeros(1),
+                "raw_log_sigma_b": np.zeros(1), "b": np.zeros(data.group_count)}
+        split = run_chain(data, cfg, t)
+        whole = run_chain_generic(log_target, init, cfg)
+        assert split.acceptance == whole.acceptance
+        for name in BLOCK_ORDER:
+            assert np.array_equal(split.draws[name], whole.draws[name])
+
+    def test_sigma_b_proposals_skip_the_likelihood(self, monkeypatch):
+        calls = []
+        density = model.tweedie_log_pdf
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return density(*args, **kwargs)
+
+        monkeypatch.setattr(model, "tweedie_log_pdf", counted)
+        data = small_grouped_dataset()
+        cfg = ChainConfig(iterations=40, burn_in=10, thinning=1, seed=0)
+        run_chain(data, cfg)
+        assert len(calls) == 1 + cfg.iterations * (len(BLOCK_ORDER) - 1)
+        calls.clear()
+        run_chain(data, cfg, include_likelihood=False)
+        assert not calls

@@ -9,13 +9,16 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+from tweedie_avb import tweedie
 from tweedie_avb.tweedie import (
+    TAIL_REL_TOL,
     CompoundParams,
     EdmParams,
     InvalidParameterError,
     NonConvergenceError,
     TruncationConfig,
     TruncationConfigError,
+    compound_arrays,
     joint_log_density,
     marginal_log_likelihood,
     series_log_density_oracle,
@@ -144,6 +147,42 @@ class TestMarginal:
     def test_bad_truncation_rejected(self):
         with pytest.raises(TruncationConfigError):
             TruncationConfig(n_max=0)
+
+
+class TestSummationRange:
+    def test_matches_exhaustive_scan_of_kept_run(self):
+        # lo/hi must equal the core window joined with the run of kept counts
+        # through the mode, found here by scanning the whole count table
+        rng = np.random.default_rng(20)
+        past_window = below_window = above_core = below_core = 0
+        for case in range(3000):
+            p = rng.uniform(1.01, 1.99)
+            log_phi, log_mu, log_y = rng.uniform(-3, 3), *rng.uniform(-5, 5, size=2)
+            n_max = (1, 3, 10)[case % 3]
+            lam, alpha, beta = compound_arrays(math.exp(log_mu), p, math.exp(log_phi))
+            slope = series_slope(np.array([math.exp(log_y)]), lam, alpha, beta)
+            lo, hi, log_mass = summation_range(slope, alpha, TruncationConfig(n_max=n_max))
+
+            mode, g, peak = tweedie._summand_mode(slope, alpha, n_max)
+            n = np.arange(1, g.size + 1)
+            terms = n * slope[0] - g
+            kept = np.flatnonzero(terms >= peak[0] + math.log(TAIL_REL_TOL)) + 1
+            assert kept[0] <= mode[0] <= kept[-1]
+            assert kept.size == kept[-1] - kept[0] + 1, "kept counts are not one run"
+            core_lo = max(1, mode[0] - n_max // 2)
+            assert lo[0] == min(core_lo, kept[0])
+            assert hi[0] == max(core_lo + n_max, kept[-1] + 1)
+            assert_allclose(log_mass[0], np.logaddexp.reduce(terms[lo[0] - 1:hi[0] - 1]),
+                            rtol=1e-13, atol=1e-13)
+            past_window += hi[0] > core_lo + n_max + tweedie._SCAN_WINDOW
+            below_window += lo[0] < core_lo - tweedie._SCAN_WINDOW
+            above_core += core_lo > 1
+            below_core += lo[0] < core_lo
+        # the cases reach the lower side and the bisection past either scan window
+        assert past_window > 50
+        assert below_window > 50
+        assert above_core > 500
+        assert below_core > 50
 
 
 class TestSeriesOracle:
