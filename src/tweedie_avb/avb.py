@@ -42,12 +42,11 @@ from .autodiff import (
 from .model import (
     Dataset,
     FlaggedObservationError,
-    LatentAssignment,
     _check_overflow,
+    draws_schema,
     log_likelihood_partials,
     model_log_likelihood_value,
     sample_globals_prior,
-    split_raw_globals,
 )
 from .tweedie import InvalidParameterError, TruncationConfig, compound_arrays, tweedie_sample_array
 
@@ -348,24 +347,6 @@ class FitResult:
 
 
 # ---------------------------------------------------------------------------
-# Sampling operations
-# ---------------------------------------------------------------------------
-
-def sample_posterior(q: InferenceNet, rng: np.random.Generator,
-                     group_count: int = 0) -> LatentAssignment:
-    """One posterior draw: globals from the inference net, fresh group noise."""
-    raw = q.latents_np(rng.standard_normal(q.noise_dim))
-    w, raw_p, raw_ld, raw_ls = split_raw_globals(raw, q.n_covariates)
-    return LatentAssignment(
-        fixed_weights=np.asarray(w, dtype=float),
-        raw_p=float(raw_p),
-        raw_log_dispersion=float(raw_ld),
-        raw_log_sigma_b=float(raw_ls),
-        group_noise=rng.standard_normal(group_count),
-    )
-
-
-# ---------------------------------------------------------------------------
 # Losses
 # ---------------------------------------------------------------------------
 
@@ -414,7 +395,6 @@ def generator_loss(batch: Dataset, q: InferenceNet, disc: Discriminator,
     raw, q_pullback = q.net.vjp(noise[:, :q.noise_dim])
     logits, critic_pullback = disc.net.vjp(raw)
     _, d_raw = critic_pullback(np.ones((n_draws, 1)), params=False)
-    grad = np.zeros(q.store.size)
     if g:
         loc_span = q.store.span(f"{group_posterior.prefix}.loc")
         scale_span = q.store.span(f"{group_posterior.prefix}.log_scale")
@@ -422,6 +402,7 @@ def generator_loss(batch: Dataset, q: InferenceNet, disc: Discriminator,
         with np.errstate(over="raise"):
             scale = np.exp(log_scale)
         entropy = float(log_scale.sum()) + 0.5 * LOG_2PI_E * g
+        d_loc, d_log_scale = np.zeros(g), np.zeros(g)
     value = 0.0
     for k in range(n_draws):
         group_noise = noise[k, q.noise_dim:]
@@ -431,11 +412,14 @@ def generator_loss(batch: Dataset, q: InferenceNet, disc: Discriminator,
         term = logits[k, 0] - ll
         if g:
             term -= entropy
-            grad[loc_span] -= d_b / n_draws
-            grad[scale_span] -= (d_b * scale * group_noise + 1.0) / n_draws
+            d_loc -= d_b / n_draws
+            d_log_scale -= (d_b * scale * group_noise + 1.0) / n_draws
         value += term / n_draws
-    param_grad, _ = q_pullback(d_raw / n_draws)
-    return float(value), grad + param_grad
+    # the net's pullback leaves the intercept posterior's slices zero
+    grad, _ = q_pullback(d_raw / n_draws)
+    if g:
+        grad[loc_span], grad[scale_span] = d_loc, d_log_scale
+    return float(value), grad
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +450,14 @@ def build_trainer(n_covariates: int, group_count: int, cfg: TrainConfig,
 
 def _validation_nll(trainer: _Trainer, valid: Dataset, cfg: TrainConfig,
                     rng: np.random.Generator) -> float:
+    b = trainer.group_posterior.loc if trainer.group_posterior is not None else np.zeros(0)
     total = 0.0
     for _ in range(cfg.valid_draws):
-        z = sample_posterior(trainer.q, rng, valid.group_count)
-        b = trainer.group_posterior.loc if trainer.group_posterior is not None else None
-        total += -model_log_likelihood_value(valid, z, cfg.truncation, b=b)
+        raw = trainer.q.latents_np(rng.standard_normal(trainer.q.noise_dim))
+        # group noise that b = loc does not read, drawn so that fits with
+        # validation keep their random stream
+        rng.standard_normal(valid.group_count)
+        total += -model_log_likelihood_value(valid, raw, b, cfg.truncation)
     return total / cfg.valid_draws
 
 
@@ -480,11 +467,8 @@ def _collect_draws(trainer: _Trainer, count: int, rng: np.random.Generator) -> d
     g = gp.group_count if gp is not None else 0
     # one row per draw: net noise, then group noise (the per-draw stream order)
     noise = rng.standard_normal((count, noise_dim + g))
-    w, raw_p, raw_ld, raw_ls = split_raw_globals(trainer.q.latents_np(noise[:, :noise_dim]),
-                                                 trainer.q.n_covariates)
     b = gp.loc + gp.scale * noise[:, noise_dim:] if g else np.empty((count, 0))
-    return {"fixed_weights": w, "p_index": 1.0 + expit(raw_p), "dispersion": np.exp(raw_ld),
-            "sigma_b": np.exp(raw_ls), "b": b}
+    return draws_schema(trainer.q.latents_np(noise[:, :noise_dim]), b)
 
 
 def train(data: Dataset, cfg: TrainConfig, valid: Optional[Dataset] = None) -> FitResult:

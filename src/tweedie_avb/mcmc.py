@@ -25,8 +25,8 @@ from scipy.special import expit
 
 from .model import (
     Dataset,
-    LatentAssignment,
     data_log_likelihood,
+    draws_schema,
     globals_log_prior,
     intercept_log_prior,
     model_log_likelihood_value,
@@ -108,20 +108,14 @@ class ChainResult:
         return next(iter(self.draws.values())).shape[0]
 
     def to_json_dict(self) -> dict:
-        """Same draws schema as the variational FitResult JSON."""
-        w = np.asarray(self.draws["w"])
-        p = 1.0 + expit(np.asarray(self.draws["raw_p"]))
-        phi = np.exp(np.asarray(self.draws["raw_log_dispersion"]))
-        sigma_b = np.exp(np.asarray(self.draws["raw_log_sigma_b"]))
+        """The retained draws in :func:`model.draws_schema`, the schema FitResult stores."""
+        raw = np.concatenate([self.draws["w"], self.draws["raw_p"],
+                              self.draws["raw_log_dispersion"], self.draws["raw_log_sigma_b"]],
+                             axis=1)
+        b = self.draws.get("b", np.empty((self.retained, 0)))
         return {
             "metadata": {"sampler": "random-walk metropolis"},
-            "draws": {
-                "fixed_weights": w.tolist(),
-                "p_index": p.tolist(),
-                "dispersion": phi.tolist(),
-                "sigma_b": sigma_b.tolist(),
-                "b": np.asarray(self.draws["b"]).tolist(),
-            },
+            "draws": {k: np.asarray(v).tolist() for k, v in draws_schema(raw, b).items()},
             "acceptance": {k: float(v) for k, v in self.acceptance.items()},
         }
 
@@ -134,18 +128,15 @@ class ChainResult:
 # Targets
 # ---------------------------------------------------------------------------
 
-def log_unnormalized_posterior(data: Dataset, z: LatentAssignment,
-                               t: TruncationConfig, b=None) -> float:
+def log_unnormalized_posterior(data: Dataset, raw: np.ndarray, b: np.ndarray,
+                               t: TruncationConfig) -> float:
     """Model log likelihood plus :func:`model.globals_log_prior` of the raw globals.
 
+    ``raw`` and ``b`` are as in :func:`model.model_log_likelihood_value`.
     Shares the likelihood code path with the variational fit, and the
     prior with the critic's prior batches.
     """
-    raw = np.concatenate([
-        np.asarray(z.fixed_weights, dtype=float),
-        [float(z.raw_p), float(z.raw_log_dispersion), float(z.raw_log_sigma_b)],
-    ])
-    return model_log_likelihood_value(data, z, t, b=b) + globals_log_prior(raw)
+    return model_log_likelihood_value(data, raw, b, t) + globals_log_prior(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +229,17 @@ def run_chain(data: Dataset, cfg: ChainConfig,
               include_likelihood: bool = True) -> ChainResult:
     """Sample the Tweedie mixed-model posterior for a dataset.
 
-    The target is :func:`log_unnormalized_posterior`, the posterior that
-    AVB fits, summed in the same order, in two parts: the data term
-    (:func:`model.data_log_likelihood`, which reads w, raw_p,
-    raw_log_dispersion and b) and the priors (the intercept prior and
-    :func:`model.globals_log_prior`).  A raw_log_sigma_b proposal reuses
-    the accepted state's data term.  A part that raises a numerical error
-    makes the log target -inf.  With ``include_likelihood=False`` the
-    chain targets the priors alone, which is the stationarity smoke test.
+    The state's blocks are the raw globals of :func:`model.split_raw_globals`
+    (w, raw_p, raw_log_dispersion, raw_log_sigma_b) and the intercepts b.
+    The target is :func:`log_unnormalized_posterior` of that raw vector
+    and b, the posterior that AVB fits, summed in the same order, in two
+    parts: the data term (:func:`model.data_log_likelihood`, which reads
+    w, raw_p, raw_log_dispersion and b) and the priors (the intercept
+    prior and :func:`model.globals_log_prior`).  A raw_log_sigma_b
+    proposal reuses the accepted state's data term.  A part that raises a
+    numerical error makes the log target -inf.  With
+    ``include_likelihood=False`` the chain targets the priors alone, which
+    is the stationarity smoke test.
     """
     t = t or TruncationConfig()
     d1 = data.n_covariates + 1

@@ -1,11 +1,13 @@
 """Per-observation Tweedie parameters from data and latent draws.
 
 A dataset couples a nonnegative response with a fixed-effect design
-matrix and a group index for the random intercept.  A latent assignment
-holds one concrete draw of the global latents (fixed-effect weights,
-unconstrained index parameter, log dispersion, log random-effect scale)
-plus per-group noise.  Constraint maps: p_index = 1 + sigmoid(raw),
-dispersion = exp(raw), sigma_b = exp(raw); the link is log.
+matrix and a group index for the random intercept.  A draw of the latents
+is one vector of raw globals (fixed-effect weights, unconstrained index
+parameter, log dispersion, log random-effect scale; laid out by
+:func:`split_raw_globals`) plus explicit per-group intercepts ``b``.
+Constraint maps: p_index = 1 + sigmoid(raw), dispersion = exp(raw),
+sigma_b = exp(raw); the link is log.  :func:`draws_schema` applies them
+to rows of draws, in the schema that fitted and sampled draws are stored in.
 
 The log likelihood has one formula, the numpy Tweedie density.  The MCMC
 validator calls :func:`data_log_likelihood` for the data term and adds
@@ -93,43 +95,36 @@ class Dataset:
         )
 
 
-@dataclass
-class LatentAssignment:
-    """One draw of the global latents plus per-group random-effect noise."""
-
-    fixed_weights: np.ndarray  # length D+1 including intercept
-    raw_p: float
-    raw_log_dispersion: float
-    raw_log_sigma_b: float
-    group_noise: np.ndarray
-
-    @property
-    def p_index(self) -> float:
-        return 1.0 + float(expit(self.raw_p))
-
-    @property
-    def dispersion(self) -> float:
-        return math.exp(self.raw_log_dispersion)
-
-    @property
-    def sigma_b(self) -> float:
-        return math.exp(self.raw_log_sigma_b)
-
-
 def split_raw_globals(raw: np.ndarray, n_covariates: int):
     """(fixed_weights, raw_p, raw_log_dispersion, raw_log_sigma_b), split on the last axis."""
     d1 = n_covariates + 1
     return raw[..., :d1], raw[..., d1], raw[..., d1 + 1], raw[..., d1 + 2]
 
 
+def _split_checked(data: Dataset, raw: np.ndarray):
+    """:func:`split_raw_globals` of one raw vector, checked against the dataset."""
+    d1 = data.n_covariates + 1
+    if raw.shape != (d1 + 3,):
+        raise ShapeError(f"raw globals must be {d1} fixed weights and 3 scalars, got {raw.shape}")
+    return split_raw_globals(raw, data.n_covariates)
+
+
+def draws_schema(raw: np.ndarray, b: np.ndarray) -> dict:
+    """Rows of raw globals (n, D+4) and intercepts (n, G) as stored draws.
+
+    Applies the constraint maps: ``fixed_weights`` (n, D+1), ``p_index``,
+    ``dispersion`` and ``sigma_b`` (n,), ``b`` (n, G).  The variational
+    fit's draws and the MCMC chain's JSON both come from here.
+    """
+    w, raw_p, raw_log_dispersion, raw_log_sigma_b = split_raw_globals(raw, raw.shape[-1] - 4)
+    return {"fixed_weights": w, "p_index": 1.0 + expit(raw_p),
+            "dispersion": np.exp(raw_log_dispersion), "sigma_b": np.exp(raw_log_sigma_b),
+            "b": b}
+
+
 # ---------------------------------------------------------------------------
 # Predictor assembly
 # ---------------------------------------------------------------------------
-
-def reparam_random_effects(sigma_b: float, noise) -> np.ndarray:
-    """Random intercepts b_g = sigma_b * noise_g."""
-    return float(sigma_b) * np.asarray(noise, dtype=float)
-
 
 def linear_predictor(data: Dataset, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """eta_i = w_0 + X_i . w_1:D + b[group_i] (numpy path)."""
@@ -191,21 +186,19 @@ def data_log_likelihood(data: Dataset, w: np.ndarray, b, p: float, phi: float,
     return float(tweedie_log_pdf(data.responses, np.exp(eta), p, phi, t).sum())
 
 
-def model_log_likelihood_value(data: Dataset, z: LatentAssignment,
-                               t: TruncationConfig, b=None) -> float:
+def model_log_likelihood_value(data: Dataset, raw: np.ndarray, b: np.ndarray,
+                               t: TruncationConfig) -> float:
     """:func:`data_log_likelihood` plus the random-intercept prior term (numpy).
 
-    ``b`` overrides the default reparameterization sigma_b * group_noise
-    with explicit intercept values (used by the chain's
-    :func:`mcmc.log_unnormalized_posterior` and by the learned per-group
-    posterior in training).
+    ``raw`` holds the raw globals in the layout of :func:`split_raw_globals`
+    and ``b`` the intercept values (ignored without groups), as in
+    :func:`log_likelihood_partials`.
     """
-    p = z.p_index
-    phi = z.dispersion
-    sigma_b = z.sigma_b
-    if b is None:
-        b = reparam_random_effects(sigma_b, z.group_noise)
-    data_term = data_log_likelihood(data, z.fixed_weights, b, p, phi, t)
+    w, raw_p, raw_log_dispersion, raw_log_sigma_b = _split_checked(data, raw)
+    p = 1.0 + float(expit(raw_p))
+    phi = math.exp(raw_log_dispersion)
+    sigma_b = math.exp(raw_log_sigma_b)
+    data_term = data_log_likelihood(data, w, b, p, phi, t)
     prior_term = 0.0
     if data.group_count > 0:
         prior_term = intercept_log_prior(np.asarray(b, dtype=float), sigma_b)
@@ -226,9 +219,7 @@ def log_likelihood_partials(data: Dataset, raw: np.ndarray, b: np.ndarray,
     as in :func:`model_log_likelihood_value`.
     """
     d1 = data.n_covariates + 1
-    if raw.shape != (d1 + 3,):
-        raise ShapeError(f"raw globals must be {d1} fixed weights and 3 scalars, got {raw.shape}")
-    w, raw_p, raw_log_dispersion, raw_log_sigma_b = split_raw_globals(raw, data.n_covariates)
+    w, raw_p, raw_log_dispersion, raw_log_sigma_b = _split_checked(data, raw)
     s = float(expit(raw_p))  # = p - 1
     eta = linear_predictor(data, w, b)
     _check_overflow(eta)

@@ -21,20 +21,22 @@ from tweedie_avb.avb import (
     TrainConfig,
     TrainingAbortError,
     _collect_draws,
+    _validation_nll,
     build_trainer,
     discriminator_loss,
     generator_loss,
     posterior_predict,
-    sample_posterior,
-    split_raw_globals,
     train,
 )
 from tweedie_avb.data import SimTruth, simulate_dataset
 from tweedie_avb.model import (
     FlaggedObservationError,
+    draws_schema,
     globals_log_prior,
     log_likelihood_partials,
+    model_log_likelihood_value,
     sample_globals_prior,
+    split_raw_globals,
 )
 
 
@@ -155,20 +157,19 @@ class TestSampling:
         store = ParamStore()
         q = InferenceNet(2, store, np.random.default_rng(0))
         store.values[:] = 0.0
-        z = sample_posterior(q, np.random.default_rng(1), group_count=3)
-        assert z.p_index == 1.5
-        assert z.dispersion == 1.0
-        assert z.sigma_b == 1.0
-        assert len(z.fixed_weights) == 3
-        assert z.group_noise.shape == (3,)
+        raw = q.latents_np(np.random.default_rng(1).standard_normal((1, q.noise_dim)))
+        z = draws_schema(raw, np.zeros((1, 3)))
+        assert z["p_index"][0] == 1.5
+        assert z["dispersion"][0] == 1.0
+        assert z["sigma_b"][0] == 1.0
+        assert z["fixed_weights"].shape == (1, 3)
 
     def test_posterior_deterministic_given_seed(self):
         store = ParamStore()
         q = InferenceNet(1, store, np.random.default_rng(4))
-        a = sample_posterior(q, np.random.default_rng(9), 2)
-        b = sample_posterior(q, np.random.default_rng(9), 2)
-        assert (np.asarray(a.fixed_weights) == np.asarray(b.fixed_weights)).all()
-        assert (a.group_noise == b.group_noise).all()
+        a = q.latents_np(np.random.default_rng(9).standard_normal(q.noise_dim))
+        b = q.latents_np(np.random.default_rng(9).standard_normal(q.noise_dim))
+        assert (a == b).all()
 
     def test_output_dimension(self):
         store = ParamStore()
@@ -531,6 +532,25 @@ class TestTrainLoop:
             assert_allclose(got["sigma_b"][s], math.exp(raw_ls), rtol=1e-14)
             b = gp.loc + gp.scale * rng.standard_normal(gp.group_count)
             assert_allclose(got["b"][s], b, rtol=1e-14, atol=1e-15)
+
+    def test_validation_nll_matches_per_draw_loop(self):
+        # each draw takes its net noise, then group noise that b = loc does not read
+        cfg = TrainConfig(**self.CFG)
+        trainer = build_trainer(1, 2, cfg, np.random.default_rng(0))
+        gp = trainer.group_posterior
+        trainer.gen_store.set(f"{gp.prefix}.loc", np.array([0.2, -0.3]))
+        valid = small_dataset(m=12, seed=5)
+        rng = np.random.default_rng(1)
+        got = _validation_nll(trainer, valid, cfg, rng)
+        ref = np.random.default_rng(1)
+        total = 0.0
+        for _ in range(cfg.valid_draws):
+            noise = ref.standard_normal(cfg.noise_dim + valid.group_count)
+            raw = trainer.q.latents_np(noise[:cfg.noise_dim])
+            total -= model_log_likelihood_value(valid, raw, np.array([0.2, -0.3]),
+                                                cfg.truncation)
+        assert_allclose(got, total / cfg.valid_draws, rtol=1e-14)
+        assert rng.standard_normal() == ref.standard_normal()
 
 
 class TestFitResult:

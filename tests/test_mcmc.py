@@ -19,12 +19,7 @@ from tweedie_avb.mcmc import (
     run_chain,
     run_chain_generic,
 )
-from tweedie_avb.model import (
-    Dataset,
-    LatentAssignment,
-    globals_log_prior,
-    model_log_likelihood_value,
-)
+from tweedie_avb.model import Dataset, globals_log_prior, model_log_likelihood_value
 from tweedie_avb.tweedie import LOG_2PI, TruncationConfig
 
 
@@ -47,22 +42,18 @@ class TestLogPosterior:
         truth = SimTruth(fixed_weights=np.array([0.1, 0.2]), p_index=1.5,
                          dispersion=1.0, sigma_b=0.4, n_obs=20, group_count=2)
         data, _ = simulate_dataset(truth, np.random.default_rng(0))
-        z = LatentAssignment(fixed_weights=np.array([0.05, 0.1]), raw_p=0.2,
-                             raw_log_dispersion=-0.1, raw_log_sigma_b=-0.5,
-                             group_noise=np.array([0.3, -0.2]))
-        t = TruncationConfig()
-        got = log_unnormalized_posterior(data, z, t)
         raw = np.array([0.05, 0.1, 0.2, -0.1, -0.5])
+        b = math.exp(-0.5) * np.array([0.3, -0.2])
+        t = TruncationConfig()
+        got = log_unnormalized_posterior(data, raw, b, t)
         prior = float(np.sum(-0.5 * LOG_2PI - 0.5 * raw ** 2))
-        assert_allclose(got, model_log_likelihood_value(data, z, t) + prior, rtol=1e-12)
+        assert_allclose(got, model_log_likelihood_value(data, raw, b, t) + prior, rtol=1e-12)
 
     def test_hand_case_single_zero_observation(self):
         data = Dataset(responses=np.array([0.0]), fixed_design=np.zeros((1, 0)),
                        group_index=np.zeros(1, dtype=int), group_count=0)
-        z = LatentAssignment(fixed_weights=np.zeros(1), raw_p=0.0,
-                             raw_log_dispersion=math.log(2.0), raw_log_sigma_b=0.0,
-                             group_noise=np.zeros(0))
-        got = log_unnormalized_posterior(data, z, TruncationConfig())
+        raw = np.array([0.0, 0.0, math.log(2.0), 0.0])
+        got = log_unnormalized_posterior(data, raw, np.zeros(0), TruncationConfig())
         # likelihood -lam = -1; Gaussian prior at (0, 0, log 2, 0)
         prior = 4 * (-0.5 * LOG_2PI) - 0.5 * math.log(2.0) ** 2
         assert_allclose(got, -1.0 + prior, rtol=1e-12)
@@ -75,12 +66,10 @@ class TestLogPosterior:
                          dispersion=1.2, sigma_b=0.5, n_obs=15, group_count=3)
         data, _ = simulate_dataset(truth, rng)
         raw = 0.5 * rng.standard_normal(6)
-        z = LatentAssignment(fixed_weights=raw[:3], raw_p=raw[3], raw_log_dispersion=raw[4],
-                             raw_log_sigma_b=raw[5], group_noise=np.zeros(3))
         b = 0.3 * rng.standard_normal(3)
         t = TruncationConfig()
-        got = log_unnormalized_posterior(data, z, t, b=b)
-        assert got == model_log_likelihood_value(data, z, t, b=b) + globals_log_prior(raw)
+        got = log_unnormalized_posterior(data, raw, b, t)
+        assert got == model_log_likelihood_value(data, raw, b, t) + globals_log_prior(raw)
 
     @given(w=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2),
            raw_p=st.floats(-1e3, 1e3) | st.sampled_from([-45.0, -40.5, 40.5, 45.0]),
@@ -99,11 +88,9 @@ class TestLogPosterior:
                                                           raw_log_sigma_b, b):
         # anything else than these errors escapes run_chain's target
         data = prior_only_dataset()
-        z = LatentAssignment(fixed_weights=np.array(w), raw_p=raw_p,
-                             raw_log_dispersion=raw_log_dispersion,
-                             raw_log_sigma_b=raw_log_sigma_b, group_noise=np.zeros(3))
+        raw = np.array([*w, raw_p, raw_log_dispersion, raw_log_sigma_b])
         try:
-            lp = log_unnormalized_posterior(data, z, TruncationConfig(), b=np.array(b))
+            lp = log_unnormalized_posterior(data, raw, np.array(b), TruncationConfig())
         except (OverflowError, FloatingPointError, ValueError):
             return
         assert math.isfinite(lp) or lp == -math.inf
@@ -180,14 +167,19 @@ class TestModelChain:
             assert 0.1 <= rate <= 0.6, f"block {name} acceptance {rate}"
 
     def test_json_schema_matches_fit_result(self):
-        data = prior_only_dataset()
+        # the shapes FitResult stores: (n,) per scalar global, and (n, 0)
+        # intercepts without groups
         cfg = ChainConfig(iterations=300, burn_in=100, thinning=10, seed=0)
-        result = run_chain(data, cfg, include_likelihood=False)
-        doc = result.to_json_dict()
-        assert set(doc["draws"]) == {"fixed_weights", "p_index", "dispersion",
-                                     "sigma_b", "b"}
-        p = np.asarray(doc["draws"]["p_index"])
-        assert ((p > 1.0) & (p < 2.0)).all()
+        for g in (3, 0):
+            data = prior_only_dataset(g)
+            result = run_chain(data, cfg, include_likelihood=False)
+            doc = result.to_json_dict()
+            n = result.retained
+            shapes = {k: np.asarray(v).shape for k, v in doc["draws"].items()}
+            assert shapes == {"fixed_weights": (n, data.n_covariates + 1), "p_index": (n,),
+                              "dispersion": (n,), "sigma_b": (n,), "b": (n, g)}
+            p = np.asarray(doc["draws"]["p_index"])
+            assert ((p > 1.0) & (p < 2.0)).all()
 
     def test_seed_change_keeps_long_run_means(self):
         data = prior_only_dataset()
@@ -218,12 +210,10 @@ class TestSplitTarget:
         cfg = ChainConfig(iterations=300, burn_in=100, thinning=3, seed=4)
 
         def log_target(state):
-            z = LatentAssignment(fixed_weights=state["w"], raw_p=float(state["raw_p"][0]),
-                                 raw_log_dispersion=float(state["raw_log_dispersion"][0]),
-                                 raw_log_sigma_b=float(state["raw_log_sigma_b"][0]),
-                                 group_noise=np.zeros(data.group_count))
+            raw = np.concatenate([state["w"], state["raw_p"], state["raw_log_dispersion"],
+                                  state["raw_log_sigma_b"]])
             try:
-                return log_unnormalized_posterior(data, z, t, b=state["b"])
+                return log_unnormalized_posterior(data, raw, state["b"], t)
             except (OverflowError, FloatingPointError, ValueError):
                 return -math.inf
 

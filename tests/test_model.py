@@ -10,13 +10,11 @@ from tweedie_avb.autodiff import ParamStore, finite_diff_check
 from tweedie_avb.model import (
     Dataset,
     FlaggedObservationError,
-    LatentAssignment,
     ShapeError,
     globals_log_prior,
     linear_predictor,
     log_likelihood_partials,
     model_log_likelihood_value,
-    reparam_random_effects,
 )
 from tweedie_avb.tweedie import (
     LOG_2PI,
@@ -58,15 +56,6 @@ class TestDataset:
         sub = data.subset(np.array([0, 2, 4]))
         assert sub.n_obs == 3
         assert sub.group_count == data.group_count
-
-
-class TestReparamRandomEffects:
-    def test_scalar_scaling(self):
-        assert_allclose(reparam_random_effects(0.5, np.array([1.0, -2.0])), [0.5, -1.0])
-
-    def test_zero_limit(self):
-        assert_allclose(reparam_random_effects(1e-300, np.array([3.0, -3.0])), [0.0, 0.0],
-                        atol=1e-290)
 
 
 class TestLinearPredictor:
@@ -131,15 +120,11 @@ class TestPerObsParams:
                             [math.exp(e), 1.3, 0.9], rtol=1e-10)
 
 
-def make_assignment(d, g, seed=3):
+def make_draw(d, g, seed=3):
+    """Raw globals (sigma_b = 0.5) and intercepts b = sigma_b * noise."""
     rng = np.random.default_rng(seed)
-    return LatentAssignment(
-        fixed_weights=rng.normal(0, 0.3, size=d + 1),
-        raw_p=0.1,
-        raw_log_dispersion=-0.2,
-        raw_log_sigma_b=math.log(0.5),
-        group_noise=rng.standard_normal(g),
-    )
+    raw = np.array([*rng.normal(0, 0.3, size=d + 1), 0.1, -0.2, math.log(0.5)])
+    return raw, math.exp(raw[-1]) * rng.standard_normal(g)
 
 
 class TestGlobalsPrior:
@@ -159,12 +144,10 @@ class TestLikelihoodNumpy:
     def test_single_zero_observation(self):
         data = Dataset(responses=np.array([0.0]), fixed_design=np.zeros((1, 0)),
                        group_index=np.zeros(1, dtype=int), group_count=0)
-        z = LatentAssignment(fixed_weights=np.zeros(1), raw_p=0.0,
-                             raw_log_dispersion=math.log(2.0),
-                             raw_log_sigma_b=0.0, group_noise=np.zeros(0))
+        raw = np.array([0.0, 0.0, math.log(2.0), 0.0])
         # mu=1, p=1.5, phi=2 -> lam=1; no groups so no prior term
-        assert_allclose(model_log_likelihood_value(data, z, TruncationConfig()), -1.0,
-                        rtol=1e-14)
+        assert_allclose(model_log_likelihood_value(data, raw, np.zeros(0), TruncationConfig()),
+                        -1.0, rtol=1e-14)
 
     def test_doubling_dataset_doubles_data_term(self):
         data = toy_dataset(g=1)
@@ -174,17 +157,17 @@ class TestLikelihoodNumpy:
             group_index=np.tile(data.group_index, 2),
             group_count=1,
         )
-        z = make_assignment(data.n_covariates, 1)
+        raw, b = make_draw(data.n_covariates, 1)
+        sigma_b = math.exp(raw[-1])
         t = TruncationConfig()
-        b = reparam_random_effects(z.sigma_b, z.group_noise)
-        prior = float(-0.5 * LOG_2PI - math.log(z.sigma_b) - b[0] ** 2 / (2 * z.sigma_b ** 2))
-        single = model_log_likelihood_value(data, z, t) - prior
-        double = model_log_likelihood_value(doubled, z, t) - prior
+        prior = float(-0.5 * LOG_2PI - math.log(sigma_b) - b[0] ** 2 / (2 * sigma_b ** 2))
+        single = model_log_likelihood_value(data, raw, b, t) - prior
+        double = model_log_likelihood_value(doubled, raw, b, t) - prior
         assert_allclose(double, 2.0 * single, rtol=1e-12)
 
     def test_group_relabel_invariance(self):
         data = toy_dataset(m=8, g=3, seed=4)
-        z = make_assignment(data.n_covariates, 3)
+        raw, b = make_draw(data.n_covariates, 3)
         t = TruncationConfig()
         perm = np.array([2, 0, 1])
         relabeled = Dataset(
@@ -193,29 +176,20 @@ class TestLikelihoodNumpy:
             group_index=perm[data.group_index],
             group_count=3,
         )
-        z_perm = LatentAssignment(
-            fixed_weights=z.fixed_weights,
-            raw_p=z.raw_p,
-            raw_log_dispersion=z.raw_log_dispersion,
-            raw_log_sigma_b=z.raw_log_sigma_b,
-            group_noise=z.group_noise[np.argsort(perm)],
-        )
-        assert_allclose(model_log_likelihood_value(data, z, t),
-                        model_log_likelihood_value(relabeled, z_perm, t), rtol=1e-12)
+        assert_allclose(model_log_likelihood_value(data, raw, b, t),
+                        model_log_likelihood_value(relabeled, raw, b[np.argsort(perm)], t),
+                        rtol=1e-12)
 
     def test_small_sigma_matches_fixed_effects_only(self):
         data = toy_dataset(m=6, g=1, seed=5)
-        z = make_assignment(data.n_covariates, 1)
-        z_small = LatentAssignment(
-            fixed_weights=z.fixed_weights, raw_p=z.raw_p,
-            raw_log_dispersion=z.raw_log_dispersion,
-            raw_log_sigma_b=-40.0, group_noise=np.array([1.3]),
-        )
+        raw, _ = make_draw(data.n_covariates, 1)
+        raw[-1] = -40.0
+        b = math.exp(-40.0) * np.array([1.3])
         t = TruncationConfig()
-        got = model_log_likelihood_value(data, z_small, t)
+        got = model_log_likelihood_value(data, raw, b, t)
         fixed_only = Dataset(responses=data.responses, fixed_design=data.fixed_design,
                              group_index=np.zeros(6, dtype=int), group_count=0)
-        want = model_log_likelihood_value(fixed_only, z_small, t)
+        want = model_log_likelihood_value(fixed_only, raw, b, t)
         # b = sigma * eps is numerically negligible in eta, but the prior's
         # quadratic term stays eps^2 / 2 under the reparameterization
         prior = -0.5 * LOG_2PI - (-40.0) - 1.3 ** 2 / 2.0
@@ -223,25 +197,10 @@ class TestLikelihoodNumpy:
 
     def test_overflow_propagates(self):
         data = toy_dataset()
-        z = make_assignment(data.n_covariates, data.group_count)
-        z_big = LatentAssignment(
-            fixed_weights=np.array([40.0, 0.0, 0.0]), raw_p=0.0,
-            raw_log_dispersion=0.0, raw_log_sigma_b=0.0,
-            group_noise=np.zeros(data.group_count),
-        )
+        raw = np.array([40.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         with pytest.raises(FlaggedObservationError):
-            model_log_likelihood_value(data, z_big, TruncationConfig())
-
-
-def raw_globals(z):
-    return np.array([*z.fixed_weights, z.raw_p, z.raw_log_dispersion, z.raw_log_sigma_b])
-
-
-def partials_at(data, z, t, b=None, data_scale=1.0):
-    """log_likelihood_partials at ``z``, with b = sigma_b * noise unless given."""
-    if b is None:
-        b = reparam_random_effects(z.sigma_b, z.group_noise)
-    return log_likelihood_partials(data, raw_globals(z), b, t, data_scale)
+            model_log_likelihood_value(data, raw, np.zeros(data.group_count),
+                                       TruncationConfig())
 
 
 def partials_as_gradient(data, t, data_scale=1.0):
@@ -253,9 +212,9 @@ def partials_as_gradient(data, t, data_scale=1.0):
     return f
 
 
-def latent_store(z, b):
+def latent_store(raw, b):
     store = ParamStore()
-    store.register("raw", raw_globals(z))
+    store.register("raw", raw)
     store.register("b", np.asarray(b, dtype=float))
     return store
 
@@ -265,31 +224,30 @@ class TestLikelihoodTape:
 
     def test_tape_matches_numpy(self):
         data = toy_dataset(m=9, d=2, g=3, seed=7)
-        z = make_assignment(2, 3, seed=8)
+        raw, b = make_draw(2, 3, seed=8)
         t = TruncationConfig()
-        value, _, _ = partials_at(data, z, t)
-        assert_allclose(value, model_log_likelihood_value(data, z, t), rtol=1e-12)
+        value, _, _ = log_likelihood_partials(data, raw, b, t)
+        assert_allclose(value, model_log_likelihood_value(data, raw, b, t), rtol=1e-12)
 
     def test_data_scale_scales_only_data_term(self):
         data = toy_dataset(m=6, d=1, g=2, seed=9)
-        z = make_assignment(1, 2, seed=10)
+        raw, b = make_draw(1, 2, seed=10)
+        sigma_b = math.exp(raw[-1])
         t = TruncationConfig()
-        full = model_log_likelihood_value(data, z, t)
-        b = reparam_random_effects(z.sigma_b, z.group_noise)
-        prior = float(np.sum(-0.5 * LOG_2PI - math.log(z.sigma_b)
-                             - b * b / (2 * z.sigma_b ** 2)))
+        full = model_log_likelihood_value(data, raw, b, t)
+        prior = float(np.sum(-0.5 * LOG_2PI - math.log(sigma_b)
+                             - b * b / (2 * sigma_b ** 2)))
         data_term = full - prior
-        assert_allclose(partials_at(data, z, t)[0], full, rtol=1e-10)
-        assert_allclose(partials_at(data, z, t, data_scale=3.0)[0], 3.0 * data_term + prior,
-                        rtol=1e-10)
+        assert_allclose(log_likelihood_partials(data, raw, b, t)[0], full, rtol=1e-10)
+        assert_allclose(log_likelihood_partials(data, raw, b, t, 3.0)[0],
+                        3.0 * data_term + prior, rtol=1e-10)
 
     def test_gradient_vs_central_differences(self):
         # raw globals and intercepts jointly; data_scale != 1 is the
         # minibatch reweighting used in training
         data = toy_dataset(m=5, d=2, g=2, seed=11)
-        z = make_assignment(2, 2, seed=12)
         t = TruncationConfig()
-        store = latent_store(z, reparam_random_effects(z.sigma_b, z.group_noise))
+        store = latent_store(*make_draw(2, 2, seed=12))
         for data_scale in (1.0, 3.0):
             assert finite_diff_check(partials_as_gradient(data, t, data_scale), store,
                                      h=1e-5) < 1e-4
@@ -297,9 +255,8 @@ class TestLikelihoodTape:
     def test_explicit_b_gradient(self):
         # intercepts away from sigma_b * noise, as the group posterior draws them
         data = toy_dataset(m=5, d=1, g=2, seed=13)
-        z = make_assignment(1, 2, seed=14)
+        raw, _ = make_draw(1, 2, seed=14)
         t = TruncationConfig()
-        raw = raw_globals(z)
         store = ParamStore()
         store.register("b", np.array([0.2, -0.4]))
 
@@ -320,25 +277,24 @@ class TestLikelihoodTape:
         lo, hi, _ = summation_range(series_slope(y[[1, 3]], lam, alpha, beta), alpha, t)
         assert (hi - lo > t.n_max).all()
 
-        z = LatentAssignment(fixed_weights=np.zeros(2), raw_p=0.0, raw_log_dispersion=0.0,
-                             raw_log_sigma_b=0.0, group_noise=np.zeros(0))
-        value, _, _ = partials_at(data, z, t)
-        assert_allclose(value, model_log_likelihood_value(data, z, t), rtol=1e-12)
-        store = latent_store(z, np.zeros(0))
+        raw = np.zeros(5)
+        value, _, _ = log_likelihood_partials(data, raw, np.zeros(0), t)
+        assert_allclose(value, model_log_likelihood_value(data, raw, np.zeros(0), t),
+                        rtol=1e-12)
+        store = latent_store(raw, np.zeros(0))
         assert finite_diff_check(partials_as_gradient(data, t), store, h=1e-5) < 1e-4
 
     @pytest.mark.parametrize("at_zero", [True, False])
     def test_tiny_sigma_b_gives_finite_partials(self, at_zero):
         # sigma_b = exp(-400): sigma_b ** 2 underflows to 0, b / sigma_b does not
         data = toy_dataset(m=3, d=1, g=2, seed=17)
-        z = LatentAssignment(fixed_weights=np.array([0.1, 0.2]), raw_p=0.0,
-                             raw_log_dispersion=0.0, raw_log_sigma_b=-400.0,
-                             group_noise=np.array([0.7, -1.2]))
+        raw = np.array([0.1, 0.2, 0.0, 0.0, -400.0])
+        noise = np.array([0.7, -1.2])
         t = TruncationConfig()
-        b = np.zeros(2) if at_zero else None
-        value, d_raw, d_b = partials_at(data, z, t, b=b)
-        assert_allclose(value, model_log_likelihood_value(data, z, t, b=b), rtol=1e-12)
+        b = np.zeros(2) if at_zero else math.exp(-400.0) * noise
+        value, d_raw, d_b = log_likelihood_partials(data, raw, b, t)
+        assert_allclose(value, model_log_likelihood_value(data, raw, b, t), rtol=1e-12)
         assert np.isfinite(d_raw).all() and np.isfinite(d_b).all()
         # d/d log sigma_b of the intercept prior is sum (b / sigma_b) ** 2 - G
-        noise_sq = 0.0 if at_zero else float(z.group_noise @ z.group_noise)
+        noise_sq = 0.0 if at_zero else float(noise @ noise)
         assert_allclose(d_raw[-1], noise_sq - 2.0, rtol=1e-12)
