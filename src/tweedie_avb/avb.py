@@ -51,6 +51,8 @@ from .model import (
 from .tweedie import InvalidParameterError, TruncationConfig, compound_arrays, tweedie_sample_array
 
 LOG_2PI_E = math.log(2.0 * math.pi) + 1.0
+#: posterior_predict's block size in (draw, row) elements: about 1 MB per float temporary.
+_PREDICT_BLOCK = 1 << 17
 #: Likelihood failures at a latent draw that training turns into a TrainingAbortError:
 #: eta past the log link's limit; (InvalidParameterError) p_index rounding to 1 or 2,
 #: compound parameters over- or underflowing, or a latent-count series past its term
@@ -583,13 +585,19 @@ def _finalize(trainer: _Trainer, cfg: TrainConfig, data: Dataset,
 
 def posterior_predict(fit: FitResult, fixed_design: np.ndarray,
                       group_ids: np.ndarray, rng: np.random.Generator,
-                      latent_sample_count: Optional[int] = None,
                       quantiles: Sequence[float] = (0.05, 0.5, 0.95)) -> dict:
-    """Per-row predictive mean and response quantiles.
+    """Per-row predictive mean and, for each level in ``quantiles``, a response quantile.
 
-    Group ids outside [0, group_count) are treated as unseen groups and
-    integrated over fresh sigma_b-scaled intercepts per draw.  A linear
-    predictor past the log-link limit raises FlaggedObservationError, as
+    Draws are taken in blocks of about ``_PREDICT_BLOCK`` (draw, row)
+    elements: each block's linear predictor comes from one matrix product,
+    and its means are summed into the running total for ``"mean"``.  Group
+    ids outside [0, group_count) are treated as unseen groups and
+    integrated over fresh sigma_b-scaled intercepts per draw; that noise is
+    drawn for all draws at once before any response draw, so the mean does
+    not depend on ``quantiles``.  A fit without groups adds no intercepts.
+    Compound Poisson-gamma responses are drawn only when ``quantiles`` is
+    non-empty; ``quantiles=()`` returns the mean alone.  A linear predictor
+    past the log-link limit raises FlaggedObservationError for its row, as
     in training.
     """
     fixed_design = np.atleast_2d(np.asarray(fixed_design, dtype=float))
@@ -607,25 +615,29 @@ def posterior_predict(fit: FitResult, fixed_design: np.ndarray,
     phi = np.asarray(fit.draws["dispersion"], dtype=float)
     sigma_b = np.asarray(fit.draws["sigma_b"], dtype=float)
     b = np.asarray(fit.draws["b"], dtype=float)
-    n_draws = w.shape[0]
-    if latent_sample_count is not None:
-        n_draws = min(n_draws, latent_sample_count)
-    n_rows = fixed_design.shape[0]
+    n_draws, n_rows = w.shape[0], fixed_design.shape[0]
     seen = (group_ids >= 0) & (group_ids < g)
-    mu = np.empty((n_draws, n_rows))
-    samples = np.empty((n_draws, n_rows))
-    for s in range(n_draws):
-        eta = w[s, 0] + fixed_design @ w[s, 1:]
-        if g and seen.any():
-            eta[seen] = eta[seen] + b[s, group_ids[seen]]
-        if (~seen).any():
-            eta[~seen] = eta[~seen] + sigma_b[s] * rng.standard_normal((~seen).sum())
+    seen_rows, unseen_rows = np.flatnonzero(seen), np.flatnonzero(~seen)
+    seen_groups = group_ids[seen_rows]
+    noise = sigma_b[:, None] * rng.standard_normal((n_draws, unseen_rows.size)) if g else None
+    total = np.zeros(n_rows)
+    samples = np.empty((n_draws, n_rows)) if len(quantiles) else None
+    block = max(1, _PREDICT_BLOCK // max(n_rows, 1))
+    for start in range(0, n_draws, block):
+        at = slice(start, min(start + block, n_draws))
+        eta = w[at, 1:] @ fixed_design.T
+        eta += w[at, :1]
+        if g:
+            eta[:, seen_rows] += b[at][:, seen_groups]
+            eta[:, unseen_rows] += noise[at]
         _check_overflow(eta)
-        mu[s] = np.exp(eta)
-        lam, alpha, beta = compound_arrays(mu[s], p[s], phi[s])
-        samples[s] = tweedie_sample_array(lam, alpha, beta, rng)
-    out = {"mean": mu.mean(axis=0)}
-    qs = np.quantile(samples, quantiles, axis=0)
-    for level, row in zip(quantiles, qs):
-        out[f"q{int(round(level * 100)):02d}"] = row
+        mu = np.exp(eta, out=eta)
+        total += mu.sum(axis=0)
+        if samples is not None:
+            lam, alpha, beta = compound_arrays(mu, p[at, None], phi[at, None])
+            samples[at] = tweedie_sample_array(lam, alpha, beta, rng)
+    out = {"mean": total / n_draws}
+    if samples is not None:
+        for level, row in zip(quantiles, np.quantile(samples, quantiles, axis=0)):
+            out[f"q{int(round(level * 100)):02d}"] = row
     return out

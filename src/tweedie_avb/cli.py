@@ -245,7 +245,8 @@ def cmd_evaluate(args) -> int:
     _check_columns(fit, test_std)
 
     rng = np.random.default_rng(config["seed"])
-    preds = posterior_predict(fit, test_std.fixed_design, _encode_groups(fit, test_std), rng)
+    preds = posterior_predict(fit, test_std.fixed_design, _encode_groups(fit, test_std), rng,
+                              quantiles=())
     baseline = np.full(test_set.n_obs, max(train_set.responses.mean(), 1e-12))
     predictions = {"intercept": baseline, "avb": preds["mean"]}
     for name, path in (config.get("extra_predictions") or {}).items():

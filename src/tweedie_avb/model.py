@@ -145,10 +145,11 @@ def linear_predictor(data: Dataset, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _check_overflow(eta: np.ndarray) -> None:
+    """Raise for the first |eta| past the limit; rows are eta's last axis."""
     big = np.abs(eta) > ETA_OVERFLOW_LIMIT
     if big.any():
-        i = int(np.argmax(big))
-        raise FlaggedObservationError(i, float(eta[i]))
+        at = np.unravel_index(np.argmax(big), big.shape)
+        raise FlaggedObservationError(int(at[-1]), float(eta[at]))
 
 
 def intercept_log_prior(b: np.ndarray, sigma_b: float) -> float:

@@ -114,8 +114,8 @@ def to_edm(c: CompoundParams) -> EdmParams:
     return EdmParams(mu=mu, p_index=p, dispersion=phi)
 
 
-def compound_arrays(mu, p: float, phi: float):
-    """(lambda, alpha, beta) for a mean or an array of means with shared p and phi."""
+def compound_arrays(mu, p, phi):
+    """(lambda, alpha, beta) for a mean or an array of means; p and phi broadcast against mu."""
     lam = mu ** (2.0 - p) / (phi * (2.0 - p))
     alpha = (2.0 - p) / (p - 1.0)
     beta = phi * (p - 1.0) * mu ** (p - 1.0)
@@ -447,16 +447,17 @@ def tweedie_sample(c: CompoundParams, rng: np.random.Generator) -> float:
     return float(rng.gamma(n * c.alpha, c.beta))
 
 
-def tweedie_sample_array(lam: np.ndarray, alpha: float, beta: np.ndarray,
+def tweedie_sample_array(lam: np.ndarray, alpha, beta: np.ndarray,
                          rng: np.random.Generator) -> np.ndarray:
-    """Vectorized compound draws with per-observation rate and scale."""
+    """Vectorized compound draws; ``alpha`` and ``beta`` broadcast against the rate ``lam``."""
     lam = np.asarray(lam, dtype=float)
+    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), lam.shape)
     beta = np.broadcast_to(np.asarray(beta, dtype=float), lam.shape)
     n = rng.poisson(lam)
     y = np.zeros(lam.shape)
     pos = n > 0
     if pos.any():
-        y[pos] = rng.gamma(n[pos] * alpha, beta[pos])
+        y[pos] = rng.gamma(n[pos] * alpha[pos], beta[pos])
     return y
 
 

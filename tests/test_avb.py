@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import expit
 
-from tweedie_avb import autodiff as ad
+from tweedie_avb import autodiff as ad, avb
 from tweedie_avb.autodiff import ParamStore, Tape, backward, collect_gradient, finite_diff_check
 from tweedie_avb.avb import (
     Discriminator,
@@ -627,7 +627,8 @@ class TestPosteriorPredict:
         assert_allclose(out["mean"], [2.0], rtol=1e-12)
 
     def test_unseen_group_uses_fresh_intercepts(self):
-        fit = self.make_fit(np.zeros((200, 2)), sigma_b=0.5)
+        # 4,000 draws put the 0.05 bound at about 5 Monte Carlo standard errors
+        fit = self.make_fit(np.zeros((4000, 2)), sigma_b=0.5)
         out = posterior_predict(fit, np.zeros((1, 1)), np.array([-1]),
                                 np.random.default_rng(1))
         # E[exp(sigma_b * eps)] = exp(sigma_b^2 / 2)
@@ -654,12 +655,64 @@ class TestPosteriorPredict:
                               np.random.default_rng(0))
         assert exc.value.index == 1
 
+    def test_eta_overflow_in_later_draw_reports_row(self):
+        # the second draw's eta is 0.5 * 80 = 40 at row 0
+        fit = self.make_fit([[0.0, 0.0], [0.0, 0.5]])
+        with pytest.raises(FlaggedObservationError) as exc:
+            posterior_predict(fit, np.array([[80.0], [1.0]]), np.array([0, 0]),
+                              np.random.default_rng(0))
+        assert exc.value.index == 0
+
     def test_predictive_mean_tracks_truth(self):
         truth = SimTruth(fixed_weights=np.array([0.1, 0.4]), p_index=1.5,
                          dispersion=1.0, sigma_b=0.0, n_obs=4000, group_count=0)
         data, _ = simulate_dataset(truth, np.random.default_rng(5))
-        fit = self.make_fit([[0.1, 0.4]], sigma_b=1e-9, g=0)
+        # sigma_b = 1 would add intercepts worth a factor exp(1/2) if a fit
+        # without groups drew any
+        fit = self.make_fit([[0.1, 0.4]], sigma_b=1.0, g=0)
         out = posterior_predict(fit, data.fixed_design,
                                 np.zeros(data.n_obs, dtype=int),
                                 np.random.default_rng(6))
         assert abs(out["mean"].mean() - data.responses.mean()) / data.responses.mean() < 0.05
+
+    def test_group_free_fit_adds_no_intercepts(self):
+        rng = np.random.default_rng(7)
+        w = rng.normal(0.0, 0.3, (9, 3))
+        x = rng.standard_normal((6, 2))
+        fit = self.make_fit(w, sigma_b=1.0, g=0)
+        out = posterior_predict(fit, x, np.full(6, -1), np.random.default_rng(8))
+        reference = np.mean([np.exp(ws[0] + x @ ws[1:]) for ws in w], axis=0)
+        assert_allclose(out["mean"], reference, rtol=1e-12)
+
+    def test_blocks_match_per_draw_reference(self, monkeypatch):
+        # 7 draws of 5 rows in blocks of 3 draws: 3 + 3 + 1
+        monkeypatch.setattr(avb, "_PREDICT_BLOCK", 3 * 5)
+        rng = np.random.default_rng(9)
+        n_draws, g = 7, 3
+        w = rng.normal(0.0, 0.3, (n_draws, 3))
+        b = rng.normal(0.0, 0.5, (n_draws, g))
+        sigma_b = rng.uniform(0.2, 0.8, n_draws)
+        fit = self.make_fit(w, b=b, g=g)
+        fit.draws["sigma_b"] = sigma_b
+        x = rng.standard_normal((5, 2))
+        ids = np.array([0, -1, 2, 1, 7])
+        out = posterior_predict(fit, x, ids, np.random.default_rng(10))
+        seen = (ids >= 0) & (ids < g)
+        noise = np.random.default_rng(10).standard_normal((n_draws, (~seen).sum()))
+        mu = []
+        for s in range(n_draws):
+            eta = w[s, 0] + x @ w[s, 1:]
+            eta[seen] += b[s, ids[seen]]
+            eta[~seen] += sigma_b[s] * noise[s]
+            mu.append(np.exp(eta))
+        assert_allclose(out["mean"], np.mean(mu, axis=0), rtol=1e-12)
+        assert set(out) == {"mean", "q05", "q50", "q95"}
+
+    def test_mean_alone_without_quantiles(self):
+        rng = np.random.default_rng(11)
+        fit = self.make_fit(rng.normal(0.0, 0.3, (50, 2)), b=rng.normal(0.0, 0.5, (50, 2)), g=2)
+        x, ids = rng.standard_normal((4, 1)), np.array([0, -1, 1, 5])
+        full = posterior_predict(fit, x, ids, np.random.default_rng(12))
+        mean_only = posterior_predict(fit, x, ids, np.random.default_rng(12), quantiles=())
+        assert set(mean_only) == {"mean"}
+        assert (mean_only["mean"] == full["mean"]).all()

@@ -179,6 +179,17 @@ class TestPredict:
         for row in rows:
             assert float(row["q05"]) <= float(row["q50"]) <= float(row["q95"])
 
+    def test_same_seed_byte_identical(self, workspace, tmp_path):
+        cfg = write_json(tmp_path / "p.json", {
+            "fit_json": str(workspace / "fit" / "fit.json"),
+            "data_csv": str(workspace / "sim" / "dataset.csv"),
+            "seed": 0,
+        })
+        for out in ("a", "b"):
+            assert main(["predict", "--config", cfg, "--out", str(tmp_path / out)]) == 0
+        assert ((tmp_path / "a" / "predictions.csv").read_bytes()
+                == (tmp_path / "b" / "predictions.csv").read_bytes())
+
     def test_fit_with_stored_prior_parameters_still_predicts(self, workspace, tmp_path):
         # fit.json files written while the generator store held a trainable
         # prior carry prior.loc and prior.log_scale; they load and predict alike

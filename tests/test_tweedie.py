@@ -272,6 +272,12 @@ class TestSampling:
         b = [tweedie_sample(c, np.random.default_rng(9)) for _ in range(3)]
         assert a == b
 
+    def test_array_alpha_matches_scalar_alpha(self):
+        lam, beta = np.linspace(0.1, 3.0, 400), np.linspace(0.2, 1.5, 400)
+        scalar = tweedie_sample_array(lam, 1.7, beta, np.random.default_rng(4))
+        array = tweedie_sample_array(lam, np.full(400, 1.7), beta, np.random.default_rng(4))
+        assert (scalar == array).all()
+
     def test_samples_zero_or_strictly_positive(self):
         rng = np.random.default_rng(2)
         draws = tweedie_sample_array(np.full(5000, 0.5), 1.2, np.full(5000, 0.4), rng)
