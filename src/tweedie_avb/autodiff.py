@@ -10,12 +10,11 @@ No program code builds tapes: the losses in ``avb`` and the likelihood
 in ``model`` return numpy values and gradients, and the optimizer here
 (:func:`adam_step`, :func:`clip_global_norm`) works on flat arrays
 aligned with a :class:`ParamStore`.  The tape is a tested library piece
-and the reference for those gradients: the scalar primitives build the
-networks and sampling maps node by node (``avb``'s ``forward_tape``,
-``sample_tape``, ``entropy_tape``), a vectorised computation enters a
-tape as one :class:`TapeNode` whose parents carry its numpy partials,
-and :func:`finite_diff_check` checks any ``(value, gradient)`` function
-against central differences.
+and the reference for those gradients: the tests build the networks
+and sampling maps node by node from the scalar primitives, a vectorised
+computation enters a tape as one :class:`TapeNode` whose parents carry
+its numpy partials, and :func:`finite_diff_check` checks any
+``(value, gradient)`` function against central differences.
 """
 
 from __future__ import annotations

@@ -13,10 +13,9 @@ update of the inference-side parameters.  Both losses run in numpy and
 return a value and a flat gradient aligned with their parameter store:
 the networks' gradients come from a hand-written batched backward pass
 (:meth:`MLP.vjp`), and the likelihood's from its analytic partials
-(:func:`model.log_likelihood_partials`).  No scalar tape is built while
-training.  The scalar-tape forms of the networks and the sampling maps
-(``forward_tape``, ``sample_tape``, ``entropy_tape``) are the reference
-the tests check the numpy gradients against.
+(:func:`model.log_likelihood_partials`).  No scalar tape is built here;
+the tests build the networks and sampling maps node by node on the
+scalar tape of :mod:`autodiff` as the reference for these gradients.
 """
 
 from __future__ import annotations
@@ -29,16 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import expit
 
-from . import autodiff as ad
-from .autodiff import (
-    AdamState,
-    ParamStore,
-    Tape,
-    TapeNode,
-    adam_step,
-    clip_global_norm,
-    slice_leaves,
-)
+from .autodiff import AdamState, ParamStore, adam_step, clip_global_norm
 from .model import (
     Dataset,
     FlaggedObservationError,
@@ -139,32 +129,6 @@ class MLP:
 
         return hs[-1], pullback
 
-    def forward_tape(self, tape: Tape, x: Sequence, leaves=None) -> list:
-        """Build the forward graph for one input vector.
-
-        ``x`` entries may be nodes or floats.  With ``leaves`` given
-        (aligned with the store), weights are trainable nodes; without,
-        current weight values enter as constants so gradients flow only
-        to node-valued inputs.
-        """
-        h = list(x)
-        for l in range(self.n_layers):
-            fan_in, fan_out = self.sizes[l], self.sizes[l + 1]
-            if leaves is not None:
-                w_nodes = slice_leaves(leaves, self.store, f"{self.prefix}.W{l}")
-                b_nodes = slice_leaves(leaves, self.store, f"{self.prefix}.b{l}")
-                rows = [w_nodes[u * fan_in:(u + 1) * fan_in] for u in range(fan_out)]
-                biases = b_nodes
-            else:
-                w = self.weight(l)
-                rows = [list(w[u]) for u in range(fan_out)]
-                biases = list(self.bias(l))
-            out = [ad.affine(rows[u], h, biases[u]) for u in range(fan_out)]
-            if l < self.n_layers - 1:
-                out = [ad.tanh(u) for u in out]
-            h = out
-        return h
-
 
 class InferenceNet:
     """Maps a noise vector to the raw global latents (w, raw_p, raw_log_phi, raw_log_sigma_b)."""
@@ -179,9 +143,6 @@ class InferenceNet:
 
     def latents_np(self, eps: np.ndarray) -> np.ndarray:
         return self.net.forward_np(eps)
-
-    def forward_tape(self, tape: Tape, leaves, eps: np.ndarray) -> list:
-        return self.net.forward_tape(tape, [float(v) for v in eps], leaves)
 
 
 class Discriminator:
@@ -223,15 +184,6 @@ class GroupPosterior:
     @property
     def scale(self) -> np.ndarray:
         return np.exp(self.store.get(f"{self.prefix}.log_scale"))
-
-    def sample_tape(self, tape: Tape, leaves, eps: np.ndarray) -> list:
-        loc = slice_leaves(leaves, self.store, f"{self.prefix}.loc")
-        log_scale = slice_leaves(leaves, self.store, f"{self.prefix}.log_scale")
-        return [loc[g] + ad.exp(log_scale[g]) * float(eps[g]) for g in range(self.group_count)]
-
-    def entropy_tape(self, tape: Tape, leaves) -> TapeNode:
-        log_scale = slice_leaves(leaves, self.store, f"{self.prefix}.log_scale")
-        return ad.dot([(s, 1.0) for s in log_scale], bias=0.5 * LOG_2PI_E * self.group_count)
 
 
 # ---------------------------------------------------------------------------
@@ -456,9 +408,6 @@ def _validation_nll(trainer: _Trainer, valid: Dataset, cfg: TrainConfig,
     total = 0.0
     for _ in range(cfg.valid_draws):
         raw = trainer.q.latents_np(rng.standard_normal(trainer.q.noise_dim))
-        # group noise that b = loc does not read, drawn so that fits with
-        # validation keep their random stream
-        rng.standard_normal(valid.group_count)
         total += -model_log_likelihood_value(valid, raw, b, cfg.truncation)
     return total / cfg.valid_draws
 
@@ -621,7 +570,8 @@ def posterior_predict(fit: FitResult, fixed_design: np.ndarray,
     seen_groups = group_ids[seen_rows]
     noise = sigma_b[:, None] * rng.standard_normal((n_draws, unseen_rows.size)) if g else None
     total = np.zeros(n_rows)
-    samples = np.empty((n_draws, n_rows)) if len(quantiles) else None
+    # response draws (rows, draws): np.quantile then reads contiguous rows
+    samples = np.empty((n_rows, n_draws)) if len(quantiles) else None
     block = max(1, _PREDICT_BLOCK // max(n_rows, 1))
     for start in range(0, n_draws, block):
         at = slice(start, min(start + block, n_draws))
@@ -635,9 +585,9 @@ def posterior_predict(fit: FitResult, fixed_design: np.ndarray,
         total += mu.sum(axis=0)
         if samples is not None:
             lam, alpha, beta = compound_arrays(mu, p[at, None], phi[at, None])
-            samples[at] = tweedie_sample_array(lam, alpha, beta, rng)
+            samples[:, at] = tweedie_sample_array(lam, alpha, beta, rng).T
     out = {"mean": total / n_draws}
     if samples is not None:
-        for level, row in zip(quantiles, np.quantile(samples, quantiles, axis=0)):
+        for level, row in zip(quantiles, np.quantile(samples, quantiles, axis=1)):
             out[f"q{int(round(level * 100)):02d}"] = row
     return out

@@ -1,15 +1,20 @@
 """Blockwise random-walk Metropolis over the same posterior as the
 variational fit, for desk-scale validation.
 
-Blocks: fixed-effect weights, the unconstrained index parameter, log
-dispersion, log random-effect scale, and the per-group intercepts.
+The state is one vector ``x = [raw (D+4); b (G)]``, the form of a draw
+everywhere: the raw globals laid out as in :func:`model.split_raw_globals`,
+then the group intercepts.  Its blocks, fixed slices of ``x``, are the
+fixed-effect weights, the unconstrained index parameter, log dispersion,
+log random-effect scale and the intercepts (absent without groups).
 Proposals are Gaussian per block with step sizes auto-tuned during
 burn-in toward a target acceptance rate.
 
-The model's target comes in two parts: the Tweedie data log likelihood,
-which the random-effect scale does not enter, and the priors.  The
-sampler keeps the accepted state's data term, so a log random-effect
-scale proposal costs a prior evaluation only.
+The one target, :func:`log_unnormalized_posterior`, has two parts: the
+Tweedie data log likelihood, which the random-effect scale does not
+enter, and the priors.  The sampler keeps the accepted state's data
+term, so a log random-effect scale proposal costs a prior evaluation
+only.  On a dataset with no rows the data term is exactly 0 and the
+chain samples the prior.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import asdict, dataclass, field
+from typing import Optional
 
 import numpy as np
 from scipy.special import expit
@@ -29,11 +34,13 @@ from .model import (
     draws_schema,
     globals_log_prior,
     intercept_log_prior,
-    model_log_likelihood_value,
+    split_raw_globals,
 )
 from .tweedie import TruncationConfig
 
 BLOCK_ORDER = ("w", "raw_p", "raw_log_dispersion", "raw_log_sigma_b", "b")
+#: Numerical errors of a target part that make the log target -inf.
+_TARGET_FAILURES = (OverflowError, FloatingPointError, ValueError)
 
 
 class ChainConfigError(ValueError):
@@ -75,16 +82,7 @@ class ChainConfig:
                 raise ChainConfigError(f"step size for block {name!r} must be > 0")
 
     def to_dict(self) -> dict:
-        return {
-            "step_sizes": dict(self.step_sizes),
-            "iterations": self.iterations,
-            "burn_in": self.burn_in,
-            "thinning": self.thinning,
-            "seed": self.seed,
-            "tune": self.tune,
-            "tune_interval": self.tune_interval,
-            "target_acceptance": self.target_acceptance,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ChainConfig":
@@ -93,7 +91,7 @@ class ChainConfig:
 
 @dataclass
 class ChainResult:
-    """Retained draws per block plus per-block acceptance rates."""
+    """Retained draws, ``{"raw": (n, D+4), "b": (n, G)}``, plus per-block acceptance rates."""
 
     draws: dict
     acceptance: dict
@@ -105,17 +103,14 @@ class ChainResult:
 
     @property
     def retained(self) -> int:
-        return next(iter(self.draws.values())).shape[0]
+        return self.draws["raw"].shape[0]
 
     def to_json_dict(self) -> dict:
         """The retained draws in :func:`model.draws_schema`, the schema FitResult stores."""
-        raw = np.concatenate([self.draws["w"], self.draws["raw_p"],
-                              self.draws["raw_log_dispersion"], self.draws["raw_log_sigma_b"]],
-                             axis=1)
-        b = self.draws.get("b", np.empty((self.retained, 0)))
+        draws = draws_schema(self.draws["raw"], self.draws["b"])
         return {
             "metadata": {"sampler": "random-walk metropolis"},
-            "draws": {k: np.asarray(v).tolist() for k, v in draws_schema(raw, b).items()},
+            "draws": {k: np.asarray(v).tolist() for k, v in draws.items()},
             "acceptance": {k: float(v) for k, v in self.acceptance.items()},
         }
 
@@ -125,94 +120,96 @@ class ChainResult:
 
 
 # ---------------------------------------------------------------------------
-# Targets
+# Target
 # ---------------------------------------------------------------------------
+
+def _data_term(data: Dataset, raw: np.ndarray, b: np.ndarray, t: TruncationConfig) -> float:
+    """:func:`model.data_log_likelihood`; reads w, raw_p, raw_log_dispersion and b."""
+    w, raw_p, raw_log_dispersion, _ = split_raw_globals(raw, data.n_covariates)
+    try:
+        return data_log_likelihood(data, w, b, 1.0 + float(expit(raw_p)),
+                                   math.exp(raw_log_dispersion), t)
+    except _TARGET_FAILURES:
+        return -math.inf
+
+
+def _plus_priors(data_value: float, raw: np.ndarray, b: np.ndarray) -> float:
+    """(data_value + intercept prior, if ``b`` is not empty) + :func:`model.globals_log_prior`."""
+    try:
+        if b.size:  # raw's last entry is raw_log_sigma_b
+            data_value += intercept_log_prior(b, math.exp(raw[-1]))
+        return data_value + float(globals_log_prior(raw))
+    except _TARGET_FAILURES:
+        return -math.inf
+
 
 def log_unnormalized_posterior(data: Dataset, raw: np.ndarray, b: np.ndarray,
                                t: TruncationConfig) -> float:
-    """Model log likelihood plus :func:`model.globals_log_prior` of the raw globals.
+    """Data log likelihood plus the intercept prior and :func:`model.globals_log_prior`.
 
-    ``raw`` and ``b`` are as in :func:`model.model_log_likelihood_value`.
-    Shares the likelihood code path with the variational fit, and the
-    prior with the critic's prior batches.
+    ``raw`` holds the raw globals in the layout of :func:`model.split_raw_globals`
+    and ``b`` the group intercepts (empty without groups).  The target that
+    :func:`run_chain` samples and AVB fits; a part that raises a numerical
+    error makes it -inf.
     """
-    return model_log_likelihood_value(data, raw, b, t) + globals_log_prior(raw)
+    return _plus_priors(_data_term(data, raw, b, t), raw, b)
 
 
 # ---------------------------------------------------------------------------
 # Sampler
 # ---------------------------------------------------------------------------
 
-def run_chain_generic(log_target: Callable[[dict], float], init: dict,
-                      cfg: ChainConfig) -> ChainResult:
-    """Blockwise Gaussian-proposal Metropolis over a dict-valued state.
+def run_chain(data: Dataset, cfg: ChainConfig,
+              t: Optional[TruncationConfig] = None) -> ChainResult:
+    """Sample :func:`log_unnormalized_posterior` for a dataset, from x = 0.
 
+    Each iteration proposes the blocks in :data:`BLOCK_ORDER` in turn; a
+    raw_log_sigma_b proposal reuses the accepted state's data term.
     Deterministic given the seed.  Acceptance uses the detailed-balance
     rule min(1, exp(delta log target)).  During burn-in, step sizes are
     re-scaled every ``tune_interval`` iterations toward the target
     acceptance rate.
     """
-    return _run_blocks(log_target, lambda state, data_value: data_value, (), init, cfg)
-
-
-def _run_blocks(data_term: Callable[[dict], float],
-                log_target: Callable[[dict, float], float],
-                data_free: tuple, init: dict, cfg: ChainConfig) -> ChainResult:
-    """:func:`run_chain_generic` over a target split in two parts.
-
-    ``data_term(state)`` is the costly part and ``log_target(state, data_value)``
-    the whole log target given its value.  A proposal in a block named in
-    ``data_free``, which ``data_term`` does not read, reuses the accepted
-    state's data term.
-    """
+    t = t or TruncationConfig()
+    n_raw = data.n_covariates + 4
+    # block edges in x: the raw globals as in split_raw_globals, then b
+    bounds = (0, n_raw - 3, n_raw - 2, n_raw - 1, n_raw, n_raw + data.group_count)
+    spans = {name: slice(lo, hi)
+             for name, lo, hi in zip(BLOCK_ORDER, bounds, bounds[1:]) if hi > lo}
+    steps = {k: float(cfg.step_sizes.get(k, 0.1)) for k in spans}
     rng = np.random.default_rng(cfg.seed)
-    state = {k: np.atleast_1d(np.asarray(v, dtype=float)).copy() for k, v in init.items()}
-    blocks = [k for k in BLOCK_ORDER if k in state] + [k for k in state if k not in BLOCK_ORDER]
-    steps = {k: float(cfg.step_sizes.get(k, 0.1)) for k in blocks}
-    current_data_value = data_term(state)
-    current_lp = log_target(state, current_data_value)
+    x = np.zeros(n_raw + data.group_count)
+    current_data_value = _data_term(data, x[:n_raw], x[n_raw:], t)
+    current_lp = _plus_priors(current_data_value, x[:n_raw], x[n_raw:])
     if not math.isfinite(current_lp):
         raise ValueError("log target is non-finite at the initial state")
 
-    accepted = {k: 0 for k in blocks}
-    proposed = {k: 0 for k in blocks}
-    tune_accepted = {k: 0 for k in blocks}
-    tune_proposed = {k: 0 for k in blocks}
-    kept: dict[str, list] = {k: [] for k in blocks}
-
+    kept = []
     for it in range(cfg.iterations):
-        in_burn = it < cfg.burn_in
-        for name in blocks:
-            proposal = state[name] + steps[name] * rng.standard_normal(state[name].shape)
-            old = state[name]
-            state[name] = proposal
-            data_value = current_data_value if name in data_free else data_term(state)
-            lp = log_target(state, data_value)
+        if it in (0, cfg.burn_in):  # per-block counts: for tuning, then for the report
+            accepted, proposed = dict.fromkeys(spans, 0), dict.fromkeys(spans, 0)
+        for name, span in spans.items():
+            old = x[span].copy()
+            x[span] += steps[name] * rng.standard_normal(old.size)
+            raw, b = x[:n_raw], x[n_raw:]
+            data_value = (current_data_value if name == "raw_log_sigma_b"
+                          else _data_term(data, raw, b, t))
+            lp = _plus_priors(data_value, raw, b)
             accept = math.isfinite(lp) and math.log(rng.random()) < lp - current_lp
             if accept:
                 current_lp, current_data_value = lp, data_value
             else:
-                state[name] = old
-            if in_burn:
-                tune_proposed[name] += 1
-                tune_accepted[name] += int(accept)
-            else:
-                proposed[name] += 1
-                accepted[name] += int(accept)
-        if cfg.tune and in_burn and (it + 1) % cfg.tune_interval == 0:
-            for name in blocks:
-                if tune_proposed[name]:
-                    rate = tune_accepted[name] / tune_proposed[name]
-                    steps[name] *= math.exp(rate - cfg.target_acceptance)
-                tune_accepted[name] = 0
-                tune_proposed[name] = 0
+                x[span] = old
+            proposed[name] += 1
+            accepted[name] += int(accept)
+        if cfg.tune and it < cfg.burn_in and (it + 1) % cfg.tune_interval == 0:
+            for name in spans:
+                steps[name] *= math.exp(accepted[name] / proposed[name] - cfg.target_acceptance)
+            accepted, proposed = dict.fromkeys(spans, 0), dict.fromkeys(spans, 0)
         if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thinning == 0:
-            for name in blocks:
-                kept[name].append(state[name].copy())
+            kept.append(x.copy())
 
-    acceptance = {
-        k: (accepted[k] / proposed[k]) if proposed[k] else 0.0 for k in blocks
-    }
+    acceptance = {k: accepted[k] / proposed[k] for k in spans}
     for name, rate in acceptance.items():
         if rate < 0.01:
             warnings.warn(
@@ -220,58 +217,6 @@ def _run_blocks(data_term: Callable[[dict], float],
                 f"reduce its step size (current {steps[name]:.3g})",
                 RuntimeWarning,
             )
-    draws = {k: np.asarray(v) for k, v in kept.items()}
-    return ChainResult(draws=draws, acceptance=acceptance)
-
-
-def run_chain(data: Dataset, cfg: ChainConfig,
-              t: Optional[TruncationConfig] = None,
-              include_likelihood: bool = True) -> ChainResult:
-    """Sample the Tweedie mixed-model posterior for a dataset.
-
-    The state's blocks are the raw globals of :func:`model.split_raw_globals`
-    (w, raw_p, raw_log_dispersion, raw_log_sigma_b) and the intercepts b.
-    The target is :func:`log_unnormalized_posterior` of that raw vector
-    and b, the posterior that AVB fits, summed in the same order, in two
-    parts: the data term (:func:`model.data_log_likelihood`, which reads
-    w, raw_p, raw_log_dispersion and b) and the priors (the intercept
-    prior and :func:`model.globals_log_prior`).  A raw_log_sigma_b
-    proposal reuses the accepted state's data term.  A part that raises a
-    numerical error makes the log target -inf.  With
-    ``include_likelihood=False`` the chain targets the priors alone, which
-    is the stationarity smoke test.
-    """
-    t = t or TruncationConfig()
-    d1 = data.n_covariates + 1
-    g = data.group_count
-
-    def data_term(state: dict) -> float:
-        try:
-            return data_log_likelihood(
-                data, state["w"], state.get("b"), 1.0 + float(expit(state["raw_p"][0])),
-                math.exp(float(state["raw_log_dispersion"][0])), t)
-        except (OverflowError, FloatingPointError, ValueError):
-            return -math.inf
-
-    def log_target(state: dict, data_value: float) -> float:
-        raw = np.concatenate([state["w"], state["raw_p"], state["raw_log_dispersion"],
-                              state["raw_log_sigma_b"]])
-        try:
-            if g:
-                data_value += intercept_log_prior(
-                    state["b"], math.exp(float(state["raw_log_sigma_b"][0])))
-            return data_value + globals_log_prior(raw)
-        except (OverflowError, FloatingPointError, ValueError):
-            return -math.inf
-
-    init = {
-        "w": np.zeros(d1),
-        "raw_p": np.zeros(1),
-        "raw_log_dispersion": np.zeros(1),
-        "raw_log_sigma_b": np.zeros(1),
-    }
-    if g:
-        init["b"] = np.zeros(g)
-    if not include_likelihood:
-        return _run_blocks(lambda state: 0.0, log_target, tuple(init), init, cfg)
-    return _run_blocks(data_term, log_target, ("raw_log_sigma_b",), init, cfg)
+    kept = np.asarray(kept)
+    return ChainResult(draws={"raw": kept[:, :n_raw], "b": kept[:, n_raw:]},
+                       acceptance=acceptance)

@@ -340,7 +340,7 @@ def test_criterion_10_monotone_signal_sanity(recovery_fit):
     )
     test_data, _ = simulate_dataset(test_truth, np.random.default_rng(77))
     preds = posterior_predict(fit, test_data.fixed_design, test_data.group_index,
-                              np.random.default_rng(0))
+                              np.random.default_rng(0), quantiles=())
     baseline = np.full(test_data.n_obs, train_data.responses.mean())
     point, se = gini_standard_error(test_data.responses, baseline, preds["mean"],
                                     n_splits=20, seed=0)

@@ -11,7 +11,14 @@ from numpy.testing import assert_allclose
 from scipy.special import expit
 
 from tweedie_avb import autodiff as ad, avb
-from tweedie_avb.autodiff import ParamStore, Tape, backward, collect_gradient, finite_diff_check
+from tweedie_avb.autodiff import (
+    ParamStore,
+    Tape,
+    backward,
+    collect_gradient,
+    finite_diff_check,
+    slice_leaves,
+)
 from tweedie_avb.avb import (
     Discriminator,
     FitResult,
@@ -38,6 +45,7 @@ from tweedie_avb.model import (
     sample_globals_prior,
     split_raw_globals,
 )
+from tweedie_avb.tweedie import compound_arrays, tweedie_sample_array
 
 
 def small_dataset(m=40, d=1, g=2, seed=0):
@@ -49,16 +57,52 @@ def small_dataset(m=40, d=1, g=2, seed=0):
     return data
 
 
+def mlp_forward_tape(net, x, leaves=None):
+    """An MLP's forward graph for one input vector, built node by node on the scalar tape.
+
+    ``x`` entries may be nodes or floats.  With ``leaves`` given (aligned
+    with the store), weights are trainable nodes; without, current weight
+    values enter as constants so gradients flow only to node-valued inputs.
+    """
+    h = list(x)
+    for l in range(net.n_layers):
+        fan_in, fan_out = net.sizes[l], net.sizes[l + 1]
+        if leaves is not None:
+            w_nodes = slice_leaves(leaves, net.store, f"{net.prefix}.W{l}")
+            rows = [w_nodes[u * fan_in:(u + 1) * fan_in] for u in range(fan_out)]
+            biases = slice_leaves(leaves, net.store, f"{net.prefix}.b{l}")
+        else:
+            rows = [list(r) for r in net.weight(l)]
+            biases = list(net.bias(l))
+        h = [ad.affine(rows[u], h, biases[u]) for u in range(fan_out)]
+        if l < net.n_layers - 1:
+            h = [ad.tanh(u) for u in h]
+    return h
+
+
+def group_sample_tape(gp, leaves, eps):
+    """The intercepts loc + exp(log_scale) * eps as tape nodes."""
+    loc = slice_leaves(leaves, gp.store, f"{gp.prefix}.loc")
+    log_scale = slice_leaves(leaves, gp.store, f"{gp.prefix}.log_scale")
+    return [loc[g] + ad.exp(log_scale[g]) * float(eps[g]) for g in range(gp.group_count)]
+
+
+def group_entropy_tape(gp, leaves):
+    """The intercept posterior's Gaussian entropy as a tape node."""
+    log_scale = slice_leaves(leaves, gp.store, f"{gp.prefix}.log_scale")
+    return ad.dot([(s, 1.0) for s in log_scale], bias=0.5 * avb.LOG_2PI_E * gp.group_count)
+
+
 def critic_loss_tape_reference(disc, post, prior):
     """The density-ratio loss built node by node on the scalar tape."""
     tape = Tape()
     leaves = disc.store.leaves(tape)
     terms = []
     for z in post:
-        t = disc.net.forward_tape(tape, list(z), leaves)[0]
+        t = mlp_forward_tape(disc.net, list(z), leaves)[0]
         terms.append((ad.softplus(ad.neg(t)), 1.0 / len(post)))
     for z in prior:
-        t = disc.net.forward_tape(tape, list(z), leaves)[0]
+        t = mlp_forward_tape(disc.net, list(z), leaves)[0]
         terms.append((ad.softplus(t), 1.0 / len(prior)))
     loss = ad.dot(terms)
     backward(loss)
@@ -81,16 +125,16 @@ def generator_loss_tape_reference(batch, q, disc, cfg, rng, group_posterior=None
     leaves = q.store.leaves(tape)
     draw_terms = []
     for _ in range(n_draws):
-        raw_nodes = q.forward_tape(tape, leaves, rng.standard_normal(q.noise_dim))
+        raw_nodes = mlp_forward_tape(q.net, rng.standard_normal(q.noise_dim).tolist(), leaves)
         group_noise = rng.standard_normal(batch.group_count)
-        t_node = disc.net.forward_tape(tape, raw_nodes)[0]  # critic weights as constants
+        t_node = mlp_forward_tape(disc.net, raw_nodes)[0]  # critic weights as constants
         b_nodes = []
         if batch.group_count:
-            b_nodes = group_posterior.sample_tape(tape, leaves, group_noise)
+            b_nodes = group_sample_tape(group_posterior, leaves, group_noise)
         term = t_node - likelihood_node(tape, batch, raw_nodes, b_nodes, cfg.truncation,
                                         data_scale)
         if b_nodes:
-            term = term - group_posterior.entropy_tape(tape, leaves)
+            term = term - group_entropy_tape(group_posterior, leaves)
         draw_terms.append((term, 1.0 / n_draws))
     loss = ad.dot(draw_terms)
     backward(loss)
@@ -104,7 +148,7 @@ class TestMLP:
         x = np.array([0.3, -1.2, 0.7])
         want = net.forward_np(x)
         tape = Tape()
-        got = [n.value for n in net.forward_tape(tape, [tape.leaf(v) for v in x])]
+        got = [n.value for n in mlp_forward_tape(net, [tape.leaf(v) for v in x])]
         assert_allclose(got, want, rtol=1e-12)
 
     def test_forward_tape_with_leaves(self):
@@ -112,7 +156,7 @@ class TestMLP:
         net = MLP("m", [2, 3, 1], store, np.random.default_rng(1))
         tape = Tape()
         leaves = store.leaves(tape)
-        out = net.forward_tape(tape, [0.5, -0.5], leaves)[0]
+        out = mlp_forward_tape(net, [0.5, -0.5], leaves)[0]
         assert_allclose(out.value, net.forward_np(np.array([0.5, -0.5]))[0], rtol=1e-12)
         backward(out)
         assert np.abs(collect_gradient(leaves)).sum() > 0
@@ -136,7 +180,7 @@ class TestMLP:
         tape = Tape()
         leaves = store.leaves(tape)
         inputs = [tape.leaf(v) for v in x]
-        outs = net.forward_tape(tape, inputs, leaves)
+        outs = mlp_forward_tape(net, inputs, leaves)
         backward(ad.dot(zip(outs, cotangent)))
         assert_allclose(out[0], [n.value for n in outs], rtol=1e-12)
         assert_allclose(param_grad, collect_gradient(leaves), rtol=1e-12, atol=1e-15)
@@ -387,7 +431,7 @@ class TestGroupPosterior:
         store.set("b_post.log_scale", np.array([0.0, math.log(2.0)]))
         tape = Tape()
         leaves = store.leaves(tape)
-        entropy = gp.entropy_tape(tape, leaves)
+        entropy = group_entropy_tape(gp, leaves)
         want = 2 * 0.5 * (math.log(2 * math.pi) + 1.0) + math.log(2.0)
         assert_allclose(entropy.value, want, rtol=1e-12)
 
@@ -398,7 +442,7 @@ class TestGroupPosterior:
         eps = np.array([0.5, -1.0, 2.0])
         tape = Tape()
         leaves = store.leaves(tape)
-        nodes = gp.sample_tape(tape, leaves, eps)
+        nodes = group_sample_tape(gp, leaves, eps)
         want = gp.loc + gp.scale * eps
         assert_allclose([n.value for n in nodes], want, rtol=1e-12)
 
@@ -534,7 +578,7 @@ class TestTrainLoop:
             assert_allclose(got["b"][s], b, rtol=1e-14, atol=1e-15)
 
     def test_validation_nll_matches_per_draw_loop(self):
-        # each draw takes its net noise, then group noise that b = loc does not read
+        # each draw takes its net noise only: b = loc reads no group noise
         cfg = TrainConfig(**self.CFG)
         trainer = build_trainer(1, 2, cfg, np.random.default_rng(0))
         gp = trainer.group_posterior
@@ -545,8 +589,7 @@ class TestTrainLoop:
         ref = np.random.default_rng(1)
         total = 0.0
         for _ in range(cfg.valid_draws):
-            noise = ref.standard_normal(cfg.noise_dim + valid.group_count)
-            raw = trainer.q.latents_np(noise[:cfg.noise_dim])
+            raw = trainer.q.latents_np(ref.standard_normal(cfg.noise_dim))
             total -= model_log_likelihood_value(valid, raw, np.array([0.2, -0.3]),
                                                 cfg.truncation)
         assert_allclose(got, total / cfg.valid_draws, rtol=1e-14)
@@ -698,7 +741,8 @@ class TestPosteriorPredict:
         ids = np.array([0, -1, 2, 1, 7])
         out = posterior_predict(fit, x, ids, np.random.default_rng(10))
         seen = (ids >= 0) & (ids < g)
-        noise = np.random.default_rng(10).standard_normal((n_draws, (~seen).sum()))
+        ref = np.random.default_rng(10)
+        noise = ref.standard_normal((n_draws, (~seen).sum()))
         mu = []
         for s in range(n_draws):
             eta = w[s, 0] + x @ w[s, 1:]
@@ -707,6 +751,14 @@ class TestPosteriorPredict:
             mu.append(np.exp(eta))
         assert_allclose(out["mean"], np.mean(mu, axis=0), rtol=1e-12)
         assert set(out) == {"mean", "q05", "q50", "q95"}
+        # each block's responses are drawn (draws, rows), after all the noise
+        mu = np.array(mu)
+        samples = np.concatenate([
+            tweedie_sample_array(*compound_arrays(mu[at], 1.5, 1.0), ref)
+            for at in (slice(0, 3), slice(3, 6), slice(6, 7))])
+        for level in (0.05, 0.5, 0.95):
+            want = np.quantile(samples, level, axis=0)
+            assert_allclose(out[f"q{int(round(level * 100)):02d}"], want, rtol=1e-12)
 
     def test_mean_alone_without_quantiles(self):
         rng = np.random.default_rng(11)

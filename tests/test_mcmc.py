@@ -8,16 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from tweedie_avb import model
+from tweedie_avb import mcmc, model
 from tweedie_avb.data import SimTruth, simulate_dataset
 from tweedie_avb.mcmc import (
     BLOCK_ORDER,
     ChainConfig,
     ChainConfigError,
-    ChainResult,
     log_unnormalized_posterior,
     run_chain,
-    run_chain_generic,
 )
 from tweedie_avb.model import Dataset, globals_log_prior, model_log_likelihood_value
 from tweedie_avb.tweedie import LOG_2PI, TruncationConfig
@@ -86,75 +84,69 @@ class TestLogPosterior:
              b=[0.0, 0.0, 1.0])
     def test_extreme_raw_globals_give_finite_or_minus_inf(self, w, raw_p, raw_log_dispersion,
                                                           raw_log_sigma_b, b):
-        # anything else than these errors escapes run_chain's target
-        data = prior_only_dataset()
+        # the target run_chain samples maps numerical errors to -inf and raises nothing
+        data = Dataset(responses=np.array([0.0, 1.0, 0.5, 0.0]), fixed_design=np.zeros((4, 1)),
+                       group_index=np.array([0, 1, 2, 0]), group_count=3)
         raw = np.array([*w, raw_p, raw_log_dispersion, raw_log_sigma_b])
-        try:
-            lp = log_unnormalized_posterior(data, raw, np.array(b), TruncationConfig())
-        except (OverflowError, FloatingPointError, ValueError):
-            return
+        lp = log_unnormalized_posterior(data, raw, np.array(b), TruncationConfig())
         assert math.isfinite(lp) or lp == -math.inf
 
 
+def empty_dataset(g=3, d=1):
+    """No rows: the data term is exactly 0 and the chain samples the prior."""
+    return Dataset(responses=np.zeros(0), fixed_design=np.zeros((0, d)),
+                   group_index=np.zeros(0, dtype=int), group_count=g)
+
+
 class TestGenericChain:
+    # the sampler's own behaviour, on the standard normal prior of an empty dataset
+
     def test_standard_normal_target(self):
-        cfg = ChainConfig(iterations=52_000, burn_in=2_000, thinning=1, seed=0,
-                          step_sizes={"x": 2.4})
-        result = run_chain_generic(
-            lambda s: float(-0.5 * s["x"][0] ** 2), {"x": np.zeros(1)}, cfg)
-        draws = result.draws["x"][:, 0]
+        # four raw globals, each N(0, 1) a priori: 50,000 pooled draws
+        cfg = ChainConfig(iterations=14_500, burn_in=2_000, thinning=1, seed=0,
+                          step_sizes=dict.fromkeys(BLOCK_ORDER, 2.4))
+        result = run_chain(empty_dataset(g=0, d=0), cfg)
+        draws = result.draws["raw"]
         assert draws.size == 50_000
         assert abs(draws.mean()) < 0.05
         assert abs(draws.var() - 1.0) < 0.1
 
     def test_deterministic_given_seed(self):
         cfg = ChainConfig(iterations=500, burn_in=100, thinning=5, seed=3)
-
-        def run():
-            return run_chain_generic(
-                lambda s: float(-0.5 * np.sum(s["w"] ** 2)), {"w": np.zeros(2)}, cfg)
-
-        a, b = run(), run()
-        assert (a.draws["w"] == b.draws["w"]).all()
+        a, b = run_chain(empty_dataset(), cfg), run_chain(empty_dataset(), cfg)
+        assert (a.draws["raw"] == b.draws["raw"]).all()
+        assert (a.draws["b"] == b.draws["b"]).all()
         assert a.acceptance == b.acceptance
 
     def test_low_acceptance_warns(self):
         cfg = ChainConfig(iterations=300, burn_in=100, thinning=1, seed=0,
-                          tune=False, step_sizes={"x": 5000.0})
-        with pytest.warns(RuntimeWarning, match="step size"):
-            run_chain_generic(lambda s: float(-0.5 * s["x"][0] ** 2),
-                              {"x": np.zeros(1)}, cfg)
+                          tune=False, step_sizes={"w": 5000.0})
+        with pytest.warns(RuntimeWarning, match="block 'w'.*step size"):
+            run_chain(empty_dataset(g=0, d=0), cfg)
 
     def test_retained_count(self):
         cfg = ChainConfig(iterations=1000, burn_in=200, thinning=10, seed=1)
-        result = run_chain_generic(lambda s: float(-0.5 * s["x"][0] ** 2),
-                                   {"x": np.zeros(1)}, cfg)
+        result = run_chain(empty_dataset(), cfg)
         assert result.retained == 80
-
-
-def prior_only_dataset(g=3):
-    return Dataset(responses=np.array([0.0, 1.0, 0.5, 0.0]),
-                   fixed_design=np.zeros((4, 1)),
-                   group_index=np.array([0, 1, 2, 0]), group_count=g)
+        assert result.draws["raw"].shape == (80, 5)
+        assert result.draws["b"].shape == (80, 3)
 
 
 class TestModelChain:
     def test_prior_only_moments(self):
-        # with the likelihood disabled the chain must reproduce the
-        # standard normal prior over the raw globals
-        data = prior_only_dataset()
+        # on an empty dataset the chain must reproduce the standard normal
+        # prior over the raw globals
         cfg = ChainConfig(iterations=24_000, burn_in=4_000, thinning=2, seed=0,
                           step_sizes={"w": 1.0, "raw_p": 1.5,
                                       "raw_log_dispersion": 1.5,
                                       "raw_log_sigma_b": 1.0, "b": 1.5})
-        result = run_chain(data, cfg, include_likelihood=False)
+        result = run_chain(empty_dataset(), cfg)
         n = result.retained
-        for name in ("w", "raw_p", "raw_log_dispersion", "raw_log_sigma_b"):
-            draws = result.draws[name]
+        for column in np.split(result.draws["raw"], [2, 3, 4], axis=1):
             # autocorrelated chain: use a generous effective-sample factor
             se = math.sqrt(1.0 / n) * 6.0
-            assert np.abs(draws.mean(axis=0)).max() < 3 * se
-            assert np.abs(draws.var(axis=0) - 1.0).max() < 0.25
+            assert np.abs(column.mean(axis=0)).max() < 3 * se
+            assert np.abs(column.var(axis=0) - 1.0).max() < 0.25
 
     def test_acceptance_rates_in_range(self):
         truth = SimTruth(fixed_weights=np.array([0.1, 0.3]), p_index=1.5,
@@ -171,8 +163,8 @@ class TestModelChain:
         # intercepts without groups
         cfg = ChainConfig(iterations=300, burn_in=100, thinning=10, seed=0)
         for g in (3, 0):
-            data = prior_only_dataset(g)
-            result = run_chain(data, cfg, include_likelihood=False)
+            data = empty_dataset(g)
+            result = run_chain(data, cfg)
             doc = result.to_json_dict()
             n = result.retained
             shapes = {k: np.asarray(v).shape for k, v in doc["draws"].items()}
@@ -182,17 +174,17 @@ class TestModelChain:
             assert ((p > 1.0) & (p < 2.0)).all()
 
     def test_seed_change_keeps_long_run_means(self):
-        data = prior_only_dataset()
+        data = empty_dataset()
         cfg_a = ChainConfig(iterations=12_000, burn_in=2_000, thinning=2, seed=0,
                             step_sizes={"w": 1.0, "raw_p": 1.5,
                                         "raw_log_dispersion": 1.5,
                                         "raw_log_sigma_b": 1.0, "b": 1.5})
         cfg_b = ChainConfig(**{**cfg_a.to_dict(), "seed": 99})
-        a = run_chain(data, cfg_a, include_likelihood=False)
-        b = run_chain(data, cfg_b, include_likelihood=False)
-        assert (a.draws["w"] != b.draws["w"]).any()
+        a = run_chain(data, cfg_a)
+        b = run_chain(data, cfg_b)
+        assert (a.draws["raw"][:, :2] != b.draws["raw"][:, :2]).any()
         se = math.sqrt(1.0 / a.retained) * 6.0
-        assert abs(a.draws["raw_p"].mean() - b.draws["raw_p"].mean()) < 2 * 3 * se
+        assert abs(a.draws["raw"][:, 2].mean() - b.draws["raw"][:, 2].mean()) < 2 * 3 * se
 
 
 def small_grouped_dataset():
@@ -202,28 +194,20 @@ def small_grouped_dataset():
 
 
 class TestSplitTarget:
-    def test_matches_one_part_target(self):
-        # the data term cached for raw_log_sigma_b proposals and the parts
-        # summed in log_unnormalized_posterior's order leave every lp unchanged
+    def test_matches_one_part_target(self, monkeypatch):
+        # reusing the accepted data term on raw_log_sigma_b proposals gives the
+        # draws of recomputing it on every proposal
         data = small_grouped_dataset()
         t = TruncationConfig()
         cfg = ChainConfig(iterations=300, burn_in=100, thinning=3, seed=4)
-
-        def log_target(state):
-            raw = np.concatenate([state["w"], state["raw_p"], state["raw_log_dispersion"],
-                                  state["raw_log_sigma_b"]])
-            try:
-                return log_unnormalized_posterior(data, raw, state["b"], t)
-            except (OverflowError, FloatingPointError, ValueError):
-                return -math.inf
-
-        init = {"w": np.zeros(2), "raw_p": np.zeros(1), "raw_log_dispersion": np.zeros(1),
-                "raw_log_sigma_b": np.zeros(1), "b": np.zeros(data.group_count)}
-        split = run_chain(data, cfg, t)
-        whole = run_chain_generic(log_target, init, cfg)
-        assert split.acceptance == whole.acceptance
-        for name in BLOCK_ORDER:
-            assert np.array_equal(split.draws[name], whole.draws[name])
+        reused = run_chain(data, cfg, t)
+        plus_priors = mcmc._plus_priors
+        monkeypatch.setattr(mcmc, "_plus_priors", lambda data_value, raw, b: plus_priors(
+            mcmc._data_term(data, raw, b, t), raw, b))
+        recomputed = run_chain(data, cfg, t)
+        assert reused.acceptance == recomputed.acceptance
+        for part in ("raw", "b"):
+            assert np.array_equal(reused.draws[part], recomputed.draws[part])
 
     def test_sigma_b_proposals_skip_the_likelihood(self, monkeypatch):
         calls = []
@@ -238,6 +222,3 @@ class TestSplitTarget:
         cfg = ChainConfig(iterations=40, burn_in=10, thinning=1, seed=0)
         run_chain(data, cfg)
         assert len(calls) == 1 + cfg.iterations * (len(BLOCK_ORDER) - 1)
-        calls.clear()
-        run_chain(data, cfg, include_likelihood=False)
-        assert not calls
