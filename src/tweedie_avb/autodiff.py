@@ -14,7 +14,9 @@ and the reference for those gradients: the tests build the networks
 and sampling maps node by node from the scalar primitives, a vectorised
 computation enters a tape as one :class:`TapeNode` whose parents carry
 its numpy partials, and :func:`finite_diff_check` checks any
-``(value, gradient)`` function against central differences.
+``(value, gradient)`` function against central differences.  The
+``log_gamma`` primitive takes its value from ``math.lgamma`` and its
+partial from :func:`special.digamma`, the package's numpy digamma.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import digamma
+
+from .special import digamma
 
 
 class DomainError(ValueError):

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field, asdict
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .autodiff import AdamState, ParamStore, adam_step, clip_global_norm
 from .model import (
@@ -319,10 +318,14 @@ def discriminator_loss(disc: Discriminator, posterior_batch: np.ndarray,
         raise ValueError("batches must be non-empty")
     n_q = posterior_batch.shape[0]
     logits, pullback = disc.net.vjp(np.concatenate([posterior_batch, prior_batch]))
-    t_q, t_p = logits[:n_q, 0], logits[n_q:, 0]
-    value = np.logaddexp(0.0, -t_q).mean() + np.logaddexp(0.0, t_p).mean()
-    # d softplus(x) / dx = sigmoid(x)
-    d_logits = np.concatenate([-expit(-t_q) / t_q.size, expit(t_p) / t_p.size])
+    # each row's loss term is softplus(u): u = -T(z_Q) on the posterior rows, T(z_P) below
+    u = np.concatenate([-logits[:n_q, 0], logits[n_q:, 0]])
+    terms = np.logaddexp(0.0, u)
+    value = terms[:n_q].mean() + terms[n_q:].mean()
+    # d softplus(u) / du = sigmoid(u) = exp(u - softplus(u)); du / dT is -1 on the posterior rows
+    d_logits = np.exp(u - terms)
+    d_logits[:n_q] /= -n_q
+    d_logits[n_q:] /= u.size - n_q
     param_grad, _ = pullback(d_logits[:, None])
     return float(value), param_grad
 

@@ -26,7 +26,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
 from .model import (
     Dataset,
@@ -36,6 +35,7 @@ from .model import (
     intercept_log_prior,
     split_raw_globals,
 )
+from .special import expit
 from .tweedie import TruncationConfig
 
 BLOCK_ORDER = ("w", "raw_p", "raw_log_dispersion", "raw_log_sigma_b", "b")
@@ -127,7 +127,7 @@ def _data_term(data: Dataset, raw: np.ndarray, b: np.ndarray, t: TruncationConfi
     """:func:`model.data_log_likelihood`; reads w, raw_p, raw_log_dispersion and b."""
     w, raw_p, raw_log_dispersion, _ = split_raw_globals(raw, data.n_covariates)
     try:
-        return data_log_likelihood(data, w, b, 1.0 + float(expit(raw_p)),
+        return data_log_likelihood(data, w, b, 1.0 + expit(raw_p),
                                    math.exp(raw_log_dispersion), t)
     except _TARGET_FAILURES:
         return -math.inf

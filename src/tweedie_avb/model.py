@@ -23,8 +23,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
+from .special import expit
 from .tweedie import (
     LOG_2PI,
     InvalidParameterError,
@@ -196,7 +196,7 @@ def model_log_likelihood_value(data: Dataset, raw: np.ndarray, b: np.ndarray,
     :func:`log_likelihood_partials`.
     """
     w, raw_p, raw_log_dispersion, raw_log_sigma_b = _split_checked(data, raw)
-    p = 1.0 + float(expit(raw_p))
+    p = 1.0 + expit(raw_p)
     phi = math.exp(raw_log_dispersion)
     sigma_b = math.exp(raw_log_sigma_b)
     data_term = data_log_likelihood(data, w, b, p, phi, t)
@@ -221,7 +221,7 @@ def log_likelihood_partials(data: Dataset, raw: np.ndarray, b: np.ndarray,
     """
     d1 = data.n_covariates + 1
     w, raw_p, raw_log_dispersion, raw_log_sigma_b = _split_checked(data, raw)
-    s = float(expit(raw_p))  # = p - 1
+    s = expit(raw_p)  # = p - 1
     eta = linear_predictor(data, w, b)
     _check_overflow(eta)
     log_pdf, d_eta, d_p, d_log_phi = tweedie_log_pdf_partials(

@@ -10,6 +10,11 @@ All density work happens in log space.  The intractable marginal is
 approximated by a truncated sum over the latent Poisson count; a
 high-precision series evaluator serves as the internal ground-truth
 oracle for truncation-error tests.
+
+The count terms need lgamma and digamma only at the multiples n * alpha
+of the Gamma shape.  Their tables, indexed by the count n, are built
+from ``math.lgamma`` and :func:`special.digamma`, kept for a few recent
+alpha values and grown, never rebuilt, when a row needs more counts.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, gammaln
+
+from .special import digamma
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -28,6 +34,9 @@ TAIL_REL_TOL = 1e-10
 _LOG_TAIL_TOL = math.log(TAIL_REL_TOL)
 #: Longest latent-count table the truncated sum may build.
 _MAX_TERMS = 100_000
+#: Alpha values whose count tables are kept: the chain moves alpha only on
+#: index-parameter proposals, training moves it on every step.
+_TABLES_KEPT = 4
 #: Counts past each end of the core window checked in one 2-D evaluation
 #: before a row whose summed range reaches further is bisected.
 _SCAN_WINDOW = 16
@@ -165,17 +174,81 @@ def _log_summand(y: float, n, c: CompoundParams) -> np.ndarray:
         (na - 1.0) * log_y
         - y / c.beta
         - na * log_beta
-        - gammaln(na)
+        - _lgamma(na.ravel().tolist()).reshape(n.shape)
         + n * log_lam
         - c.lam
-        - gammaln(n + 1.0)
+        - _lgamma((n + 1.0).ravel().tolist()).reshape(n.shape)
     )
 
 
+# ---------------------------------------------------------------------------
+# Count tables
+# ---------------------------------------------------------------------------
+
+# The tables hold values that depend on alpha alone, so sharing them across
+# callers changes what a call costs, never what it returns.
+
+#: lgamma(n + 1) at index n, shared by every alpha.
+_log_factorials = np.zeros(1)
+#: alpha -> [G table, digamma table] for the _TABLES_KEPT most recent alpha
+#: values, least recent first.
+_tables: dict = {}
+
+
+def _appended(table, values) -> np.ndarray:
+    """``table`` followed by ``values``, read-only: cached tables are shared."""
+    table = np.concatenate((table, values))
+    table.flags.writeable = False
+    return table
+
+
+#: Both tables before their first count: index 0 is n = 0, which has no
+#: term when y > 0.
+_NO_COUNTS = (_appended([], [np.inf]), _appended([], [np.nan]))
+
+
+def _lgamma(values) -> np.ndarray:
+    """``math.lgamma`` of each of ``values``."""
+    return np.array(list(map(math.lgamma, values)))
+
+
+def _tables_of(alpha: float) -> list:
+    """The cache entry of ``alpha``, made the most recent."""
+    entry = _tables.pop(alpha, None)
+    if entry is None:
+        if len(_tables) >= _TABLES_KEPT:
+            del _tables[next(iter(_tables))]
+        entry = list(_NO_COUNTS)
+    _tables[alpha] = entry
+    return entry
+
+
 def _count_table(alpha: float, size: int) -> np.ndarray:
-    """G(n) = lgamma(n * alpha) + lgamma(n + 1) for n = 1..size, at index n - 1."""
-    n = np.arange(1.0, size + 1.0)
-    return gammaln(n * alpha) + gammaln(n + 1.0)
+    """G(n) = lgamma(n * alpha) + lgamma(n + 1) at index n = 1..size, +inf at n = 0."""
+    global _log_factorials
+    alpha = float(alpha)
+    entry = _tables_of(alpha)
+    g = entry[0]
+    if g.size <= size:
+        log_factorials = _log_factorials
+        if log_factorials.size <= size:
+            log_factorials = _log_factorials = _appended(
+                log_factorials, _lgamma(range(log_factorials.size + 1, size + 2)))
+        new = _lgamma([n * alpha for n in range(g.size, size + 1)])
+        new += log_factorials[g.size:size + 1]
+        g = entry[0] = _appended(g, new)
+    return g[:size + 1]
+
+
+def _digamma_table(alpha: float) -> np.ndarray:
+    """digamma(n * alpha) at every index n of alpha's :func:`_count_table`; NaN at n = 0."""
+    alpha = float(alpha)
+    entry = _tables_of(alpha)
+    g, psi = entry
+    if psi.size < g.size:
+        n = np.arange(psi.size, g.size, dtype=float)
+        psi = entry[1] = _appended(psi, digamma(n * alpha))
+    return psi
 
 
 def series_slope(y, lam, alpha: float, beta):
@@ -192,8 +265,9 @@ def _summand_mode(slope: np.ndarray, alpha: float,
 
     G is convex, so the increments G(n + 1) - G(n) increase in n and the
     mode is one past the number of increments below the slope.  The
-    table doubles until, on every row, it covers the mode plus ``reach``
-    counts and its last term is below ``TAIL_REL_TOL`` of the largest.
+    table (:func:`_count_table`, +inf at n = 0) doubles until, on every
+    row, it covers the mode plus ``reach`` counts and its last term is
+    below ``TAIL_REL_TOL`` of the largest.
     """
     size = 4 * reach
     while True:
@@ -201,11 +275,11 @@ def _summand_mode(slope: np.ndarray, alpha: float,
             raise InvalidParameterError(
                 f"the latent-count series needs more than {_MAX_TERMS} terms"
             )
-        g = _count_table(alpha, size)
-        mode = 1 + np.searchsorted(np.diff(g), slope)
-        peak = mode * slope - g[mode - 1]
-        if ((mode + reach <= size) & (size * slope - g[-1] - peak < _LOG_TAIL_TOL)).all():
-            return mode, g, peak
+        table = _count_table(alpha, size)
+        mode = 1 + np.searchsorted(np.diff(table[1:]), slope)
+        peak = mode * slope - table[mode]
+        if ((mode + reach <= size) & (size * slope - table[-1] - peak < _LOG_TAIL_TOL)).all():
+            return mode, table, peak
         size *= 2
 
 
@@ -239,14 +313,13 @@ def _summed_terms(slope, alpha: float, t: TruncationConfig):
     if t.adaptive:
         # non-finite slopes give non-finite sums; plan their range as slope 0
         plan = np.where(np.isfinite(slope), slope, 0.0)
-        mode, g, peak = _summand_mode(plan, alpha, t.n_max)
-        table = np.concatenate(([np.inf], g))
+        mode, table, peak = _summand_mode(plan, alpha, t.n_max)
         floor = peak + _LOG_TAIL_TOL
         lo = np.maximum(1, mode - t.n_max // 2)
         hi = _first_dropped(plan, table, floor, lo + t.n_max, 1)
         lo = _first_dropped(plan, table, floor, lo - 1, -1) + 1
     else:
-        table = np.concatenate(([np.inf], _count_table(alpha, t.n_max)))
+        table = _count_table(alpha, t.n_max)
         lo = np.ones(slope.shape, dtype=int)
         hi = lo + t.n_max
     widths = hi - lo
@@ -424,7 +497,7 @@ def tweedie_log_pdf_partials(y: np.ndarray, mu: np.ndarray, p: float, phi: float
         d_log_lam[pos] = mean_n - lamp
         d_log_beta[pos] = yp / betap - alpha * mean_n
         d_alpha[pos] = (mean_n * (np.log(yp) - np.log(betap))
-                        - np.add.reduceat(weighted_n * digamma(ns * alpha), starts))
+                        - np.add.reduceat(weighted_n * _digamma_table(alpha)[ns], starts))
     # log(lambda) = (2 - p) log(mu) - log(phi) - log(2 - p), alpha = (2 - p) / (p - 1),
     # log(beta) = log(phi) + log(p - 1) + (p - 1) log(mu)
     log_mu = np.log(mu)
@@ -449,16 +522,12 @@ def tweedie_sample(c: CompoundParams, rng: np.random.Generator) -> float:
 
 def tweedie_sample_array(lam: np.ndarray, alpha, beta: np.ndarray,
                          rng: np.random.Generator) -> np.ndarray:
-    """Vectorized compound draws; ``alpha`` and ``beta`` broadcast against the rate ``lam``."""
-    lam = np.asarray(lam, dtype=float)
-    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), lam.shape)
-    beta = np.broadcast_to(np.asarray(beta, dtype=float), lam.shape)
-    n = rng.poisson(lam)
-    y = np.zeros(lam.shape)
-    pos = n > 0
-    if pos.any():
-        y[pos] = rng.gamma(n[pos] * alpha[pos], beta[pos])
-    return y
+    """Vectorized compound draws; ``alpha`` and ``beta`` broadcast against the rate ``lam``.
+
+    A zero count gives Gamma shape 0, which numpy draws as exactly 0
+    without taking from ``rng``.
+    """
+    return rng.gamma(rng.poisson(lam) * np.asarray(alpha, dtype=float), beta)
 
 
 def tweedie_moments(e: EdmParams) -> tuple[float, float]:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.special import digamma, gammaln
 
 from tweedie_avb import tweedie
 from tweedie_avb.tweedie import (
@@ -163,7 +164,8 @@ class TestSummationRange:
             slope = series_slope(np.array([math.exp(log_y)]), lam, alpha, beta)
             lo, hi, log_mass = summation_range(slope, alpha, TruncationConfig(n_max=n_max))
 
-            mode, g, peak = tweedie._summand_mode(slope, alpha, n_max)
+            mode, table, peak = tweedie._summand_mode(slope, alpha, n_max)
+            g = table[1:]
             n = np.arange(1, g.size + 1)
             terms = n * slope[0] - g
             kept = np.flatnonzero(terms >= peak[0] + math.log(TAIL_REL_TOL)) + 1
@@ -183,6 +185,59 @@ class TestSummationRange:
         assert below_window > 50
         assert above_core > 500
         assert below_core > 50
+
+
+P_GRID = [1.001, 1.01, 1.2, 1.5, 1.8, 1.99, 1.999]
+
+
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """Empty count-table caches for one test; the module's own come back after it."""
+    monkeypatch.setattr(tweedie, "_tables", {})
+    monkeypatch.setattr(tweedie, "_log_factorials", np.zeros(1))
+
+
+class TestCountTables:
+    @pytest.mark.parametrize("p", P_GRID)
+    def test_tables_match_scipy(self, p, fresh_tables):
+        alpha = (2.0 - p) / (p - 1.0)
+        n = np.arange(1.0, 10_001.0)
+        g = tweedie._count_table(alpha, 10_000)
+        psi = tweedie._digamma_table(alpha)
+        assert g.shape == psi.shape == (10_001,) and g[0] == np.inf
+        # atol for the values near 0: G(1) = lgamma(alpha) at alpha near 1 or 2, and
+        # digamma near its root 1.4616...
+        assert_allclose(g[1:], gammaln(n * alpha) + gammaln(n + 1.0), rtol=1e-13, atol=1e-14)
+        assert_allclose(psi[1:], digamma(n * alpha), rtol=1e-13, atol=1e-14)
+
+    @pytest.mark.parametrize("p", P_GRID)
+    def test_extended_table_equals_fresh_build(self, p, monkeypatch, fresh_tables):
+        alpha = (2.0 - p) / (p - 1.0)
+        for size in (3, 40, 41, 700, 5000):
+            grown = {"g": tweedie._count_table(alpha, size), "psi": tweedie._digamma_table(alpha)}
+        monkeypatch.setattr(tweedie, "_tables", {})
+        monkeypatch.setattr(tweedie, "_log_factorials", np.zeros(1))
+        np.testing.assert_array_equal(grown["g"], tweedie._count_table(alpha, 5000))
+        np.testing.assert_array_equal(grown["psi"], tweedie._digamma_table(alpha))
+        # a shorter request is a prefix of the cached table, which callers cannot write
+        short = tweedie._count_table(alpha, 10)
+        np.testing.assert_array_equal(short, grown["g"][:11])
+        assert not short.flags.writeable
+
+    def test_cache_stays_bounded(self, fresh_tables):
+        for alpha in np.linspace(0.01, 50.0, 1000):
+            tweedie._count_table(alpha, 200)
+            tweedie._digamma_table(alpha)
+        assert len(tweedie._tables) == tweedie._TABLES_KEPT
+        assert tweedie._log_factorials.size == 201
+
+    def test_recent_alpha_is_kept(self, fresh_tables):
+        first = tweedie._count_table(0.5, 40)
+        for alpha in (1.0, 2.0, 0.5, 3.0, 4.0, 5.0):
+            tweedie._count_table(alpha, 40)
+        # 0.5 was used again after 1.0 and 2.0, so those two went first
+        assert list(tweedie._tables) == [0.5, 3.0, 4.0, 5.0]
+        assert tweedie._count_table(0.5, 40).base is first.base
 
 
 class TestSeriesOracle:
