@@ -10,7 +10,6 @@ from .model import Dataset, model_log_likelihood_value
 from .tweedie import (
     CompoundParams,
     EdmParams,
-    TruncationConfig,
     joint_log_density,
     marginal_log_likelihood,
     series_log_density_oracle,
@@ -34,7 +33,6 @@ __all__ = [
     "SplitSpec",
     "TrainConfig",
     "TrainingAbortError",
-    "TruncationConfig",
     "gini",
     "gini_index",
     "joint_log_density",

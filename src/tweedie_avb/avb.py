@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,7 +37,7 @@ from .model import (
     model_log_likelihood_value,
     sample_globals_prior,
 )
-from .tweedie import InvalidParameterError, TruncationConfig, compound_arrays, tweedie_sample_array
+from .tweedie import InvalidParameterError, compound_arrays, tweedie_sample_array
 
 LOG_2PI_E = math.log(2.0 * math.pi) + 1.0
 #: posterior_predict's block size in (draw, row) elements: about 1 MB per float temporary.
@@ -193,16 +193,16 @@ class GroupPosterior:
 class TrainConfig:
     """Knobs for the alternating minimax loop.
 
-    The paper-level quantities are ``n_critic`` (critic updates per
-    outer step) and the truncation of the latent-count sum; everything
-    else (architectures, optimizer settings, batch sizes) is an
-    artifact-level choice and overridable.
+    The paper-level quantity is ``n_critic`` (critic updates per outer
+    step); everything else (architectures, optimizer settings, batch
+    sizes) is an artifact-level choice and overridable.  The truncation
+    of the latent-count sum is not a setting: :mod:`tweedie` sums every
+    count whose term is not negligible.
     """
 
     n_critic: int = 3
     minibatch_size: int = 256
     outer_steps: int = 5000
-    truncation: TruncationConfig = field(default_factory=TruncationConfig)
     seed: int = 0
     latent_sample_count: int = 1000
 
@@ -223,12 +223,10 @@ class TrainConfig:
     valid_draws: int = 4
 
     def __post_init__(self):
-        if self.n_critic < 1:
-            raise ValueError(f"n_critic must be >= 1, got {self.n_critic}")
-        if self.outer_steps < 1:
-            raise ValueError(f"outer_steps must be >= 1, got {self.outer_steps}")
-        if isinstance(self.truncation, dict):
-            self.truncation = TruncationConfig(**self.truncation)
+        for name in ("n_critic", "minibatch_size", "outer_steps", "latent_sample_count",
+                     "critic_batch", "eval_every", "patience", "valid_draws"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if isinstance(self.inference_hidden, list):
             self.inference_hidden = tuple(self.inference_hidden)
         if isinstance(self.critic_hidden, list):
@@ -236,7 +234,6 @@ class TrainConfig:
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        d["truncation"] = {"n_max": self.truncation.n_max, "adaptive": self.truncation.adaptive}
         d["inference_hidden"] = list(self.inference_hidden)
         d["critic_hidden"] = list(self.critic_hidden)
         return d
@@ -331,7 +328,7 @@ def discriminator_loss(disc: Discriminator, posterior_batch: np.ndarray,
 
 
 def generator_loss(batch: Dataset, q: InferenceNet, disc: Discriminator,
-                   truncation: TruncationConfig, rng: np.random.Generator,
+                   rng: np.random.Generator,
                    group_posterior: Optional[GroupPosterior] = None,
                    data_scale: float = 1.0,
                    n_draws: int = 1) -> tuple[float, np.ndarray]:
@@ -364,7 +361,7 @@ def generator_loss(batch: Dataset, q: InferenceNet, disc: Discriminator,
     for k in range(n_draws):
         group_noise = noise[k, q.noise_dim:]
         b = q.store.values[loc_span] + scale * group_noise if g else None
-        ll, d_ll, d_b = log_likelihood_partials(batch, raw[k], b, truncation, data_scale)
+        ll, d_ll, d_b = log_likelihood_partials(batch, raw[k], b, data_scale)
         d_raw[k] -= d_ll
         term = logits[k, 0] - ll
         if g:
@@ -411,7 +408,7 @@ def _validation_nll(trainer: _Trainer, valid: Dataset, cfg: TrainConfig,
     total = 0.0
     for _ in range(cfg.valid_draws):
         raw = trainer.q.latents_np(rng.standard_normal(trainer.q.noise_dim))
-        total += -model_log_likelihood_value(valid, raw, b, cfg.truncation)
+        total += -model_log_likelihood_value(valid, raw, b)
     return total / cfg.valid_draws
 
 
@@ -476,8 +473,7 @@ def train(data: Dataset, cfg: TrainConfig, valid: Optional[Dataset] = None) -> F
         rows = rng.choice(m, size=batch_size, replace=False)
         minibatch = data.subset(np.sort(rows))
         try:
-            gen_loss, grad = generator_loss(minibatch, trainer.q, trainer.disc,
-                                            cfg.truncation, rng,
+            gen_loss, grad = generator_loss(minibatch, trainer.q, trainer.disc, rng,
                                             group_posterior=trainer.group_posterior,
                                             data_scale=m / batch_size)
         except _LIKELIHOOD_FAILURES as exc:

@@ -37,6 +37,13 @@ class UserError(ValueError):
     """Configuration or input problem attributable to the caller."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a :class:`UserError`, so it exits 1, not argparse's 2."""
+
+    def error(self, message):
+        raise UserError(f"{self.prog}: {message}")
+
+
 def _setup_logging() -> None:
     level = os.environ.get("TWEEDIE_AVB_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
@@ -130,8 +137,6 @@ def cmd_fit(args) -> int:
         config.setdefault("train", {})["seed"] = args.seed
     if args.steps is not None:
         config.setdefault("train", {})["outer_steps"] = args.steps
-    if args.n_max is not None:
-        config.setdefault("train", {}).setdefault("truncation", {})["n_max"] = args.n_max
     if args.mcmc:
         config.setdefault("mcmc", {})
     config["out"] = str(_out_dir(config, args))
@@ -155,6 +160,13 @@ def cmd_fit(args) -> int:
         raise UserError(f"invalid train config: {exc}") from None
     config["train"] = cfg.to_dict()
     config["schema"] = schema.to_dict()
+    chain_cfg = None
+    if config.get("mcmc") is not None:
+        try:
+            chain_cfg = ChainConfig.from_dict(config["mcmc"])
+        except (TypeError, ValueError) as exc:
+            raise UserError(f"invalid mcmc config: {exc}") from None
+        config["mcmc"] = chain_cfg.to_dict()
 
     try:
         fit = train(train_set, cfg, valid=valid_set)
@@ -176,14 +188,8 @@ def cmd_fit(args) -> int:
     fit.save(out / "fit.json")
     _write_trace_csv(fit, out / "trace.csv")
 
-    if "mcmc" in config and config["mcmc"] is not None:
-        try:
-            chain_cfg = ChainConfig.from_dict(config["mcmc"])
-        except (TypeError, ValueError) as exc:
-            raise UserError(f"invalid mcmc config: {exc}") from None
-        config["mcmc"] = chain_cfg.to_dict()
-        chain = run_chain(train_set, chain_cfg, cfg.truncation)
-        chain.save(out / "mcmc.json")
+    if chain_cfg is not None:
+        run_chain(train_set, chain_cfg).save(out / "mcmc.json")
     _echo_config(config, out)
     return 0
 
@@ -341,7 +347,7 @@ def cmd_predict(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tweedie-avb",
         description="Bayesian Tweedie mixed models via adversarial variational inference",
     )
@@ -355,9 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "fit":
             p.add_argument("--mcmc", action="store_true",
                            help="also run the MCMC validation chain")
-            p.add_argument("--n-max", type=int,
-                           help="core window width of the latent-count sum "
-                                "(non-negligible tails are added to it)")
             p.add_argument("--steps", type=int, help="outer training steps")
         p.set_defaults(func=fn)
     return parser
@@ -365,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _setup_logging()
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (UserError, data_io.SchemaError, data_io.SplitError,
             mcmc.ChainConfigError, FileNotFoundError) as exc:

@@ -23,7 +23,6 @@ import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -36,7 +35,6 @@ from .model import (
     split_raw_globals,
 )
 from .special import expit
-from .tweedie import TruncationConfig
 
 BLOCK_ORDER = ("w", "raw_p", "raw_log_dispersion", "raw_log_sigma_b", "b")
 #: Numerical errors of a target part that make the log target -inf.
@@ -71,13 +69,23 @@ class ChainConfig:
     target_acceptance: float = 0.25
 
     def __post_init__(self):
+        if self.burn_in < 0:
+            raise ChainConfigError(f"burn_in must be >= 0, got {self.burn_in}")
         if self.burn_in >= self.iterations:
             raise ChainConfigError(
                 f"burn_in ({self.burn_in}) must be < iterations ({self.iterations})"
             )
         if self.thinning < 1:
             raise ChainConfigError("thinning must be >= 1")
+        if self.tune_interval < 1:
+            raise ChainConfigError(f"tune_interval must be >= 1, got {self.tune_interval}")
+        if not 0.0 < self.target_acceptance < 1.0:
+            raise ChainConfigError(
+                f"target_acceptance must lie in (0, 1), got {self.target_acceptance}")
         for name, step in self.step_sizes.items():
+            if name not in BLOCK_ORDER:
+                raise ChainConfigError(
+                    f"step_sizes names unknown block {name!r}; blocks are {', '.join(BLOCK_ORDER)}")
             if step <= 0:
                 raise ChainConfigError(f"step size for block {name!r} must be > 0")
 
@@ -123,12 +131,12 @@ class ChainResult:
 # Target
 # ---------------------------------------------------------------------------
 
-def _data_term(data: Dataset, raw: np.ndarray, b: np.ndarray, t: TruncationConfig) -> float:
+def _data_term(data: Dataset, raw: np.ndarray, b: np.ndarray) -> float:
     """:func:`model.data_log_likelihood`; reads w, raw_p, raw_log_dispersion and b."""
     w, raw_p, raw_log_dispersion, _ = split_raw_globals(raw, data.n_covariates)
     try:
         return data_log_likelihood(data, w, b, 1.0 + expit(raw_p),
-                                   math.exp(raw_log_dispersion), t)
+                                   math.exp(raw_log_dispersion))
     except _TARGET_FAILURES:
         return -math.inf
 
@@ -143,8 +151,7 @@ def _plus_priors(data_value: float, raw: np.ndarray, b: np.ndarray) -> float:
         return -math.inf
 
 
-def log_unnormalized_posterior(data: Dataset, raw: np.ndarray, b: np.ndarray,
-                               t: TruncationConfig) -> float:
+def log_unnormalized_posterior(data: Dataset, raw: np.ndarray, b: np.ndarray) -> float:
     """Data log likelihood plus the intercept prior and :func:`model.globals_log_prior`.
 
     ``raw`` holds the raw globals in the layout of :func:`model.split_raw_globals`
@@ -152,15 +159,14 @@ def log_unnormalized_posterior(data: Dataset, raw: np.ndarray, b: np.ndarray,
     :func:`run_chain` samples and AVB fits; a part that raises a numerical
     error makes it -inf.
     """
-    return _plus_priors(_data_term(data, raw, b, t), raw, b)
+    return _plus_priors(_data_term(data, raw, b), raw, b)
 
 
 # ---------------------------------------------------------------------------
 # Sampler
 # ---------------------------------------------------------------------------
 
-def run_chain(data: Dataset, cfg: ChainConfig,
-              t: Optional[TruncationConfig] = None) -> ChainResult:
+def run_chain(data: Dataset, cfg: ChainConfig) -> ChainResult:
     """Sample :func:`log_unnormalized_posterior` for a dataset, from x = 0.
 
     Each iteration proposes the blocks in :data:`BLOCK_ORDER` in turn; a
@@ -170,7 +176,6 @@ def run_chain(data: Dataset, cfg: ChainConfig,
     re-scaled every ``tune_interval`` iterations toward the target
     acceptance rate.
     """
-    t = t or TruncationConfig()
     n_raw = data.n_covariates + 4
     # block edges in x: the raw globals as in split_raw_globals, then b
     bounds = (0, n_raw - 3, n_raw - 2, n_raw - 1, n_raw, n_raw + data.group_count)
@@ -179,7 +184,7 @@ def run_chain(data: Dataset, cfg: ChainConfig,
     steps = {k: float(cfg.step_sizes.get(k, 0.1)) for k in spans}
     rng = np.random.default_rng(cfg.seed)
     x = np.zeros(n_raw + data.group_count)
-    current_data_value = _data_term(data, x[:n_raw], x[n_raw:], t)
+    current_data_value = _data_term(data, x[:n_raw], x[n_raw:])
     current_lp = _plus_priors(current_data_value, x[:n_raw], x[n_raw:])
     if not math.isfinite(current_lp):
         raise ValueError("log target is non-finite at the initial state")
@@ -193,7 +198,7 @@ def run_chain(data: Dataset, cfg: ChainConfig,
             x[span] += steps[name] * rng.standard_normal(old.size)
             raw, b = x[:n_raw], x[n_raw:]
             data_value = (current_data_value if name == "raw_log_sigma_b"
-                          else _data_term(data, raw, b, t))
+                          else _data_term(data, raw, b))
             lp = _plus_priors(data_value, raw, b)
             accept = math.isfinite(lp) and math.log(rng.random()) < lp - current_lp
             if accept:

@@ -28,7 +28,6 @@ from .special import expit
 from .tweedie import (
     LOG_2PI,
     InvalidParameterError,
-    TruncationConfig,
     tweedie_log_pdf,
     tweedie_log_pdf_partials,
 )
@@ -179,16 +178,14 @@ def sample_globals_prior(rng: np.random.Generator, count: int, dim: int) -> np.n
     return rng.standard_normal((count, dim))
 
 
-def data_log_likelihood(data: Dataset, w: np.ndarray, b, p: float, phi: float,
-                        t: TruncationConfig) -> float:
+def data_log_likelihood(data: Dataset, w: np.ndarray, b, p: float, phi: float) -> float:
     """sum_i log Tweedie(y_i; mu_i, p, phi) with mu = exp(:func:`linear_predictor`)."""
     eta = linear_predictor(data, np.asarray(w, dtype=float), b)
     _check_overflow(eta)
-    return float(tweedie_log_pdf(data.responses, np.exp(eta), p, phi, t).sum())
+    return float(tweedie_log_pdf(data.responses, np.exp(eta), p, phi).sum())
 
 
-def model_log_likelihood_value(data: Dataset, raw: np.ndarray, b: np.ndarray,
-                               t: TruncationConfig) -> float:
+def model_log_likelihood_value(data: Dataset, raw: np.ndarray, b: np.ndarray) -> float:
     """:func:`data_log_likelihood` plus the random-intercept prior term (numpy).
 
     ``raw`` holds the raw globals in the layout of :func:`split_raw_globals`
@@ -199,7 +196,7 @@ def model_log_likelihood_value(data: Dataset, raw: np.ndarray, b: np.ndarray,
     p = 1.0 + expit(raw_p)
     phi = math.exp(raw_log_dispersion)
     sigma_b = math.exp(raw_log_sigma_b)
-    data_term = data_log_likelihood(data, w, b, p, phi, t)
+    data_term = data_log_likelihood(data, w, b, p, phi)
     prior_term = 0.0
     if data.group_count > 0:
         prior_term = intercept_log_prior(np.asarray(b, dtype=float), sigma_b)
@@ -207,7 +204,7 @@ def model_log_likelihood_value(data: Dataset, raw: np.ndarray, b: np.ndarray,
 
 
 def log_likelihood_partials(data: Dataset, raw: np.ndarray, b: np.ndarray,
-                            t: TruncationConfig, data_scale: float = 1.0):
+                            data_scale: float = 1.0):
     """Value of :func:`model_log_likelihood_value` and its partials.
 
     ``raw`` holds the raw globals in the layout of :func:`split_raw_globals`
@@ -225,7 +222,7 @@ def log_likelihood_partials(data: Dataset, raw: np.ndarray, b: np.ndarray,
     eta = linear_predictor(data, w, b)
     _check_overflow(eta)
     log_pdf, d_eta, d_p, d_log_phi = tweedie_log_pdf_partials(
-        data.responses, np.exp(eta), 1.0 + s, math.exp(raw_log_dispersion), t)
+        data.responses, np.exp(eta), 1.0 + s, math.exp(raw_log_dispersion))
     value = data_scale * float(log_pdf.sum())
     d_eta = data_scale * d_eta
     d_raw = np.zeros(d1 + 3)

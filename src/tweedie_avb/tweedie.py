@@ -7,9 +7,11 @@ dispersion} with variance Var(Y) = dispersion * mu ** p_index and
 p_index restricted to (1, 2).
 
 All density work happens in log space.  The intractable marginal is
-approximated by a truncated sum over the latent Poisson count; a
-high-precision series evaluator serves as the internal ground-truth
-oracle for truncation-error tests.
+approximated by a truncated sum over the latent Poisson count: every
+count whose term is at least ``TAIL_REL_TOL`` of the largest, a rule with
+no settings (:func:`summation_range`).  A high-precision series
+evaluator serves as the internal ground-truth oracle for
+truncation-error tests.
 
 The count terms need lgamma and digamma only at the multiples n * alpha
 of the Gamma shape.  Their tables, indexed by the count n, are built
@@ -28,10 +30,14 @@ from .special import digamma
 
 LOG_2PI = math.log(2.0 * math.pi)
 
-#: Adaptive truncation keeps every latent-count term at least this
-#: fraction of the largest one.
+#: The truncated sum keeps every latent-count term at least this fraction
+#: of the largest one.
 TAIL_REL_TOL = 1e-10
 _LOG_TAIL_TOL = math.log(TAIL_REL_TOL)
+#: Counts summed around the summand's mode whatever their size.  Those
+#: outside the kept run each add less than ``TAIL_REL_TOL`` of the largest
+#: term; the core lets most rows end their run at its edge without a scan.
+_CORE_WIDTH = 10
 #: Longest latent-count table the truncated sum may build.
 _MAX_TERMS = 100_000
 #: Alpha values whose count tables are kept: the chain moves alpha only on
@@ -44,10 +50,6 @@ _SCAN_WINDOW = 16
 
 class InvalidParameterError(ValueError):
     """Distribution parameters violate their invariants."""
-
-
-class TruncationConfigError(ValueError):
-    """Truncation settings violate their invariants."""
 
 
 class NonConvergenceError(RuntimeError):
@@ -90,25 +92,6 @@ class EdmParams:
             raise InvalidParameterError(
                 f"p_index must lie in the open interval (1, 2), got {self.p_index!r}"
             )
-
-
-@dataclass(frozen=True)
-class TruncationConfig:
-    """Finite-sum approximation settings for the latent-count marginal.
-
-    In fixed mode exactly the counts 1..n_max are summed.  In adaptive
-    mode ``n_max`` is the width of the core window centered on the count
-    that maximizes the log summand; the sum also takes in every further
-    count whose term is at least ``TAIL_REL_TOL`` times the largest term,
-    so the dropped tails are negligible whatever the core width.
-    """
-
-    n_max: int = 10
-    adaptive: bool = True
-
-    def __post_init__(self):
-        if self.n_max < 1:
-            raise TruncationConfigError(f"n_max must be >= 1, got {self.n_max}")
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +234,13 @@ def _digamma_table(alpha: float) -> np.ndarray:
     return psi
 
 
-def series_slope(y, lam, alpha: float, beta):
-    """Coefficient of n in the log summand: alpha * log(y / beta) + log(lambda).
+def series_slope(log_y, lam, alpha: float, log_beta):
+    """Coefficient of n in the log summand: alpha * (log(y) - log(beta)) + log(lambda).
 
-    The log summand is n * slope - G(n) - log(y) - y / beta - lambda.
+    Takes log(y) and log(beta), which the callers reuse.  The log summand
+    is n * slope - G(n) - log(y) - y / beta - lambda.
     """
-    return alpha * (np.log(y) - np.log(beta)) + np.log(lam)
+    return alpha * (log_y - log_beta) + np.log(lam)
 
 
 def _summand_mode(slope: np.ndarray, alpha: float,
@@ -283,26 +267,25 @@ def _summand_mode(slope: np.ndarray, alpha: float,
         size *= 2
 
 
-def summation_range(slope: np.ndarray, alpha: float,
-                    t: TruncationConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def summation_range(slope: np.ndarray,
+                    alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Counts summed for each positive observation, and the sum itself.
 
     ``slope`` holds each row's :func:`series_slope`; ``alpha`` is shared.
-    Row i sums n = lo[i] .. hi[i] - 1.  In fixed mode that is 1..n_max.
-    In adaptive mode it is the core window of n_max counts around the
-    summand's mode (starting at max(1, mode - n_max // 2)) together with
-    every count whose term is at least ``TAIL_REL_TOL`` times the largest
-    term.  The log summand is concave in n, so those counts form one run
-    through the mode, and a row's range leaves the core only on a side
-    where the count just outside the core is kept; see
-    :func:`_first_dropped`.  Returns ``(lo, hi, log_mass)`` with
+    Row i sums n = lo[i] .. hi[i] - 1: the core of ``_CORE_WIDTH`` counts
+    around the summand's mode (starting at max(1, mode - _CORE_WIDTH // 2))
+    together with every count whose term is at least ``TAIL_REL_TOL``
+    times the largest term.  The log summand is concave in n, so those
+    counts form one run through the mode, and a row's range leaves the
+    core only on a side where the count just outside the core is kept;
+    see :func:`_first_dropped`.  Returns ``(lo, hi, log_mass)`` with
     log_mass[i] = log sum_n exp(n * slope[i] - G(n)) over the row's range.
     """
-    lo, hi, starts, row, _, terms = _summed_terms(slope, alpha, t)
+    lo, hi, starts, row, _, terms = _summed_terms(slope, alpha)
     return lo, hi, _log_row_sums(terms, starts, row)
 
 
-def _summed_terms(slope, alpha: float, t: TruncationConfig):
+def _summed_terms(slope, alpha: float):
     """(lo, hi, starts, row, counts, log terms) of :func:`summation_range`, laid out flat.
 
     Row i's counts lo[i] .. hi[i] - 1 fill positions starts[i] ..
@@ -310,18 +293,13 @@ def _summed_terms(slope, alpha: float, t: TruncationConfig):
     with no padding; ``row`` holds each position's row.
     """
     slope = np.asarray(slope, dtype=float)
-    if t.adaptive:
-        # non-finite slopes give non-finite sums; plan their range as slope 0
-        plan = np.where(np.isfinite(slope), slope, 0.0)
-        mode, table, peak = _summand_mode(plan, alpha, t.n_max)
-        floor = peak + _LOG_TAIL_TOL
-        lo = np.maximum(1, mode - t.n_max // 2)
-        hi = _first_dropped(plan, table, floor, lo + t.n_max, 1)
-        lo = _first_dropped(plan, table, floor, lo - 1, -1) + 1
-    else:
-        table = _count_table(alpha, t.n_max)
-        lo = np.ones(slope.shape, dtype=int)
-        hi = lo + t.n_max
+    # non-finite slopes give non-finite sums; plan their range as slope 0
+    plan = np.where(np.isfinite(slope), slope, 0.0)
+    mode, table, peak = _summand_mode(plan, alpha, _CORE_WIDTH)
+    floor = peak + _LOG_TAIL_TOL
+    lo = np.maximum(1, mode - _CORE_WIDTH // 2)
+    hi = _first_dropped(plan, table, floor, lo + _CORE_WIDTH, 1)
+    lo = _first_dropped(plan, table, floor, lo - 1, -1) + 1
     widths = hi - lo
     starts = np.cumsum(widths) - widths
     row = np.repeat(np.arange(slope.size), widths)
@@ -379,21 +357,20 @@ def _log_row_sums(terms: np.ndarray, starts: np.ndarray, row: np.ndarray) -> np.
         return m + np.log(np.add.reduceat(np.exp(terms - m[row]), starts))
 
 
-def marginal_log_likelihood(y: float, c: CompoundParams, t: TruncationConfig) -> float:
+def marginal_log_likelihood(y: float, c: CompoundParams) -> float:
     """Truncated-sum approximation of the marginal log density of Y.
 
     Exact at y = 0 (the zero branch is a single term, -lambda); for
     y > 0 the latent count is summed over the range of
-    :func:`summation_range`.  In fixed mode that gives a lower bound
-    nondecreasing in ``n_max``; in adaptive mode the dropped tails are
-    negligible.  This is a size-1 call of :func:`tweedie_log_pdf`'s sum.
+    :func:`summation_range`, whose dropped tails are negligible.  This is
+    a size-1 call of :func:`tweedie_log_pdf`'s sum.
     """
     if y < 0.0:
         raise InvalidParameterError(f"y must be nonnegative, got {y!r}")
     if y == 0.0:
         return -c.lam
-    slope = series_slope(np.array([y]), c.lam, c.alpha, c.beta)
-    _, _, log_mass = summation_range(slope, c.alpha, t)
+    slope = series_slope(np.log([y]), c.lam, c.alpha, np.log(c.beta))
+    _, _, log_mass = summation_range(slope, c.alpha)
     return float(log_mass[0] - math.log(y) - y / c.beta - c.lam)
 
 
@@ -413,7 +390,7 @@ def series_log_density_oracle(y: float, e: EdmParams, rel_tol: float = 1e-12) ->
     c = to_compound(e)
     if y == 0.0:
         return -c.lam
-    mode = int(_summand_mode(series_slope(np.array([y]), c.lam, c.alpha, c.beta),
+    mode = int(_summand_mode(series_slope(np.log([y]), c.lam, c.alpha, np.log(c.beta)),
                              c.alpha, 1)[0][0])
     max_terms = 100_000
     log_sum = -math.inf
@@ -449,8 +426,7 @@ def _compound_rows(y, mu, p: float, phi: float):
     return y, mu, lam, alpha, beta
 
 
-def tweedie_log_pdf(y: np.ndarray, mu: np.ndarray, p: float, phi: float,
-                    t: TruncationConfig) -> np.ndarray:
+def tweedie_log_pdf(y: np.ndarray, mu: np.ndarray, p: float, phi: float) -> np.ndarray:
     """Truncated marginal log density for arrays of y and mu.
 
     Same sum over the counts of :func:`summation_range` as
@@ -462,13 +438,13 @@ def tweedie_log_pdf(y: np.ndarray, mu: np.ndarray, p: float, phi: float,
     pos = y > 0.0
     if pos.any():
         yp, lamp, betap = y[pos], lam[pos], beta[pos]
-        _, _, log_mass = summation_range(series_slope(yp, lamp, alpha, betap), alpha, t)
-        out[pos] = log_mass - np.log(yp) - yp / betap - lamp
+        log_y = np.log(yp)
+        _, _, log_mass = summation_range(series_slope(log_y, lamp, alpha, np.log(betap)), alpha)
+        out[pos] = log_mass - log_y - yp / betap - lamp
     return out
 
 
-def tweedie_log_pdf_partials(y: np.ndarray, mu: np.ndarray, p: float, phi: float,
-                             t: TruncationConfig):
+def tweedie_log_pdf_partials(y: np.ndarray, mu: np.ndarray, p: float, phi: float):
     """:func:`tweedie_log_pdf` and its partials in log(mu), p and log(phi), per row.
 
     Returns ``(log_pdf, d_log_mu, d_p, d_log_phi)``.  The counts summed
@@ -488,15 +464,16 @@ def tweedie_log_pdf_partials(y: np.ndarray, mu: np.ndarray, p: float, phi: float
     pos = y > 0.0
     if pos.any():
         yp, lamp, betap = y[pos], lam[pos], beta[pos]
+        log_y, log_beta = np.log(yp), np.log(betap)
         _, _, starts, row, ns, terms = _summed_terms(
-            series_slope(yp, lamp, alpha, betap), alpha, t)
+            series_slope(log_y, lamp, alpha, log_beta), alpha)
         log_mass = _log_row_sums(terms, starts, row)
-        out[pos] = log_mass - np.log(yp) - yp / betap - lamp
+        out[pos] = log_mass - log_y - yp / betap - lamp
         weighted_n = np.exp(terms - log_mass[row]) * ns
         mean_n = np.add.reduceat(weighted_n, starts)
         d_log_lam[pos] = mean_n - lamp
         d_log_beta[pos] = yp / betap - alpha * mean_n
-        d_alpha[pos] = (mean_n * (np.log(yp) - np.log(betap))
+        d_alpha[pos] = (mean_n * (log_y - log_beta)
                         - np.add.reduceat(weighted_n * _digamma_table(alpha)[ns], starts))
     # log(lambda) = (2 - p) log(mu) - log(phi) - log(2 - p), alpha = (2 - p) / (p - 1),
     # log(beta) = log(phi) + log(p - 1) + (p - 1) log(mu)

@@ -4,7 +4,7 @@ Each check prints one pass/fail line (visible with ``pytest -s`` or in
 captured output).  The truncation-accuracy check is implemented exactly
 as stated; its grid includes the recovery problem's truth (mu=1, p=1.5,
 phi=1), where the terms that matter span more than the 10-count core
-window, so it checks that the adaptive sum takes in those tails.
+window, so it checks that the sum takes in those tails.
 """
 
 import itertools
@@ -42,7 +42,6 @@ from tweedie_avb.model import log_likelihood_partials
 from tweedie_avb.tweedie import (
     CompoundParams,
     EdmParams,
-    TruncationConfig,
     marginal_log_likelihood,
     series_log_density_oracle,
     to_compound,
@@ -116,7 +115,6 @@ def test_criterion_2_density_normalization():
 
 
 def test_criterion_3_truncation_accuracy():
-    t = TruncationConfig(n_max=10, adaptive=True)
     worst = 0.0
     worst_at = None
     for mu, p, phi in itertools.product([1.0, 3.0], [1.2, 1.5, 1.8],
@@ -127,7 +125,7 @@ def test_criterion_3_truncation_accuracy():
             continue
         for frac in np.linspace(0.1, 10.0, 25):
             y = float(frac * mu)
-            err = abs(marginal_log_likelihood(y, c, t)
+            err = abs(marginal_log_likelihood(y, c)
                       - series_log_density_oracle(y, e, rel_tol=1e-12))
             if err > worst:
                 worst, worst_at = err, (mu, p, phi, y)
@@ -201,8 +199,7 @@ def test_criterion_5_gradient_suite():
 
     def mll(p):
         # raw globals and intercepts jointly
-        value, d_raw, d_b = log_likelihood_partials(data, p.get("raw"), p.get("b"),
-                                                    TruncationConfig())
+        value, d_raw, d_b = log_likelihood_partials(data, p.get("raw"), p.get("b"))
         return value, np.concatenate([d_raw, d_b])
 
     errors["log_likelihood_partials"] = finite_diff_check(mll, store, h=1e-5)
@@ -215,8 +212,7 @@ def test_criterion_5_gradient_suite():
     def gen(p):
         saved = trainer.gen_store.values.copy()
         trainer.gen_store.values[:] = p.values
-        value, grad = generator_loss(data, trainer.q, trainer.disc,
-                                     cfg.truncation, np.random.default_rng(7),
+        value, grad = generator_loss(data, trainer.q, trainer.disc, np.random.default_rng(7),
                                      group_posterior=trainer.group_posterior)
         trainer.gen_store.values[:] = saved
         return value, grad

@@ -109,11 +109,11 @@ def critic_loss_tape_reference(disc, post, prior):
     return loss.value, collect_gradient(leaves)
 
 
-def likelihood_node(tape, batch, raw_nodes, b_nodes, truncation, data_scale):
+def likelihood_node(tape, batch, raw_nodes, b_nodes, data_scale):
     """The model log likelihood as one tape node carrying its numpy partials."""
     value, d_raw, d_b = log_likelihood_partials(
         batch, np.array([n.value for n in raw_nodes]), np.array([n.value for n in b_nodes]),
-        truncation, data_scale)
+        data_scale)
     parents = zip([*raw_nodes, *b_nodes], [*d_raw.tolist(), *d_b.tolist()])
     return ad.TapeNode(tape, value, tuple(parents), "tweedie_log_likelihood")
 
@@ -131,8 +131,7 @@ def generator_loss_tape_reference(batch, q, disc, cfg, rng, group_posterior=None
         b_nodes = []
         if batch.group_count:
             b_nodes = group_sample_tape(group_posterior, leaves, group_noise)
-        term = t_node - likelihood_node(tape, batch, raw_nodes, b_nodes, cfg.truncation,
-                                        data_scale)
+        term = t_node - likelihood_node(tape, batch, raw_nodes, b_nodes, data_scale)
         if b_nodes:
             term = term - group_entropy_tape(group_posterior, leaves)
         draw_terms.append((term, 1.0 / n_draws))
@@ -349,7 +348,7 @@ class TestGeneratorLoss:
         critic_store = ParamStore()
         disc = Discriminator(4, critic_store, rng)
         critic_store.values[:] = 0.0
-        value, _ = generator_loss(data, q, disc, cfg.truncation, np.random.default_rng(1))
+        value, _ = generator_loss(data, q, disc, np.random.default_rng(1))
         assert_allclose(value, 1.0, rtol=1e-12)
 
     def test_gradient_vs_central_differences(self):
@@ -362,8 +361,7 @@ class TestGeneratorLoss:
         def f(p):
             saved = trainer.gen_store.values.copy()
             trainer.gen_store.values[:] = p.values
-            value, grad = generator_loss(data, trainer.q, trainer.disc,
-                                         cfg.truncation, np.random.default_rng(3),
+            value, grad = generator_loss(data, trainer.q, trainer.disc, np.random.default_rng(3),
                                          group_posterior=trainer.group_posterior)
             trainer.gen_store.values[:] = saved
             return value, grad
@@ -375,8 +373,7 @@ class TestGeneratorLoss:
         cfg = TrainConfig(outer_steps=1, seed=0)
         trainer = build_trainer(1, 2, cfg, np.random.default_rng(0))
         before = trainer.critic_store.values.copy()
-        _, grad = generator_loss(data, trainer.q, trainer.disc,
-                                 cfg.truncation, np.random.default_rng(1),
+        _, grad = generator_loss(data, trainer.q, trainer.disc, np.random.default_rng(1),
                                  group_posterior=trainer.group_posterior)
         assert grad.shape == (trainer.gen_store.size,)
         assert (trainer.critic_store.values == before).all()
@@ -387,8 +384,7 @@ class TestGeneratorLoss:
         cfg = TrainConfig(outer_steps=1, seed=0)
         trainer = build_trainer(1, 2, cfg, np.random.default_rng(0))
         with pytest.raises(ValueError, match="GroupPosterior"):
-            generator_loss(data, trainer.q, trainer.disc, cfg.truncation,
-                           np.random.default_rng(1))
+            generator_loss(data, trainer.q, trainer.disc, np.random.default_rng(1))
 
     @pytest.mark.parametrize("groups, posterior, n_draws, data_scale", [
         (2, True, 1, 1.0),   # with groups
@@ -409,7 +405,7 @@ class TestGeneratorLoss:
         def numpy_loss(p):
             saved = trainer.gen_store.values.copy()
             trainer.gen_store.values[:] = p.values
-            value, grad = generator_loss(data, trainer.q, trainer.disc, cfg.truncation,
+            value, grad = generator_loss(data, trainer.q, trainer.disc,
                                          np.random.default_rng(6), group_posterior=gp,
                                          data_scale=data_scale, n_draws=n_draws)
             trainer.gen_store.values[:] = saved
@@ -530,8 +526,7 @@ class TestTrainLoop:
         cfg = TrainConfig(**{**self.CFG, "outer_steps": 1})
         trainer = build_trainer(data.n_covariates, data.group_count, cfg,
                                 np.random.default_rng(cfg.seed))
-        _, grad = generator_loss(data, trainer.q, trainer.disc, cfg.truncation,
-                                 np.random.default_rng(1),
+        _, grad = generator_loss(data, trainer.q, trainer.disc, np.random.default_rng(1),
                                  group_posterior=trainer.group_posterior)
         assert grad.shape == (trainer.gen_store.size,)
         assert (grad != 0.0).all()
@@ -590,10 +585,18 @@ class TestTrainLoop:
         total = 0.0
         for _ in range(cfg.valid_draws):
             raw = trainer.q.latents_np(ref.standard_normal(cfg.noise_dim))
-            total -= model_log_likelihood_value(valid, raw, np.array([0.2, -0.3]),
-                                                cfg.truncation)
+            total -= model_log_likelihood_value(valid, raw, np.array([0.2, -0.3]))
         assert_allclose(got, total / cfg.valid_draws, rtol=1e-14)
         assert rng.standard_normal() == ref.standard_normal()
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("name", ["n_critic", "minibatch_size", "outer_steps",
+                                      "latent_sample_count", "critic_batch", "eval_every",
+                                      "patience", "valid_draws"])
+    def test_counts_below_one_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: 0})
 
 
 class TestFitResult:

@@ -265,3 +265,26 @@ class TestErrors:
     def test_missing_out_dir(self, tmp_path):
         cfg = write_json(tmp_path / "c.json", {"seed": 0, "truth": TRUTH})
         assert main(["simulate", "--config", cfg]) == 1
+
+    @pytest.mark.parametrize("argv", [["fit", "--n-max", "5"], ["refit"], []])
+    def test_usage_error_exits_1(self, argv, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: tweedie-avb")
+
+    @pytest.mark.parametrize("section,setting", [
+        ("train", {"eval_every": 0}),
+        ("train", {"critic_batch": 0}),
+        ("train", {"valid_draws": 0}),
+        ("train", {"truncation": {"n_max": 10, "adaptive": True}}),
+        ("mcmc", {"tune_interval": 0}),
+        ("mcmc", {"step_sizes": {"sigma_b": 0.1}}),
+    ])
+    def test_bad_run_setting_exits_1_before_fitting(self, workspace, tmp_path, capsys,
+                                                    section, setting):
+        echo = json.loads((workspace / "fit" / "config_echo.json").read_text())
+        echo["out"] = str(tmp_path / "o")
+        echo["mcmc"] = {"iterations": 60, "burn_in": 20}
+        echo[section] = {**echo[section], **setting}
+        assert main(["fit", "--config", write_json(tmp_path / "f.json", echo)]) == 1
+        assert next(iter(setting)) in capsys.readouterr().err
+        assert not any((tmp_path / "o").iterdir())

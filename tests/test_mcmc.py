@@ -18,7 +18,7 @@ from tweedie_avb.mcmc import (
     run_chain,
 )
 from tweedie_avb.model import Dataset, globals_log_prior, model_log_likelihood_value
-from tweedie_avb.tweedie import LOG_2PI, TruncationConfig
+from tweedie_avb.tweedie import LOG_2PI
 
 
 class TestChainConfig:
@@ -29,6 +29,17 @@ class TestChainConfig:
     def test_positive_steps(self):
         with pytest.raises(ChainConfigError):
             ChainConfig(step_sizes={"w": -0.1})
+
+    @pytest.mark.parametrize("setting", [
+        {"burn_in": -1, "iterations": 0},
+        {"tune_interval": 0},
+        {"target_acceptance": 0.0},
+        {"target_acceptance": 1.0},
+        {"step_sizes": {"sigma_b": 0.1}},
+    ])
+    def test_out_of_range_settings_rejected(self, setting):
+        with pytest.raises(ChainConfigError, match=next(iter(setting))):
+            ChainConfig(**setting)
 
     def test_dict_round_trip(self):
         cfg = ChainConfig(iterations=500, burn_in=100, thinning=2, seed=7)
@@ -42,16 +53,15 @@ class TestLogPosterior:
         data, _ = simulate_dataset(truth, np.random.default_rng(0))
         raw = np.array([0.05, 0.1, 0.2, -0.1, -0.5])
         b = math.exp(-0.5) * np.array([0.3, -0.2])
-        t = TruncationConfig()
-        got = log_unnormalized_posterior(data, raw, b, t)
+        got = log_unnormalized_posterior(data, raw, b)
         prior = float(np.sum(-0.5 * LOG_2PI - 0.5 * raw ** 2))
-        assert_allclose(got, model_log_likelihood_value(data, raw, b, t) + prior, rtol=1e-12)
+        assert_allclose(got, model_log_likelihood_value(data, raw, b) + prior, rtol=1e-12)
 
     def test_hand_case_single_zero_observation(self):
         data = Dataset(responses=np.array([0.0]), fixed_design=np.zeros((1, 0)),
                        group_index=np.zeros(1, dtype=int), group_count=0)
         raw = np.array([0.0, 0.0, math.log(2.0), 0.0])
-        got = log_unnormalized_posterior(data, raw, np.zeros(0), TruncationConfig())
+        got = log_unnormalized_posterior(data, raw, np.zeros(0))
         # likelihood -lam = -1; Gaussian prior at (0, 0, log 2, 0)
         prior = 4 * (-0.5 * LOG_2PI) - 0.5 * math.log(2.0) ** 2
         assert_allclose(got, -1.0 + prior, rtol=1e-12)
@@ -65,9 +75,8 @@ class TestLogPosterior:
         data, _ = simulate_dataset(truth, rng)
         raw = 0.5 * rng.standard_normal(6)
         b = 0.3 * rng.standard_normal(3)
-        t = TruncationConfig()
-        got = log_unnormalized_posterior(data, raw, b, t)
-        assert got == model_log_likelihood_value(data, raw, b, t) + globals_log_prior(raw)
+        got = log_unnormalized_posterior(data, raw, b)
+        assert got == model_log_likelihood_value(data, raw, b) + globals_log_prior(raw)
 
     @given(w=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2),
            raw_p=st.floats(-1e3, 1e3) | st.sampled_from([-45.0, -40.5, 40.5, 45.0]),
@@ -88,7 +97,7 @@ class TestLogPosterior:
         data = Dataset(responses=np.array([0.0, 1.0, 0.5, 0.0]), fixed_design=np.zeros((4, 1)),
                        group_index=np.array([0, 1, 2, 0]), group_count=3)
         raw = np.array([*w, raw_p, raw_log_dispersion, raw_log_sigma_b])
-        lp = log_unnormalized_posterior(data, raw, np.array(b), TruncationConfig())
+        lp = log_unnormalized_posterior(data, raw, np.array(b))
         assert math.isfinite(lp) or lp == -math.inf
 
 
@@ -198,13 +207,12 @@ class TestSplitTarget:
         # reusing the accepted data term on raw_log_sigma_b proposals gives the
         # draws of recomputing it on every proposal
         data = small_grouped_dataset()
-        t = TruncationConfig()
         cfg = ChainConfig(iterations=300, burn_in=100, thinning=3, seed=4)
-        reused = run_chain(data, cfg, t)
+        reused = run_chain(data, cfg)
         plus_priors = mcmc._plus_priors
         monkeypatch.setattr(mcmc, "_plus_priors", lambda data_value, raw, b: plus_priors(
-            mcmc._data_term(data, raw, b, t), raw, b))
-        recomputed = run_chain(data, cfg, t)
+            mcmc._data_term(data, raw, b), raw, b))
+        recomputed = run_chain(data, cfg)
         assert reused.acceptance == recomputed.acceptance
         for part in ("raw", "b"):
             assert np.array_equal(reused.draws[part], recomputed.draws[part])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from tweedie_avb import tweedie
 from tweedie_avb.autodiff import ParamStore, finite_diff_check
 from tweedie_avb.model import (
     Dataset,
@@ -19,7 +20,6 @@ from tweedie_avb.model import (
 from tweedie_avb.tweedie import (
     LOG_2PI,
     CompoundParams,
-    TruncationConfig,
     compound_arrays,
     series_slope,
     summation_range,
@@ -108,7 +108,7 @@ class TestPerObsParams:
                        group_index=np.zeros(2, dtype=int), group_count=0)
         raw = np.array([0.0, 1.0, 0.0, 0.0, 0.0])
         with pytest.raises(FlaggedObservationError) as exc:
-            log_likelihood_partials(data, raw, np.zeros(0), TruncationConfig())
+            log_likelihood_partials(data, raw, np.zeros(0))
         assert exc.value.index == 1
 
     def test_round_trip_through_edm(self):
@@ -146,7 +146,7 @@ class TestLikelihoodNumpy:
                        group_index=np.zeros(1, dtype=int), group_count=0)
         raw = np.array([0.0, 0.0, math.log(2.0), 0.0])
         # mu=1, p=1.5, phi=2 -> lam=1; no groups so no prior term
-        assert_allclose(model_log_likelihood_value(data, raw, np.zeros(0), TruncationConfig()),
+        assert_allclose(model_log_likelihood_value(data, raw, np.zeros(0)),
                         -1.0, rtol=1e-14)
 
     def test_doubling_dataset_doubles_data_term(self):
@@ -159,16 +159,14 @@ class TestLikelihoodNumpy:
         )
         raw, b = make_draw(data.n_covariates, 1)
         sigma_b = math.exp(raw[-1])
-        t = TruncationConfig()
         prior = float(-0.5 * LOG_2PI - math.log(sigma_b) - b[0] ** 2 / (2 * sigma_b ** 2))
-        single = model_log_likelihood_value(data, raw, b, t) - prior
-        double = model_log_likelihood_value(doubled, raw, b, t) - prior
+        single = model_log_likelihood_value(data, raw, b) - prior
+        double = model_log_likelihood_value(doubled, raw, b) - prior
         assert_allclose(double, 2.0 * single, rtol=1e-12)
 
     def test_group_relabel_invariance(self):
         data = toy_dataset(m=8, g=3, seed=4)
         raw, b = make_draw(data.n_covariates, 3)
-        t = TruncationConfig()
         perm = np.array([2, 0, 1])
         relabeled = Dataset(
             responses=data.responses,
@@ -176,8 +174,8 @@ class TestLikelihoodNumpy:
             group_index=perm[data.group_index],
             group_count=3,
         )
-        assert_allclose(model_log_likelihood_value(data, raw, b, t),
-                        model_log_likelihood_value(relabeled, raw, b[np.argsort(perm)], t),
+        assert_allclose(model_log_likelihood_value(data, raw, b),
+                        model_log_likelihood_value(relabeled, raw, b[np.argsort(perm)]),
                         rtol=1e-12)
 
     def test_small_sigma_matches_fixed_effects_only(self):
@@ -185,11 +183,10 @@ class TestLikelihoodNumpy:
         raw, _ = make_draw(data.n_covariates, 1)
         raw[-1] = -40.0
         b = math.exp(-40.0) * np.array([1.3])
-        t = TruncationConfig()
-        got = model_log_likelihood_value(data, raw, b, t)
+        got = model_log_likelihood_value(data, raw, b)
         fixed_only = Dataset(responses=data.responses, fixed_design=data.fixed_design,
                              group_index=np.zeros(6, dtype=int), group_count=0)
-        want = model_log_likelihood_value(fixed_only, raw, b, t)
+        want = model_log_likelihood_value(fixed_only, raw, b)
         # b = sigma * eps is numerically negligible in eta, but the prior's
         # quadratic term stays eps^2 / 2 under the reparameterization
         prior = -0.5 * LOG_2PI - (-40.0) - 1.3 ** 2 / 2.0
@@ -199,15 +196,13 @@ class TestLikelihoodNumpy:
         data = toy_dataset()
         raw = np.array([40.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         with pytest.raises(FlaggedObservationError):
-            model_log_likelihood_value(data, raw, np.zeros(data.group_count),
-                                       TruncationConfig())
+            model_log_likelihood_value(data, raw, np.zeros(data.group_count))
 
 
-def partials_as_gradient(data, t, data_scale=1.0):
+def partials_as_gradient(data, data_scale=1.0):
     """(value, gradient) over a store of the raw globals and the intercepts, jointly."""
     def f(p):
-        value, d_raw, d_b = log_likelihood_partials(data, p.get("raw"), p.get("b"), t,
-                                                    data_scale)
+        value, d_raw, d_b = log_likelihood_partials(data, p.get("raw"), p.get("b"), data_scale)
         return value, np.concatenate([d_raw, d_b])
     return f
 
@@ -225,64 +220,60 @@ class TestLikelihoodTape:
     def test_tape_matches_numpy(self):
         data = toy_dataset(m=9, d=2, g=3, seed=7)
         raw, b = make_draw(2, 3, seed=8)
-        t = TruncationConfig()
-        value, _, _ = log_likelihood_partials(data, raw, b, t)
-        assert_allclose(value, model_log_likelihood_value(data, raw, b, t), rtol=1e-12)
+        value, _, _ = log_likelihood_partials(data, raw, b)
+        assert_allclose(value, model_log_likelihood_value(data, raw, b), rtol=1e-12)
 
     def test_data_scale_scales_only_data_term(self):
         data = toy_dataset(m=6, d=1, g=2, seed=9)
         raw, b = make_draw(1, 2, seed=10)
         sigma_b = math.exp(raw[-1])
-        t = TruncationConfig()
-        full = model_log_likelihood_value(data, raw, b, t)
+        full = model_log_likelihood_value(data, raw, b)
         prior = float(np.sum(-0.5 * LOG_2PI - math.log(sigma_b)
                              - b * b / (2 * sigma_b ** 2)))
         data_term = full - prior
-        assert_allclose(log_likelihood_partials(data, raw, b, t)[0], full, rtol=1e-10)
-        assert_allclose(log_likelihood_partials(data, raw, b, t, 3.0)[0],
+        assert_allclose(log_likelihood_partials(data, raw, b)[0], full, rtol=1e-10)
+        assert_allclose(log_likelihood_partials(data, raw, b, 3.0)[0],
                         3.0 * data_term + prior, rtol=1e-10)
 
     def test_gradient_vs_central_differences(self):
         # raw globals and intercepts jointly; data_scale != 1 is the
         # minibatch reweighting used in training
         data = toy_dataset(m=5, d=2, g=2, seed=11)
-        t = TruncationConfig()
         store = latent_store(*make_draw(2, 2, seed=12))
         for data_scale in (1.0, 3.0):
-            assert finite_diff_check(partials_as_gradient(data, t, data_scale), store,
+            assert finite_diff_check(partials_as_gradient(data, data_scale), store,
                                      h=1e-5) < 1e-4
 
     def test_explicit_b_gradient(self):
         # intercepts away from sigma_b * noise, as the group posterior draws them
         data = toy_dataset(m=5, d=1, g=2, seed=13)
         raw, _ = make_draw(1, 2, seed=14)
-        t = TruncationConfig()
         store = ParamStore()
         store.register("b", np.array([0.2, -0.4]))
 
         def f(p):
-            value, _, d_b = log_likelihood_partials(data, raw, p.get("b"), t)
+            value, _, d_b = log_likelihood_partials(data, raw, p.get("b"))
             return value, d_b
 
         assert finite_diff_check(f, store, h=1e-5) < 1e-4
 
     def test_tail_extended_window(self):
         # at mu=1, p=1.5, phi=1 the terms of y=10 that matter span more
-        # than n_max counts, so the partials must sum the widened range
+        # than the core's counts, so the partials must sum the widened range
         y = np.array([0.0, 10.0, 0.5, 10.0, 3.0])
         data = Dataset(responses=y, fixed_design=np.zeros((y.size, 1)),
                        group_index=np.zeros(y.size, dtype=int), group_count=0)
-        t = TruncationConfig()
         lam, alpha, beta = compound_arrays(np.ones(2), 1.5, 1.0)
-        lo, hi, _ = summation_range(series_slope(y[[1, 3]], lam, alpha, beta), alpha, t)
-        assert (hi - lo > t.n_max).all()
+        lo, hi, _ = summation_range(series_slope(np.log(y[[1, 3]]), lam, alpha, np.log(beta)),
+                                    alpha)
+        assert (hi - lo > tweedie._CORE_WIDTH).all()
 
         raw = np.zeros(5)
-        value, _, _ = log_likelihood_partials(data, raw, np.zeros(0), t)
-        assert_allclose(value, model_log_likelihood_value(data, raw, np.zeros(0), t),
+        value, _, _ = log_likelihood_partials(data, raw, np.zeros(0))
+        assert_allclose(value, model_log_likelihood_value(data, raw, np.zeros(0)),
                         rtol=1e-12)
         store = latent_store(raw, np.zeros(0))
-        assert finite_diff_check(partials_as_gradient(data, t), store, h=1e-5) < 1e-4
+        assert finite_diff_check(partials_as_gradient(data), store, h=1e-5) < 1e-4
 
     @pytest.mark.parametrize("at_zero", [True, False])
     def test_tiny_sigma_b_gives_finite_partials(self, at_zero):
@@ -290,10 +281,9 @@ class TestLikelihoodTape:
         data = toy_dataset(m=3, d=1, g=2, seed=17)
         raw = np.array([0.1, 0.2, 0.0, 0.0, -400.0])
         noise = np.array([0.7, -1.2])
-        t = TruncationConfig()
         b = np.zeros(2) if at_zero else math.exp(-400.0) * noise
-        value, d_raw, d_b = log_likelihood_partials(data, raw, b, t)
-        assert_allclose(value, model_log_likelihood_value(data, raw, b, t), rtol=1e-12)
+        value, d_raw, d_b = log_likelihood_partials(data, raw, b)
+        assert_allclose(value, model_log_likelihood_value(data, raw, b), rtol=1e-12)
         assert np.isfinite(d_raw).all() and np.isfinite(d_b).all()
         # d/d log sigma_b of the intercept prior is sum (b / sigma_b) ** 2 - G
         noise_sq = 0.0 if at_zero else float(noise @ noise)

@@ -17,8 +17,6 @@ from tweedie_avb.tweedie import (
     EdmParams,
     InvalidParameterError,
     NonConvergenceError,
-    TruncationConfig,
-    TruncationConfigError,
     compound_arrays,
     joint_log_density,
     marginal_log_likelihood,
@@ -120,34 +118,19 @@ class TestJointDensity:
 class TestMarginal:
     def test_zero_branch_exact(self):
         c = CompoundParams(lam=1.7, alpha=0.3, beta=2.0)
-        assert marginal_log_likelihood(0.0, c, TruncationConfig(n_max=5)) == -1.7
-
-    def test_single_term_equals_joint(self):
-        c = CompoundParams(lam=1.0, alpha=1.0, beta=1.0)
-        got = marginal_log_likelihood(1.0, c, TruncationConfig(n_max=1, adaptive=False))
-        assert_allclose(got, -2.0, rtol=1e-14)
-
-    def test_monotone_in_n_max(self):
-        c = CompoundParams(lam=2.0, alpha=1.5, beta=0.8)
-        v2 = marginal_log_likelihood(3.0, c, TruncationConfig(n_max=2, adaptive=False))
-        v10 = marginal_log_likelihood(3.0, c, TruncationConfig(n_max=10, adaptive=False))
-        assert v10 >= v2
+        assert marginal_log_likelihood(0.0, c) == -1.7
 
     def test_adaptive_window_covers_mode(self):
         c = to_compound(EdmParams(mu=1.0, p_index=1.5, dispersion=0.5))
-        slope = series_slope(np.array([8.0]), c.lam, c.alpha, c.beta)
-        lo, hi, _ = summation_range(slope, c.alpha, TruncationConfig(n_max=10, adaptive=True))
+        slope = series_slope(np.log([8.0]), c.lam, c.alpha, np.log(c.beta))
+        lo, hi, _ = summation_range(slope, c.alpha)
         assert lo[0] >= 1
-        assert hi[0] - lo[0] >= 10
+        assert hi[0] - lo[0] >= tweedie._CORE_WIDTH
         # wide-window reference: the mode must be inside the summed range
         from tweedie_avb.tweedie import _log_summand
         wide = np.arange(1, 200)
         mode = wide[np.argmax(_log_summand(8.0, wide, c))]
         assert lo[0] <= mode < hi[0]
-
-    def test_bad_truncation_rejected(self):
-        with pytest.raises(TruncationConfigError):
-            TruncationConfig(n_max=0)
 
 
 class TestSummationRange:
@@ -156,27 +139,27 @@ class TestSummationRange:
         # through the mode, found here by scanning the whole count table
         rng = np.random.default_rng(20)
         past_window = below_window = above_core = below_core = 0
-        for case in range(3000):
+        width = tweedie._CORE_WIDTH
+        for _ in range(3000):
             p = rng.uniform(1.01, 1.99)
             log_phi, log_mu, log_y = rng.uniform(-3, 3), *rng.uniform(-5, 5, size=2)
-            n_max = (1, 3, 10)[case % 3]
             lam, alpha, beta = compound_arrays(math.exp(log_mu), p, math.exp(log_phi))
-            slope = series_slope(np.array([math.exp(log_y)]), lam, alpha, beta)
-            lo, hi, log_mass = summation_range(slope, alpha, TruncationConfig(n_max=n_max))
+            slope = series_slope(np.log([math.exp(log_y)]), lam, alpha, np.log(beta))
+            lo, hi, log_mass = summation_range(slope, alpha)
 
-            mode, table, peak = tweedie._summand_mode(slope, alpha, n_max)
+            mode, table, peak = tweedie._summand_mode(slope, alpha, width)
             g = table[1:]
             n = np.arange(1, g.size + 1)
             terms = n * slope[0] - g
             kept = np.flatnonzero(terms >= peak[0] + math.log(TAIL_REL_TOL)) + 1
             assert kept[0] <= mode[0] <= kept[-1]
             assert kept.size == kept[-1] - kept[0] + 1, "kept counts are not one run"
-            core_lo = max(1, mode[0] - n_max // 2)
+            core_lo = max(1, mode[0] - width // 2)
             assert lo[0] == min(core_lo, kept[0])
-            assert hi[0] == max(core_lo + n_max, kept[-1] + 1)
+            assert hi[0] == max(core_lo + width, kept[-1] + 1)
             assert_allclose(log_mass[0], np.logaddexp.reduce(terms[lo[0] - 1:hi[0] - 1]),
                             rtol=1e-13, atol=1e-13)
-            past_window += hi[0] > core_lo + n_max + tweedie._SCAN_WINDOW
+            past_window += hi[0] > core_lo + width + tweedie._SCAN_WINDOW
             below_window += lo[0] < core_lo - tweedie._SCAN_WINDOW
             above_core += core_lo > 1
             below_core += lo[0] < core_lo
@@ -248,9 +231,7 @@ class TestSeriesOracle:
     def test_agreement_with_wide_marginal(self):
         e = EdmParams(mu=1.0, p_index=1.5, dispersion=1.0)
         oracle = series_log_density_oracle(2.0, e, rel_tol=1e-12)
-        wide = marginal_log_likelihood(2.0, to_compound(e),
-                                       TruncationConfig(n_max=50, adaptive=True))
-        assert abs(oracle - wide) < 1e-8
+        assert abs(oracle - marginal_log_likelihood(2.0, to_compound(e))) < 1e-8
 
     def test_normalization(self):
         e = EdmParams(mu=1.0, p_index=1.5, dispersion=1.0)
@@ -278,25 +259,22 @@ class TestVectorizedPdf:
     def test_matches_scalar_path(self):
         rng = np.random.default_rng(5)
         p, phi = 1.4, 0.8
-        t = TruncationConfig(n_max=10, adaptive=True)
         y = np.concatenate([[0.0], rng.uniform(0.05, 6.0, size=20)])
         mu = rng.uniform(0.3, 4.0, size=y.size)
-        vec = tweedie_log_pdf(y, mu, p, phi, t)
+        vec = tweedie_log_pdf(y, mu, p, phi)
         for i in range(y.size):
             c = to_compound(EdmParams(mu=float(mu[i]), p_index=p, dispersion=phi))
-            assert_allclose(vec[i], marginal_log_likelihood(float(y[i]), c, t),
+            assert_allclose(vec[i], marginal_log_likelihood(float(y[i]), c),
                             rtol=1e-12, atol=1e-12)
 
     def test_rejects_negative(self):
         with pytest.raises(InvalidParameterError):
-            tweedie_log_pdf(np.array([-1.0]), np.array([1.0]), 1.5, 1.0,
-                            TruncationConfig())
+            tweedie_log_pdf(np.array([-1.0]), np.array([1.0]), 1.5, 1.0)
 
     def test_rejects_series_past_term_budget(self):
         # the summand's mode for y = 1e300 lies far beyond any table the sum may build
         with pytest.raises(InvalidParameterError):
-            tweedie_log_pdf(np.array([1e300]), np.array([1.0]), 1.5, 1.0,
-                            TruncationConfig())
+            tweedie_log_pdf(np.array([1e300]), np.array([1.0]), 1.5, 1.0)
 
 
 class TestSampling:
