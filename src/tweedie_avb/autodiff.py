@@ -397,6 +397,10 @@ def collect_gradient(leaves: Sequence[TapeNode]) -> np.ndarray:
 # Optimizer
 # ---------------------------------------------------------------------------
 
+#: Adam's moment decay rates and denominator floor (Kingma & Ba's defaults).
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPSILON = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """Bias-corrected Adam state over one flat parameter vector."""
@@ -405,22 +409,10 @@ class AdamState:
     second_moment: np.ndarray
     step_count: int = 0
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
-    def for_store(cls, store: ParamStore, learning_rate: float = 1e-3,
-                  beta1: float = 0.9, beta2: float = 0.999,
-                  epsilon: float = 1e-8) -> "AdamState":
-        return cls(
-            first_moment=np.zeros(store.size),
-            second_moment=np.zeros(store.size),
-            learning_rate=learning_rate,
-            beta1=beta1,
-            beta2=beta2,
-            epsilon=epsilon,
-        )
+    def for_store(cls, store: ParamStore, learning_rate: float = 1e-3) -> "AdamState":
+        return cls(np.zeros(store.size), np.zeros(store.size), learning_rate=learning_rate)
 
 
 def adam_step(params: ParamStore, gradient: np.ndarray, state: AdamState) -> None:
@@ -440,13 +432,13 @@ def adam_step(params: ParamStore, gradient: np.ndarray, state: AdamState) -> Non
         raise NonFiniteGradientError(params.name_of(index), index, float(gradient[index]))
     state.step_count += 1
     t = state.step_count
-    state.first_moment *= state.beta1
-    state.first_moment += (1.0 - state.beta1) * gradient
-    state.second_moment *= state.beta2
-    state.second_moment += (1.0 - state.beta2) * gradient * gradient
-    m_hat = state.first_moment / (1.0 - state.beta1 ** t)
-    v_hat = state.second_moment / (1.0 - state.beta2 ** t)
-    params.values -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    state.first_moment *= _ADAM_BETA1
+    state.first_moment += (1.0 - _ADAM_BETA1) * gradient
+    state.second_moment *= _ADAM_BETA2
+    state.second_moment += (1.0 - _ADAM_BETA2) * gradient * gradient
+    m_hat = state.first_moment / (1.0 - _ADAM_BETA1 ** t)
+    v_hat = state.second_moment / (1.0 - _ADAM_BETA2 ** t)
+    params.values -= state.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPSILON)
 
 
 def clip_global_norm(gradient: np.ndarray, max_norm: float) -> np.ndarray:

@@ -48,6 +48,12 @@ _PREDICT_BLOCK = 1 << 17
 #: budget; and (ArithmeticError) ``exp`` of a raw log dispersion or log scale past
 #: ~709: OverflowError from ``math.exp``, FloatingPointError from ``np.exp``.
 _LIKELIHOOD_FAILURES = (FlaggedObservationError, InvalidParameterError, ArithmeticError)
+#: Largest euclidean norm of a gradient that an Adam step applies; longer ones are scaled down.
+_GRAD_CLIP_NORM = 10.0
+#: Latent draws averaged by each validation negative log likelihood.
+_VALID_DRAWS = 4
+#: Width of the standard normal noise the inference net maps to the raw globals.
+_NOISE_DIM = 8
 
 
 class TrainingAbortError(RuntimeError):
@@ -133,11 +139,11 @@ class InferenceNet:
     """Maps a noise vector to the raw global latents (w, raw_p, raw_log_phi, raw_log_sigma_b)."""
 
     def __init__(self, n_covariates: int, store: ParamStore, rng: np.random.Generator,
-                 noise_dim: int = 8, hidden: Sequence[int] = (32,), prefix: str = "q"):
+                 hidden: Sequence[int] = (32,), prefix: str = "q"):
         self.n_covariates = n_covariates
-        self.noise_dim = noise_dim
+        self.noise_dim = _NOISE_DIM
         self.out_dim = n_covariates + 4
-        self.net = MLP(prefix, [noise_dim, *hidden, self.out_dim], store, rng, weight_scale=0.1)
+        self.net = MLP(prefix, [_NOISE_DIM, *hidden, self.out_dim], store, rng, weight_scale=0.1)
         self.store = store
 
     def latents_np(self, eps: np.ndarray) -> np.ndarray:
@@ -191,13 +197,12 @@ class GroupPosterior:
 
 @dataclass
 class TrainConfig:
-    """Knobs for the alternating minimax loop.
+    """Settings of the alternating minimax loop.
 
     The paper-level quantity is ``n_critic`` (critic updates per outer
-    step); everything else (architectures, optimizer settings, batch
-    sizes) is an artifact-level choice and overridable.  The truncation
-    of the latent-count sum is not a setting: :mod:`tweedie` sums every
-    count whose term is not negligible.
+    step); the rest are artifact-level choices.  Adam's moment rates, the
+    gradient clip norm, the validation draws, the noise width and the
+    latent-count truncation are constants of the code, not settings.
     """
 
     n_critic: int = 3
@@ -206,25 +211,19 @@ class TrainConfig:
     seed: int = 0
     latent_sample_count: int = 1000
 
-    noise_dim: int = 8
     inference_hidden: tuple = (32,)
     critic_hidden: tuple = (32, 32)
     critic_batch: int = 64
 
     generator_learning_rate: float = 1e-3
     critic_learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
-    grad_clip_norm: float = 10.0
 
     eval_every: int = 50
     patience: int = 10
-    valid_draws: int = 4
 
     def __post_init__(self):
         for name in ("n_critic", "minibatch_size", "outer_steps", "latent_sample_count",
-                     "critic_batch", "eval_every", "patience", "valid_draws"):
+                     "critic_batch", "eval_every", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if isinstance(self.inference_hidden, list):
@@ -257,10 +256,12 @@ class FitResult:
 
     def __post_init__(self):
         p = np.asarray(self.draws["p_index"])
-        if ((p <= 1.0) | (p >= 2.0)).any():
+        if not ((p > 1.0) & (p < 2.0)).all():
             raise ValueError("stored p_index draws must lie in (1, 2)")
-        if (np.asarray(self.draws["sigma_b"]) <= 0).any():
-            raise ValueError("stored sigma_b draws must be positive")
+        for key in ("dispersion", "sigma_b"):
+            draws = np.asarray(self.draws[key], dtype=float)
+            if not (np.isfinite(draws) & (draws > 0.0)).all():
+                raise ValueError(f"stored {key} draws must be finite and positive")
 
     def to_json_dict(self) -> dict:
         return {
@@ -394,22 +395,20 @@ class _Trainer:
 def build_trainer(n_covariates: int, group_count: int, cfg: TrainConfig,
                   rng: np.random.Generator) -> _Trainer:
     gen_store = ParamStore()
-    q = InferenceNet(n_covariates, gen_store, rng, noise_dim=cfg.noise_dim,
-                     hidden=cfg.inference_hidden)
+    q = InferenceNet(n_covariates, gen_store, rng, hidden=cfg.inference_hidden)
     gp = GroupPosterior(group_count, gen_store) if group_count > 0 else None
     critic_store = ParamStore()
     disc = Discriminator(n_covariates + 4, critic_store, rng, hidden=cfg.critic_hidden)
     return _Trainer(q, disc, gp, gen_store, critic_store)
 
 
-def _validation_nll(trainer: _Trainer, valid: Dataset, cfg: TrainConfig,
-                    rng: np.random.Generator) -> float:
+def _validation_nll(trainer: _Trainer, valid: Dataset, rng: np.random.Generator) -> float:
     b = trainer.group_posterior.loc if trainer.group_posterior is not None else np.zeros(0)
     total = 0.0
-    for _ in range(cfg.valid_draws):
+    for _ in range(_VALID_DRAWS):
         raw = trainer.q.latents_np(rng.standard_normal(trainer.q.noise_dim))
         total += -model_log_likelihood_value(valid, raw, b)
-    return total / cfg.valid_draws
+    return total / _VALID_DRAWS
 
 
 def _collect_draws(trainer: _Trainer, count: int, rng: np.random.Generator) -> dict:
@@ -437,10 +436,8 @@ def train(data: Dataset, cfg: TrainConfig, valid: Optional[Dataset] = None) -> F
         raise ValueError("dataset is empty")
     rng = np.random.default_rng(cfg.seed)
     trainer = build_trainer(data.n_covariates, data.group_count, cfg, rng)
-    adam_gen = AdamState.for_store(trainer.gen_store, cfg.generator_learning_rate,
-                                   cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon)
-    adam_critic = AdamState.for_store(trainer.critic_store, cfg.critic_learning_rate,
-                                      cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon)
+    adam_gen = AdamState.for_store(trainer.gen_store, cfg.generator_learning_rate)
+    adam_critic = AdamState.for_store(trainer.critic_store, cfg.critic_learning_rate)
 
     critic_trace = []
     gen_trace = []
@@ -463,12 +460,12 @@ def train(data: Dataset, cfg: TrainConfig, valid: Optional[Dataset] = None) -> F
         step_start = (trainer.gen_store.copy(), trainer.critic_store.copy())
         critic_loss = math.nan
         for _ in range(cfg.n_critic):
-            post = trainer.q.latents_np(rng.standard_normal((cfg.critic_batch, cfg.noise_dim)))
+            post = trainer.q.latents_np(rng.standard_normal((cfg.critic_batch, _NOISE_DIM)))
             prior = sample_globals_prior(rng, cfg.critic_batch, trainer.disc.latent_dim)
             critic_loss, grad = discriminator_loss(trainer.disc, post, prior)
             if not math.isfinite(critic_loss):
                 _abort(step, f"non-finite critic loss {critic_loss!r}")
-            adam_step(trainer.critic_store, clip_global_norm(grad, cfg.grad_clip_norm),
+            adam_step(trainer.critic_store, clip_global_norm(grad, _GRAD_CLIP_NORM),
                       adam_critic)
         rows = rng.choice(m, size=batch_size, replace=False)
         minibatch = data.subset(np.sort(rows))
@@ -481,13 +478,13 @@ def train(data: Dataset, cfg: TrainConfig, valid: Optional[Dataset] = None) -> F
         if not math.isfinite(gen_loss):
             _abort(step, f"non-finite generator loss {gen_loss!r}")
         last_good = step_start
-        adam_step(trainer.gen_store, clip_global_norm(grad, cfg.grad_clip_norm), adam_gen)
+        adam_step(trainer.gen_store, clip_global_norm(grad, _GRAD_CLIP_NORM), adam_gen)
         critic_trace.append(critic_loss)
         gen_trace.append(gen_loss)
 
         if valid is not None and (step + 1) % cfg.eval_every == 0:
             try:
-                nll = _validation_nll(trainer, valid, cfg, rng)
+                nll = _validation_nll(trainer, valid, rng)
             except _LIKELIHOOD_FAILURES as exc:
                 _abort(step, f"validation likelihood: {exc}")
             if nll < best_nll - 1e-9:
@@ -546,7 +543,8 @@ def posterior_predict(fit: FitResult, fixed_design: np.ndarray,
     Compound Poisson-gamma responses are drawn only when ``quantiles`` is
     non-empty; ``quantiles=()`` returns the mean alone.  A linear predictor
     past the log-link limit raises FlaggedObservationError for its row, as
-    in training.
+    in training; an extreme stored dispersion raises InvalidParameterError
+    where the sampler cannot represent a draw's rate or response.
     """
     fixed_design = np.atleast_2d(np.asarray(fixed_design, dtype=float))
     group_ids = np.asarray(group_ids, dtype=int)
@@ -583,7 +581,9 @@ def posterior_predict(fit: FitResult, fixed_design: np.ndarray,
         mu = np.exp(eta, out=eta)
         total += mu.sum(axis=0)
         if samples is not None:
-            lam, alpha, beta = compound_arrays(mu, p[at, None], phi[at, None])
+            # an extreme stored dispersion over- or underflows lambda or beta: the sampler checks
+            with np.errstate(over="ignore", divide="ignore", under="ignore"):
+                lam, alpha, beta = compound_arrays(mu, p[at, None], phi[at, None])
             samples[:, at] = tweedie_sample_array(lam, alpha, beta, rng).T
     out = {"mean": total / n_draws}
     if samples is not None:

@@ -22,13 +22,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import data as data_io, evaluation, mcmc
+from . import data as data_io, evaluation
 from .autodiff import NonFiniteGradientError
 from .avb import FitResult, TrainConfig, TrainingAbortError, posterior_predict, train
 from .data import SchemaConfig, SimTruth, SplitSpec, load_csv, simulate_dataset, split_dataset, standardize, write_csv
 from .mcmc import ChainConfig, run_chain
 from .model import FlaggedObservationError
-from .tweedie import NonConvergenceError
+from .tweedie import InvalidParameterError, NonConvergenceError
 
 log = logging.getLogger("tweedie_avb")
 
@@ -71,6 +71,14 @@ def _out_dir(config: dict, args) -> Path:
     return path
 
 
+def _parse(section: str, cls, d):
+    """``cls.from_dict(d)``; a missing, unknown or bad key is a UserError naming ``section``."""
+    try:
+        return cls.from_dict(d)
+    except (TypeError, ValueError) as exc:
+        raise UserError(f"invalid {section} config: {exc}") from None
+
+
 def _echo_config(config: dict, out: Path) -> None:
     with open(out / "config_echo.json", "w", encoding="utf-8") as fh:
         json.dump(config, fh, indent=2, sort_keys=True)
@@ -86,19 +94,14 @@ def cmd_simulate(args) -> int:
         config["seed"] = args.seed
     config.setdefault("seed", 0)
     config["out"] = str(_out_dir(config, args))
-    truth_dict = config.get("truth")
-    if truth_dict is None:
+    if config.get("truth") is None:
         raise UserError("simulate needs a 'truth' object in the config")
-    try:
-        truth = SimTruth.from_dict(truth_dict)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise UserError(f"invalid truth config: {exc}") from None
+    truth = _parse("truth", SimTruth, config["truth"])
     out = Path(config["out"])
     rng = np.random.default_rng(config["seed"])
     dataset, realized = simulate_dataset(truth, rng)
     write_csv(dataset, out / "dataset.csv")
-    config["truth"] = realized.to_dict()  # echo the input truth; realized b goes to truth.json
-    config["truth"]["b"] = None if truth.b is None else truth.b.tolist()
+    config["truth"] = truth.to_dict()  # echo the input truth; realized b goes to truth.json
     with open(out / "truth.json", "w", encoding="utf-8") as fh:
         json.dump(realized.to_dict(), fh, indent=2)
     _echo_config(config, out)
@@ -110,16 +113,17 @@ def cmd_simulate(args) -> int:
 # fit
 # ---------------------------------------------------------------------------
 
-def _load_dataset(config: dict):
+def _load_dataset(config: dict, default_schema=None):
+    """``data_csv`` loaded under the config's schema, else ``default_schema``; and that schema."""
     path = config.get("data_csv")
     if path is None:
         raise UserError("config key 'data_csv' is required")
     if not Path(path).exists():
         raise UserError(f"data file not found: {path}")
-    schema_dict = config.get("schema")
+    schema_dict = config.get("schema") or default_schema
     if schema_dict is None:
         raise UserError("config key 'schema' is required")
-    schema = SchemaConfig.from_dict(schema_dict)
+    schema = _parse("schema", SchemaConfig, schema_dict)
     return load_csv(path, schema), schema
 
 
@@ -143,7 +147,7 @@ def cmd_fit(args) -> int:
     out = Path(config["out"])
 
     dataset, schema = _load_dataset(config)
-    split = SplitSpec.from_dict(config.get("split", {}))
+    split = _parse("split", SplitSpec, config.get("split", {}))
     config["split"] = split.to_dict()
     train_set, valid_set, test_set = split_dataset(dataset, split)
     do_standardize = config.setdefault("standardize", True)
@@ -154,18 +158,12 @@ def cmd_fit(args) -> int:
         means = np.zeros(dataset.n_covariates)
         scales = np.ones(dataset.n_covariates)
 
-    try:
-        cfg = TrainConfig.from_dict(config.get("train", {}))
-    except (TypeError, ValueError) as exc:
-        raise UserError(f"invalid train config: {exc}") from None
+    cfg = _parse("train", TrainConfig, config.get("train", {}))
     config["train"] = cfg.to_dict()
     config["schema"] = schema.to_dict()
     chain_cfg = None
     if config.get("mcmc") is not None:
-        try:
-            chain_cfg = ChainConfig.from_dict(config["mcmc"])
-        except (TypeError, ValueError) as exc:
-            raise UserError(f"invalid mcmc config: {exc}") from None
+        chain_cfg = _parse("mcmc", ChainConfig, config["mcmc"])
         config["mcmc"] = chain_cfg.to_dict()
 
     try:
@@ -204,7 +202,10 @@ def _load_fit(config: dict) -> FitResult:
         raise UserError("config key 'fit_json' is required")
     if not Path(path).exists():
         raise UserError(f"fit artifact not found: {path}")
-    return FitResult.load(path)
+    try:
+        return FitResult.load(path)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UserError(f"invalid fit artifact {path}: {exc!r}") from None
 
 
 def _apply_stored_transform(fit: FitResult, ds):
@@ -243,7 +244,7 @@ def cmd_evaluate(args) -> int:
     out = Path(config["out"])
     fit = _load_fit(config)
     dataset, schema = _load_dataset(config)
-    split = SplitSpec.from_dict(config.get("split", fit.metadata.get("split", {})))
+    split = _parse("split", SplitSpec, config.get("split", fit.metadata.get("split", {})))
     config["split"] = split.to_dict()
     config["schema"] = schema.to_dict()
     train_set, _, test_set = split_dataset(dataset, split)
@@ -313,16 +314,8 @@ def cmd_predict(args) -> int:
     config["out"] = str(_out_dir(config, args))
     out = Path(config["out"])
     fit = _load_fit(config)
-    schema_dict = config.get("schema") or fit.metadata.get("schema")
-    if schema_dict is None:
-        raise UserError("no schema in config or fit metadata")
-    config["schema"] = schema_dict
-    path = config.get("data_csv")
-    if path is None:
-        raise UserError("config key 'data_csv' is required")
-    if not Path(path).exists():
-        raise UserError(f"data file not found: {path}")
-    ds = load_csv(path, SchemaConfig.from_dict(schema_dict))
+    ds, schema = _load_dataset(config, fit.metadata.get("schema"))
+    config["schema"] = schema.to_dict()
     ds_std = _apply_stored_transform(fit, ds)
     _check_columns(fit, ds_std)
     rng = np.random.default_rng(config["seed"])
@@ -371,12 +364,11 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (UserError, data_io.SchemaError, data_io.SplitError,
-            mcmc.ChainConfigError, FileNotFoundError) as exc:
+    except (UserError, data_io.SchemaError, data_io.SplitError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (TrainingAbortError, NonFiniteGradientError, NonConvergenceError,
-            FlaggedObservationError) as exc:
+            FlaggedObservationError, InvalidParameterError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 2
 

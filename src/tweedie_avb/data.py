@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,21 +49,12 @@ class SchemaConfig:
                 raise SchemaError(f"categorical column {col!r} not among fixed columns")
 
     def to_dict(self) -> dict:
-        return {
-            "response_column": self.response_column,
-            "fixed_columns": list(self.fixed_columns),
-            "group_column": self.group_column,
-            "categorical_columns": list(self.categorical_columns),
-        }
+        return {**asdict(self), "fixed_columns": list(self.fixed_columns),
+                "categorical_columns": list(self.categorical_columns)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SchemaConfig":
-        return cls(
-            response_column=d["response_column"],
-            fixed_columns=tuple(d["fixed_columns"]),
-            group_column=d.get("group_column"),
-            categorical_columns=tuple(d.get("categorical_columns", ())),
-        )
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -85,7 +76,7 @@ class SplitSpec:
             )
 
     def to_dict(self) -> dict:
-        return {"train": self.train, "valid": self.valid, "test": self.test, "seed": self.seed}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SplitSpec":
@@ -123,29 +114,12 @@ class SimTruth:
         return self.fixed_weights.size - 1
 
     def to_dict(self) -> dict:
-        return {
-            "fixed_weights": self.fixed_weights.tolist(),
-            "p_index": self.p_index,
-            "dispersion": self.dispersion,
-            "sigma_b": self.sigma_b,
-            "n_obs": self.n_obs,
-            "group_count": self.group_count,
-            "b": None if self.b is None else self.b.tolist(),
-            "covariate_scale": self.covariate_scale,
-        }
+        return {**asdict(self), "fixed_weights": self.fixed_weights.tolist(),
+                "b": None if self.b is None else self.b.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimTruth":
-        return cls(
-            fixed_weights=np.asarray(d["fixed_weights"], dtype=float),
-            p_index=d["p_index"],
-            dispersion=d["dispersion"],
-            sigma_b=d["sigma_b"],
-            n_obs=d["n_obs"],
-            group_count=d.get("group_count", 0),
-            b=None if d.get("b") is None else np.asarray(d["b"], dtype=float),
-            covariate_scale=d.get("covariate_scale", 1.0),
-        )
+        return cls(**d)
 
 
 # ---------------------------------------------------------------------------

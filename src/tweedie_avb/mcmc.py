@@ -7,7 +7,7 @@ then the group intercepts.  Its blocks, fixed slices of ``x``, are the
 fixed-effect weights, the unconstrained index parameter, log dispersion,
 log random-effect scale and the intercepts (absent without groups).
 Proposals are Gaussian per block with step sizes auto-tuned during
-burn-in toward a target acceptance rate.
+burn-in toward an acceptance rate of ``_TARGET_ACCEPTANCE``.
 
 The one target, :func:`log_unnormalized_posterior`, has two parts: the
 Tweedie data log likelihood, which the random-effect scale does not
@@ -39,34 +39,32 @@ from .special import expit
 BLOCK_ORDER = ("w", "raw_p", "raw_log_dispersion", "raw_log_sigma_b", "b")
 #: Numerical errors of a target part that make the log target -inf.
 _TARGET_FAILURES = (OverflowError, FloatingPointError, ValueError)
+#: Burn-in re-scales each block's step every ``_TUNE_INTERVAL`` iterations
+#: toward this acceptance rate.
+_TUNE_INTERVAL = 100
+_TARGET_ACCEPTANCE = 0.25
+#: Each block's first proposal scale where ``ChainConfig.step_sizes`` does not set it.
+_DEFAULT_STEP_SIZES = {"w": 0.05, "raw_p": 0.2, "raw_log_dispersion": 0.2,
+                       "raw_log_sigma_b": 0.5, "b": 0.1}
 
 
 class ChainConfigError(ValueError):
     """Chain settings violate their invariants."""
 
 
-def _default_step_sizes() -> dict:
-    return {
-        "w": 0.05,
-        "raw_p": 0.2,
-        "raw_log_dispersion": 0.2,
-        "raw_log_sigma_b": 0.5,
-        "b": 0.1,
-    }
-
-
 @dataclass
 class ChainConfig:
-    """Random-walk Metropolis settings."""
+    """Random-walk Metropolis settings.
 
-    step_sizes: dict = field(default_factory=_default_step_sizes)
+    ``step_sizes`` sets the first proposal scale of any blocks of :data:`BLOCK_ORDER`;
+    the others keep their defaults, and the merged dict is what the config echoes.
+    """
+
+    step_sizes: dict = field(default_factory=dict)
     iterations: int = 20000
     burn_in: int = 5000
     thinning: int = 10
     seed: int = 0
-    tune: bool = True
-    tune_interval: int = 100
-    target_acceptance: float = 0.25
 
     def __post_init__(self):
         if self.burn_in < 0:
@@ -77,11 +75,7 @@ class ChainConfig:
             )
         if self.thinning < 1:
             raise ChainConfigError("thinning must be >= 1")
-        if self.tune_interval < 1:
-            raise ChainConfigError(f"tune_interval must be >= 1, got {self.tune_interval}")
-        if not 0.0 < self.target_acceptance < 1.0:
-            raise ChainConfigError(
-                f"target_acceptance must lie in (0, 1), got {self.target_acceptance}")
+        self.step_sizes = {**_DEFAULT_STEP_SIZES, **self.step_sizes}
         for name, step in self.step_sizes.items():
             if name not in BLOCK_ORDER:
                 raise ChainConfigError(
@@ -172,16 +166,18 @@ def run_chain(data: Dataset, cfg: ChainConfig) -> ChainResult:
     Each iteration proposes the blocks in :data:`BLOCK_ORDER` in turn; a
     raw_log_sigma_b proposal reuses the accepted state's data term.
     Deterministic given the seed.  Acceptance uses the detailed-balance
-    rule min(1, exp(delta log target)).  During burn-in, step sizes are
-    re-scaled every ``tune_interval`` iterations toward the target
-    acceptance rate.
+    rule min(1, exp(delta log target)).  Each block starts at its
+    ``cfg.step_sizes`` entry; during burn-in, every ``_TUNE_INTERVAL`` (100)
+    iterations, each step is multiplied by exp(acceptance over those
+    iterations - ``_TARGET_ACCEPTANCE`` (0.25)).  After burn-in the steps
+    stay fixed, so ``burn_in=0`` runs an untuned chain.
     """
     n_raw = data.n_covariates + 4
     # block edges in x: the raw globals as in split_raw_globals, then b
     bounds = (0, n_raw - 3, n_raw - 2, n_raw - 1, n_raw, n_raw + data.group_count)
     spans = {name: slice(lo, hi)
              for name, lo, hi in zip(BLOCK_ORDER, bounds, bounds[1:]) if hi > lo}
-    steps = {k: float(cfg.step_sizes.get(k, 0.1)) for k in spans}
+    steps = {k: float(cfg.step_sizes[k]) for k in spans}
     rng = np.random.default_rng(cfg.seed)
     x = np.zeros(n_raw + data.group_count)
     current_data_value = _data_term(data, x[:n_raw], x[n_raw:])
@@ -207,9 +203,9 @@ def run_chain(data: Dataset, cfg: ChainConfig) -> ChainResult:
                 x[span] = old
             proposed[name] += 1
             accepted[name] += int(accept)
-        if cfg.tune and it < cfg.burn_in and (it + 1) % cfg.tune_interval == 0:
+        if it < cfg.burn_in and (it + 1) % _TUNE_INTERVAL == 0:
             for name in spans:
-                steps[name] *= math.exp(accepted[name] / proposed[name] - cfg.target_acceptance)
+                steps[name] *= math.exp(accepted[name] / proposed[name] - _TARGET_ACCEPTANCE)
             accepted, proposed = dict.fromkeys(spans, 0), dict.fromkeys(spans, 0)
         if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thinning == 0:
             kept.append(x.copy())

@@ -46,6 +46,8 @@ _TABLES_KEPT = 4
 #: Counts past each end of the core window checked in one 2-D evaluation
 #: before a row whose summed range reaches further is bisected.
 _SCAN_WINDOW = 16
+#: Largest rate ``Generator.poisson`` accepts (numpy's POISSON_LAM_MAX).
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
 
 class InvalidParameterError(ValueError):
@@ -502,9 +504,16 @@ def tweedie_sample_array(lam: np.ndarray, alpha, beta: np.ndarray,
     """Vectorized compound draws; ``alpha`` and ``beta`` broadcast against the rate ``lam``.
 
     A zero count gives Gamma shape 0, which numpy draws as exactly 0
-    without taking from ``rng``.
+    without taking from ``rng``.  A rate past what ``rng.poisson`` accepts
+    (or NaN), or a draw that is not finite (an infinite ``beta``), raises
+    InvalidParameterError.
     """
-    return rng.gamma(rng.poisson(lam) * np.asarray(alpha, dtype=float), beta)
+    if not (np.asarray(lam) <= _POISSON_LAM_MAX).all():
+        raise InvalidParameterError(f"Poisson rate past the sampler's limit {_POISSON_LAM_MAX:.4g}")
+    y = rng.gamma(rng.poisson(lam) * np.asarray(alpha, dtype=float), beta)
+    if not np.isfinite(y).all():
+        raise InvalidParameterError("compound draw outside the float range")
+    return y
 
 
 def tweedie_moments(e: EdmParams) -> tuple[float, float]:

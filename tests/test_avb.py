@@ -45,7 +45,7 @@ from tweedie_avb.model import (
     sample_globals_prior,
     split_raw_globals,
 )
-from tweedie_avb.tweedie import compound_arrays, tweedie_sample_array
+from tweedie_avb.tweedie import InvalidParameterError, compound_arrays, tweedie_sample_array
 
 
 def small_dataset(m=40, d=1, g=2, seed=0):
@@ -341,8 +341,7 @@ class TestGeneratorLoss:
         cfg = TrainConfig(outer_steps=1, seed=0)
         store = ParamStore()
         rng = np.random.default_rng(0)
-        q = InferenceNet(0, store, rng, noise_dim=cfg.noise_dim,
-                         hidden=cfg.inference_hidden)
+        q = InferenceNet(0, store, rng, hidden=cfg.inference_hidden)
         store.values[:] = 0.0
         store.set("q.b1", np.array([0.0, 0.0, math.log(2.0), 0.0]))
         critic_store = ParamStore()
@@ -563,7 +562,7 @@ class TestTrainLoop:
         rng = np.random.default_rng(1)
         gp = trainer.group_posterior
         for s in range(25):
-            raw = trainer.q.latents_np(rng.standard_normal(cfg.noise_dim))
+            raw = trainer.q.latents_np(rng.standard_normal(trainer.q.noise_dim))
             w, raw_p, raw_ld, raw_ls = split_raw_globals(raw, 2)
             assert_allclose(got["fixed_weights"][s], w, rtol=1e-14, atol=1e-15)
             assert_allclose(got["p_index"][s], 1.0 + expit(raw_p), rtol=1e-14)
@@ -580,20 +579,20 @@ class TestTrainLoop:
         trainer.gen_store.set(f"{gp.prefix}.loc", np.array([0.2, -0.3]))
         valid = small_dataset(m=12, seed=5)
         rng = np.random.default_rng(1)
-        got = _validation_nll(trainer, valid, cfg, rng)
+        got = _validation_nll(trainer, valid, rng)
         ref = np.random.default_rng(1)
         total = 0.0
-        for _ in range(cfg.valid_draws):
-            raw = trainer.q.latents_np(ref.standard_normal(cfg.noise_dim))
+        for _ in range(avb._VALID_DRAWS):
+            raw = trainer.q.latents_np(ref.standard_normal(trainer.q.noise_dim))
             total -= model_log_likelihood_value(valid, raw, np.array([0.2, -0.3]))
-        assert_allclose(got, total / cfg.valid_draws, rtol=1e-14)
+        assert_allclose(got, total / avb._VALID_DRAWS, rtol=1e-14)
         assert rng.standard_normal() == ref.standard_normal()
 
 
 class TestTrainConfig:
     @pytest.mark.parametrize("name", ["n_critic", "minibatch_size", "outer_steps",
                                       "latent_sample_count", "critic_batch", "eval_every",
-                                      "patience", "valid_draws"])
+                                      "patience"])
     def test_counts_below_one_rejected(self, name):
         with pytest.raises(ValueError, match=name):
             TrainConfig(**{name: 0})
@@ -635,6 +634,13 @@ class TestFitResult:
                 critic_trace=np.zeros(1), generator_trace=np.zeros(1),
                 config={}, metadata={}, gen_params={}, critic_params={},
             )
+
+    @pytest.mark.parametrize("phi", [0.0, -1.0, math.inf, math.nan])
+    def test_dispersion_must_be_finite_positive(self, phi):
+        draws = {**self.make_fit().draws, "dispersion": np.array([1.0, phi, 1.0])}
+        with pytest.raises(ValueError, match="dispersion"):
+            FitResult(draws=draws, critic_trace=np.zeros(1), generator_trace=np.zeros(1),
+                      config={}, metadata={}, gen_params={}, critic_params={})
 
     def test_abort_error_carries_checkpoint(self):
         fit = self.make_fit()
@@ -762,6 +768,32 @@ class TestPosteriorPredict:
         for level in (0.05, 0.5, 0.95):
             want = np.quantile(samples, level, axis=0)
             assert_allclose(out[f"q{int(round(level * 100)):02d}"], want, rtol=1e-12)
+
+    def test_rate_past_poisson_limit_is_typed(self):
+        # p = 1.5, phi = 1e-300: lambda = mu^0.5 / (0.5 * 1e-300) is past rng.poisson's limit
+        fit = self.make_fit([[0.0, 0.0]], phi=1e-300)
+        with pytest.raises(InvalidParameterError, match="Poisson rate"):
+            posterior_predict(fit, np.zeros((2, 1)), np.zeros(2, dtype=int),
+                              np.random.default_rng(0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(log10_phi=st.floats(-300.0, 300.0),
+           p=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
+           w=st.lists(st.floats(-9.0, 9.0), min_size=6, max_size=6),
+           seed=st.integers(0, 2**16))
+    def test_extreme_stored_draws_give_finite_output_or_typed_error(self, log10_phi, p, w,
+                                                                    seed):
+        # |eta| <= |w0| + |w1| + |b| <= 27 on covariates in [-1, 1]: inside the log-link limit
+        rng = np.random.default_rng(seed)
+        fit = self.make_fit(np.reshape(w, (3, 2)), p=p, phi=10.0 ** log10_phi,
+                            b=rng.uniform(-9.0, 9.0, (3, 2)), g=2)
+        x = rng.uniform(-1.0, 1.0, (4, 1))
+        try:
+            out = posterior_predict(fit, x, np.array([0, 1, 0, 1]), rng)
+        except InvalidParameterError:
+            return
+        for values in out.values():
+            assert np.isfinite(values).all()
 
     def test_mean_alone_without_quantiles(self):
         rng = np.random.default_rng(11)

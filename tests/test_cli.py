@@ -236,6 +236,22 @@ class TestPredict:
         assert "numerical abort" in capsys.readouterr().err
         assert not (tmp_path / "o" / "predictions.csv").exists()
 
+    @pytest.mark.parametrize("phi,code,message", [
+        (1e-300, 2, "numerical abort: Poisson rate"),  # rate past rng.poisson's limit
+        (-1.0, 1, "error: invalid fit artifact"),
+    ])
+    def test_extreme_stored_dispersion(self, workspace, tmp_path, capsys, phi, code, message):
+        doc = json.loads((workspace / "fit" / "fit.json").read_text())
+        doc["draws"]["dispersion"] = [phi] * len(doc["draws"]["dispersion"])
+        cfg = write_json(tmp_path / "p.json", {
+            "fit_json": write_json(tmp_path / "fit.json", doc),
+            "data_csv": str(workspace / "sim" / "dataset.csv"),
+            "seed": 0,
+        })
+        assert main(["predict", "--config", cfg, "--out", str(tmp_path / "o")]) == code
+        assert capsys.readouterr().err.startswith(message)
+        assert not (tmp_path / "o" / "predictions.csv").exists()
+
     def test_schema_mismatch_names_columns(self, workspace, tmp_path, capsys):
         src = (workspace / "sim" / "dataset.csv").read_text().splitlines()
         header = src[0].replace("x1", "x9")
@@ -270,6 +286,24 @@ class TestErrors:
     def test_usage_error_exits_1(self, argv, capsys):
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: tweedie-avb")
+
+    @pytest.mark.parametrize("command,section,doc", [
+        ("fit", "split", {"trian": 0.6}),
+        ("fit", "schema", {"fixed_columns": ["x0", "x1"], "group_column": "group"}),
+        ("fit", "schema", {**SCHEMA, "group_colum": "group"}),
+        ("simulate", "truth", {**TRUTH, "group_cont": 4}),
+    ])
+    def test_bad_config_section_exits_1(self, workspace, tmp_path, capsys, command, section,
+                                        doc):
+        # a missing or misspelt key is named, never dropped or left to a traceback
+        config = {"seed": 0}
+        if command == "fit":
+            config = json.loads((workspace / "fit" / "config_echo.json").read_text())
+        config[section] = doc
+        cfg = write_json(tmp_path / "c.json", config)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: invalid {section} config")
+        assert not any((tmp_path / "o").iterdir())
 
     @pytest.mark.parametrize("section,setting", [
         ("train", {"eval_every": 0}),

@@ -1,5 +1,6 @@
 """CSV ingestion, splitting, standardization, and simulation."""
 
+import json
 import math
 
 import numpy as np
@@ -40,6 +41,14 @@ class TestSchemaConfig:
         schema = SchemaConfig(response_column="y", fixed_columns=("a", "b"),
                               group_column="g", categorical_columns=("b",))
         assert SchemaConfig.from_dict(schema.to_dict()) == schema
+
+    @pytest.mark.parametrize("doc", [
+        {"response_column": "y", "fixed_columns": ["x"], "group_colum": "g"},
+        {"fixed_columns": ["x"]},
+    ])
+    def test_unknown_or_missing_key_rejected(self, doc):
+        with pytest.raises(TypeError, match="group_colum|response_column"):
+            SchemaConfig.from_dict(doc)
 
 
 class TestLoadCsv:
@@ -217,6 +226,14 @@ class TestSimulate:
         data, _ = simulate_dataset(truth, np.random.default_rng(11))
         assert ((data.responses == 0.0) | (data.responses > 0.0)).all()
         assert data.group_index.max() < 5
+
+    def test_dict_round_trip_and_unknown_key(self):
+        truth = SimTruth(fixed_weights=np.array([0.1, 0.2]), p_index=1.5, dispersion=1.0,
+                         sigma_b=0.3, n_obs=10, group_count=2, b=np.array([0.1, -0.1]))
+        doc = json.loads(json.dumps(truth.to_dict()))
+        assert SimTruth.from_dict(doc).to_dict() == doc
+        with pytest.raises(TypeError, match="group_cont"):
+            SimTruth.from_dict({**doc, "group_cont": 2})
 
     def test_truth_validation(self):
         with pytest.raises(ValueError):
