@@ -44,9 +44,10 @@ LOG_2PI_E = math.log(2.0 * math.pi) + 1.0
 _PREDICT_BLOCK = 1 << 17
 #: Likelihood failures at a latent draw that training turns into a TrainingAbortError:
 #: eta past the log link's limit; (InvalidParameterError) p_index rounding to 1 or 2,
-#: compound parameters over- or underflowing, or a latent-count series past its term
-#: budget; and (ArithmeticError) ``exp`` of a raw log dispersion or log scale past
-#: ~709: OverflowError from ``math.exp``, FloatingPointError from ``np.exp``.
+#: the density's exponential-family term u + v over- or underflowing, or a
+#: latent-count series past its term budget; and (ArithmeticError) ``exp`` of a raw
+#: log dispersion or log scale past ~709: OverflowError from ``math.exp``,
+#: FloatingPointError from ``np.exp``.
 _LIKELIHOOD_FAILURES = (FlaggedObservationError, InvalidParameterError, ArithmeticError)
 #: Largest euclidean norm of a gradient that an Adam step applies; longer ones are scaled down.
 _GRAD_CLIP_NORM = 10.0
@@ -211,8 +212,8 @@ class TrainConfig:
     seed: int = 0
     latent_sample_count: int = 1000
 
-    inference_hidden: tuple = (32,)
-    critic_hidden: tuple = (32, 32)
+    inference_hidden: tuple[int, ...] = (32,)
+    critic_hidden: tuple[int, ...] = (32, 32)
     critic_batch: int = 64
 
     generator_learning_rate: float = 1e-3
@@ -262,6 +263,9 @@ class FitResult:
             draws = np.asarray(self.draws[key], dtype=float)
             if not (np.isfinite(draws) & (draws > 0.0)).all():
                 raise ValueError(f"stored {key} draws must be finite and positive")
+        for key in ("fixed_weights", "b"):
+            if not np.isfinite(np.asarray(self.draws[key], dtype=float)).all():
+                raise ValueError(f"stored {key} draws must be finite")
 
     def to_json_dict(self) -> dict:
         return {

@@ -18,6 +18,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -71,12 +72,44 @@ def _out_dir(config: dict, args) -> Path:
     return path
 
 
+def _type_error(value, annotation: str):
+    """What a config field annotated ``annotation`` needs, if ``value`` is not that; else None."""
+    if annotation == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+        return "an integer"
+    if annotation == "float" and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        return "a number"
+    if annotation == "tuple[int, ...]" and not (
+            isinstance(value, list) and not any(_type_error(v, "int") for v in value)):
+        return "a list of integers"
+    return None
+
+
 def _parse(section: str, cls, d):
-    """``cls.from_dict(d)``; a missing, unknown or bad key is a UserError naming ``section``."""
+    """``cls.from_dict(d)``; a missing, unknown or bad key is a UserError naming ``section``.
+
+    A value that does not fit its field's annotation (``int``, ``float`` or
+    ``tuple[int, ...]``; a bool is not a number) is a bad key.
+    """
+    if not isinstance(d, dict):
+        raise UserError(f"invalid {section} config: expected an object, got {d!r}")
+    for f in fields(cls):
+        expected = f.name in d and _type_error(d[f.name], f.type)
+        if expected:
+            raise UserError(f"invalid {section} config: {f.name} must be {expected}, "
+                            f"got {d[f.name]!r}")
     try:
         return cls.from_dict(d)
     except (TypeError, ValueError) as exc:
         raise UserError(f"invalid {section} config: {exc}") from None
+
+
+def _apply_seed(config: dict, args) -> None:
+    """Set the top-level seed to ``--seed``, else the config's, else 0; it must be an integer."""
+    if args.seed is not None:
+        config["seed"] = args.seed
+    config.setdefault("seed", 0)
+    if _type_error(config["seed"], "int"):
+        raise UserError(f"seed must be an integer, got {config['seed']!r}")
 
 
 def _echo_config(config: dict, out: Path) -> None:
@@ -90,9 +123,7 @@ def _echo_config(config: dict, out: Path) -> None:
 
 def cmd_simulate(args) -> int:
     config = _load_config(args.config)
-    if args.seed is not None:
-        config["seed"] = args.seed
-    config.setdefault("seed", 0)
+    _apply_seed(config, args)
     config["out"] = str(_out_dir(config, args))
     if config.get("truth") is None:
         raise UserError("simulate needs a 'truth' object in the config")
@@ -237,9 +268,7 @@ def _check_columns(fit: FitResult, ds) -> None:
 
 def cmd_evaluate(args) -> int:
     config = _load_config(args.config)
-    if args.seed is not None:
-        config["seed"] = args.seed
-    config.setdefault("seed", 0)
+    _apply_seed(config, args)
     config["out"] = str(_out_dir(config, args))
     out = Path(config["out"])
     fit = _load_fit(config)
@@ -308,9 +337,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     config = _load_config(args.config)
-    if args.seed is not None:
-        config["seed"] = args.seed
-    config.setdefault("seed", 0)
+    _apply_seed(config, args)
     config["out"] = str(_out_dir(config, args))
     out = Path(config["out"])
     fit = _load_fit(config)

@@ -6,12 +6,15 @@ Gamma scale) and the exponential-dispersion form {mu, p_index,
 dispersion} with variance Var(Y) = dispersion * mu ** p_index and
 p_index restricted to (1, 2).
 
-All density work happens in log space.  The intractable marginal is
-approximated by a truncated sum over the latent Poisson count: every
-count whose term is at least ``TAIL_REL_TOL`` of the largest, a rule with
-no settings (:func:`summation_range`).  A high-precision series
-evaluator serves as the internal ground-truth oracle for
-truncation-error tests.
+All density work happens in log space.  The log density splits as
+log f = a(y; p, phi) - u - v (Dunn & Smyth 2005): the exponential-family
+term has u = y * mu ** (1 - p) / (phi * (p - 1)) and
+v = mu ** (2 - p) / (phi * (2 - p)), and the series
+a = log sum_n exp(n * s - G(n)) - log(y) for y > 0 (a = 0 at y = 0) does
+not depend on mu.  The series is truncated to every count whose term is
+at least ``TAIL_REL_TOL`` of the largest, a rule with no settings
+(:func:`summation_range`).  A high-precision series evaluator serves as
+the internal ground-truth oracle for truncation-error tests.
 
 The count terms need lgamma and digamma only at the multiples n * alpha
 of the Gamma shape.  Their tables, indexed by the count n, are built
@@ -236,13 +239,15 @@ def _digamma_table(alpha: float) -> np.ndarray:
     return psi
 
 
-def series_slope(log_y, lam, alpha: float, log_beta):
-    """Coefficient of n in the log summand: alpha * (log(y) - log(beta)) + log(lambda).
+def series_slope(log_y, p: float, phi: float):
+    """Coefficient s of n in the log series term, from log(y) of positive rows.
 
-    Takes log(y) and log(beta), which the callers reuse.  The log summand
-    is n * slope - G(n) - log(y) - y / beta - lambda.
+    s = alpha * (log(y) - log(phi * (p - 1))) - log(phi * (2 - p)) with
+    alpha = (2 - p) / (p - 1); the mean cancels from it.  The series is
+    a = log sum_n exp(n * s - G(n)) - log(y).
     """
-    return alpha * (log_y - log_beta) + np.log(lam)
+    alpha = (2.0 - p) / (p - 1.0)
+    return alpha * (log_y - math.log(phi * (p - 1.0))) - math.log(phi * (2.0 - p))
 
 
 def _summand_mode(slope: np.ndarray, alpha: float,
@@ -363,17 +368,13 @@ def marginal_log_likelihood(y: float, c: CompoundParams) -> float:
     """Truncated-sum approximation of the marginal log density of Y.
 
     Exact at y = 0 (the zero branch is a single term, -lambda); for
-    y > 0 the latent count is summed over the range of
-    :func:`summation_range`, whose dropped tails are negligible.  This is
-    a size-1 call of :func:`tweedie_log_pdf`'s sum.
+    y > 0 this is a size-1 call of :func:`tweedie_log_pdf` at
+    :func:`to_edm` of ``c``.
     """
-    if y < 0.0:
-        raise InvalidParameterError(f"y must be nonnegative, got {y!r}")
     if y == 0.0:
         return -c.lam
-    slope = series_slope(np.log([y]), c.lam, c.alpha, np.log(c.beta))
-    _, _, log_mass = summation_range(slope, c.alpha)
-    return float(log_mass[0] - math.log(y) - y / c.beta - c.lam)
+    e = to_edm(c)
+    return float(tweedie_log_pdf(np.array([y]), e.mu, e.p_index, e.dispersion)[0])
 
 
 def series_log_density_oracle(y: float, e: EdmParams, rel_tol: float = 1e-12) -> float:
@@ -392,7 +393,7 @@ def series_log_density_oracle(y: float, e: EdmParams, rel_tol: float = 1e-12) ->
     c = to_compound(e)
     if y == 0.0:
         return -c.lam
-    mode = int(_summand_mode(series_slope(np.log([y]), c.lam, c.alpha, np.log(c.beta)),
+    mode = int(_summand_mode(series_slope(np.log([y]), e.p_index, e.dispersion),
                              c.alpha, 1)[0][0])
     max_terms = 100_000
     log_sum = -math.inf
@@ -411,38 +412,42 @@ def series_log_density_oracle(y: float, e: EdmParams, rel_tol: float = 1e-12) ->
 # Vectorized fast path (shared p_index and dispersion across observations)
 # ---------------------------------------------------------------------------
 
-def _compound_rows(y, mu, p: float, phi: float):
-    """Checked ``(y, mu, lambda, alpha, beta)`` for the vectorized paths."""
+def _checked_parts(y, mu, p: float, phi: float):
+    """Checked ``(y, log y of the positive rows, u, v)`` for the vectorized paths.
+
+    u = y * mu ** (1 - p) / (phi * (p - 1)) and v = mu ** (2 - p) / (phi * (2 - p)),
+    so the exponential-family term of the log density is -(u + v).
+    """
     y = np.asarray(y, dtype=float)
-    mu = np.broadcast_to(np.asarray(mu, dtype=float), y.shape)
     if (y < 0).any():
         raise InvalidParameterError("y must be nonnegative")
     if not 1.0 < p < 2.0:  # 1 + sigmoid(raw) rounds to 1 or 2 for |raw| past ~37
         raise InvalidParameterError(f"p_index must lie in the open interval (1, 2), got {p!r}")
-    # an extreme dispersion over- or underflows lambda or beta: checked below
-    with np.errstate(over="ignore", divide="ignore", under="ignore"):
-        lam, alpha, beta = compound_arrays(mu, p, phi)
-    if not (np.isfinite(lam) & (lam > 0.0) & np.isfinite(beta) & (beta > 0.0)).all():
+    # an extreme mean or dispersion over- or underflows u or v: checked below
+    with np.errstate(over="ignore", divide="ignore", under="ignore", invalid="ignore"):
+        mu = np.asarray(mu, dtype=float)
+        mu_1p = mu ** (1.0 - p)
+        u = y * mu_1p / (phi * (p - 1.0))
+        v = mu * mu_1p / (phi * (2.0 - p))
+    if not (np.isfinite(u).all() and (np.isfinite(v) & (v > 0.0)).all()):
         raise InvalidParameterError(
             f"compound parameters out of range at p_index={p!r}, dispersion={phi!r}")
-    return y, mu, lam, alpha, beta
+    return y, np.log(y[y > 0.0]), u, v
 
 
 def tweedie_log_pdf(y: np.ndarray, mu: np.ndarray, p: float, phi: float) -> np.ndarray:
-    """Truncated marginal log density for arrays of y and mu.
+    """Truncated marginal log density a - u - v for arrays of y and mu.
 
-    Same sum over the counts of :func:`summation_range` as
-    :func:`marginal_log_likelihood`, vectorized for a shared index
-    parameter and dispersion across observations.
+    The series a sums the counts of :func:`summation_range` for a shared
+    index parameter and dispersion across observations; see the module
+    docstring for the split.
     """
-    y, mu, lam, alpha, beta = _compound_rows(y, mu, p, phi)
-    out = -lam
-    pos = y > 0.0
-    if pos.any():
-        yp, lamp, betap = y[pos], lam[pos], beta[pos]
-        log_y = np.log(yp)
-        _, _, log_mass = summation_range(series_slope(log_y, lamp, alpha, np.log(betap)), alpha)
-        out[pos] = log_mass - log_y - yp / betap - lamp
+    y, log_y, u, v = _checked_parts(y, mu, p, phi)
+    out = -(u + v)
+    if log_y.size:
+        alpha = (2.0 - p) / (p - 1.0)
+        _, _, log_mass = summation_range(series_slope(log_y, p, phi), alpha)
+        out[y > 0.0] += log_mass - log_y
     return out
 
 
@@ -450,40 +455,32 @@ def tweedie_log_pdf_partials(y: np.ndarray, mu: np.ndarray, p: float, phi: float
     """:func:`tweedie_log_pdf` and its partials in log(mu), p and log(phi), per row.
 
     Returns ``(log_pdf, d_log_mu, d_p, d_log_phi)``.  The counts summed
-    are those of :func:`summation_range`, treated as fixed.  With softmax
-    weights pi over a row's summed terms, the partials in the compound
-    parameters are d/dlog(lambda) = E_pi[n] - lambda,
-    d/dlog(beta) = y / beta - alpha * E_pi[n] and
-    d/dalpha = E_pi[n * (log(y / beta) - digamma(n * alpha))]; a zero
-    row has log density -lambda.  The chain rule through
-    :func:`compound_arrays` then gives the returned partials.
+    are those of :func:`summation_range`, treated as fixed.  With E over
+    the softmax weights of a row's summed terms and L = log(y) - log(phi * (p - 1)),
+    d/dlog(mu) = (p - 1) u - (2 - p) v, d/dlog(phi) = u + v - E[n] / (p - 1) and
+    d/dp = u (log(mu) + 1 / (p - 1)) + v (log(mu) - 1 / (2 - p)) + E[n] / (2 - p)
+    + (E[n * digamma(n * alpha)] - E[n] (L + 2 - p)) / (p - 1) ** 2; the
+    series terms are absent on a zero row.
     """
-    y, mu, lam, alpha, beta = _compound_rows(y, mu, p, phi)
-    out = -lam
-    d_log_lam = -lam
-    d_log_beta = np.zeros(y.shape)
-    d_alpha = np.zeros(y.shape)
-    pos = y > 0.0
-    if pos.any():
-        yp, lamp, betap = y[pos], lam[pos], beta[pos]
-        log_y, log_beta = np.log(yp), np.log(betap)
-        _, _, starts, row, ns, terms = _summed_terms(
-            series_slope(log_y, lamp, alpha, log_beta), alpha)
+    y, log_y, u, v = _checked_parts(y, mu, p, phi)
+    log_mu = np.log(mu)
+    d_log_phi = u + v
+    out = -d_log_phi
+    d_p = u * (log_mu + 1.0 / (p - 1.0)) + v * (log_mu - 1.0 / (2.0 - p))
+    if log_y.size:
+        pos = y > 0.0
+        alpha = (2.0 - p) / (p - 1.0)
+        _, _, starts, row, ns, terms = _summed_terms(series_slope(log_y, p, phi), alpha)
         log_mass = _log_row_sums(terms, starts, row)
-        out[pos] = log_mass - log_y - yp / betap - lamp
+        out[pos] += log_mass - log_y
         weighted_n = np.exp(terms - log_mass[row]) * ns
         mean_n = np.add.reduceat(weighted_n, starts)
-        d_log_lam[pos] = mean_n - lamp
-        d_log_beta[pos] = yp / betap - alpha * mean_n
-        d_alpha[pos] = (mean_n * (log_y - log_beta)
-                        - np.add.reduceat(weighted_n * _digamma_table(alpha)[ns], starts))
-    # log(lambda) = (2 - p) log(mu) - log(phi) - log(2 - p), alpha = (2 - p) / (p - 1),
-    # log(beta) = log(phi) + log(p - 1) + (p - 1) log(mu)
-    log_mu = np.log(mu)
-    d_log_mu = (2.0 - p) * d_log_lam + (p - 1.0) * d_log_beta
-    d_p = (d_log_lam * (1.0 / (2.0 - p) - log_mu) - d_alpha / (p - 1.0) ** 2
-           + d_log_beta * (1.0 / (p - 1.0) + log_mu))
-    return out, d_log_mu, d_p, d_log_beta - d_log_lam
+        mean_n_psi = np.add.reduceat(weighted_n * _digamma_table(alpha)[ns], starts)
+        d_log_phi[pos] -= mean_n / (p - 1.0)
+        d_p[pos] += (mean_n / (2.0 - p)
+                     + (mean_n_psi - mean_n * (log_y - math.log(phi * (p - 1.0)) + 2.0 - p))
+                     / (p - 1.0) ** 2)
+    return out, (p - 1.0) * u - (2.0 - p) * v, d_p, d_log_phi
 
 
 # ---------------------------------------------------------------------------

@@ -322,3 +322,50 @@ class TestErrors:
         assert main(["fit", "--config", write_json(tmp_path / "f.json", echo)]) == 1
         assert next(iter(setting)) in capsys.readouterr().err
         assert not any((tmp_path / "o").iterdir())
+
+    @pytest.mark.parametrize("command,section,setting", [
+        ("fit", "train", {"outer_steps": 2.5}),
+        ("fit", "train", {"outer_steps": True}),
+        ("fit", "train", {"seed": "0"}),
+        ("fit", "train", {"generator_learning_rate": "1e-3"}),
+        ("fit", "train", {"critic_hidden": [8.5]}),
+        ("fit", "mcmc", {"iterations": 300.5}),
+        ("fit", "split", {"seed": 1.5}),
+        ("simulate", "truth", {"n_obs": 20.5}),
+        ("simulate", None, {"seed": 7.5}),
+    ])
+    def test_wrong_type_exits_1(self, workspace, tmp_path, capsys, command, section, setting):
+        # an uncaught exception would also exit 1: the message shows the parser caught it
+        if command == "fit":
+            config = json.loads((workspace / "fit" / "config_echo.json").read_text())
+            config["mcmc"] = {"iterations": 60, "burn_in": 20}
+        else:
+            config = {"seed": 0, "truth": TRUTH}
+        if section is None:
+            config.update(setting)
+        else:
+            config[section] = {**config[section], **setting}
+        cfg = write_json(tmp_path / "c.json", config)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert next(iter(setting)) in err
+        assert not list(tmp_path.glob("o/*"))
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    @pytest.mark.parametrize("key,value", [("fixed_weights", float("nan")), ("b", float("inf"))])
+    def test_non_finite_stored_draw_is_invalid_artifact(self, workspace, tmp_path, capsys,
+                                                        command, key, value):
+        doc = json.loads((workspace / "fit" / "fit.json").read_text())
+        draws = np.asarray(doc["draws"][key])
+        draws[0, 0] = value
+        doc["draws"][key] = draws.tolist()
+        cfg = write_json(tmp_path / "c.json", {
+            "fit_json": write_json(tmp_path / "fit.json", doc),
+            "data_csv": str(workspace / "sim" / "dataset.csv"),
+            "schema": SCHEMA,
+            "seed": 0,
+        })
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: invalid fit artifact")
+        assert not any((tmp_path / "o").iterdir())

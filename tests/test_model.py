@@ -263,9 +263,7 @@ class TestLikelihoodTape:
         y = np.array([0.0, 10.0, 0.5, 10.0, 3.0])
         data = Dataset(responses=y, fixed_design=np.zeros((y.size, 1)),
                        group_index=np.zeros(y.size, dtype=int), group_count=0)
-        lam, alpha, beta = compound_arrays(np.ones(2), 1.5, 1.0)
-        lo, hi, _ = summation_range(series_slope(np.log(y[[1, 3]]), lam, alpha, np.log(beta)),
-                                    alpha)
+        lo, hi, _ = summation_range(series_slope(np.log(y[[1, 3]]), 1.5, 1.0), 1.0)
         assert (hi - lo > tweedie._CORE_WIDTH).all()
 
         raw = np.zeros(5)

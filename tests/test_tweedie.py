@@ -26,6 +26,7 @@ from tweedie_avb.tweedie import (
     to_compound,
     to_edm,
     tweedie_log_pdf,
+    tweedie_log_pdf_partials,
     tweedie_moments,
     tweedie_sample,
     tweedie_sample_array,
@@ -122,7 +123,7 @@ class TestMarginal:
 
     def test_adaptive_window_covers_mode(self):
         c = to_compound(EdmParams(mu=1.0, p_index=1.5, dispersion=0.5))
-        slope = series_slope(np.log([8.0]), c.lam, c.alpha, np.log(c.beta))
+        slope = series_slope(np.log([8.0]), 1.5, 0.5)
         lo, hi, _ = summation_range(slope, c.alpha)
         assert lo[0] >= 1
         assert hi[0] - lo[0] >= tweedie._CORE_WIDTH
@@ -142,9 +143,9 @@ class TestSummationRange:
         width = tweedie._CORE_WIDTH
         for _ in range(3000):
             p = rng.uniform(1.01, 1.99)
-            log_phi, log_mu, log_y = rng.uniform(-3, 3), *rng.uniform(-5, 5, size=2)
-            lam, alpha, beta = compound_arrays(math.exp(log_mu), p, math.exp(log_phi))
-            slope = series_slope(np.log([math.exp(log_y)]), lam, alpha, np.log(beta))
+            log_phi, log_y = rng.uniform(-3, 3), rng.uniform(-5, 5)
+            alpha = (2.0 - p) / (p - 1.0)
+            slope = series_slope(np.array([log_y]), p, math.exp(log_phi))
             lo, hi, log_mass = summation_range(slope, alpha)
 
             mode, table, peak = tweedie._summand_mode(slope, alpha, width)
@@ -275,6 +276,55 @@ class TestVectorizedPdf:
         # the summand's mode for y = 1e300 lies far beyond any table the sum may build
         with pytest.raises(InvalidParameterError):
             tweedie_log_pdf(np.array([1e300]), np.array([1.0]), 1.5, 1.0)
+
+
+class TestSplitDensity:
+    def test_matches_compound_form(self):
+        # a - u - v against the compound form log_mass - log(y) - y / beta - lambda
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            p, phi = rng.uniform(1.05, 1.95), math.exp(rng.uniform(-3.0, 3.0))
+            y = np.where(rng.random(40) < 0.3, 0.0, rng.uniform(1e-3, 50.0, 40))
+            mu = np.exp(rng.uniform(-5.0, 5.0, 40))
+            lam, alpha, beta = compound_arrays(mu, p, phi)
+            pos = y > 0.0
+            log_y, lamp, betap = np.log(y[pos]), lam[pos], beta[pos]
+            _, _, log_mass = summation_range(alpha * (log_y - np.log(betap)) + np.log(lamp),
+                                             alpha)
+            expected = -lam
+            expected[pos] = log_mass - log_y - y[pos] / betap - lamp
+            assert_allclose(tweedie_log_pdf(y, mu, p, phi), expected, rtol=1e-10, atol=1e-10)
+
+    @given(rows=st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(1e-3, 50.0)),
+                                   st.floats(-5.0, 5.0)), min_size=1, max_size=6),
+           p=st.floats(1.05, 1.95), log_phi=st.floats(-3.0, 3.0))
+    @settings(max_examples=100, deadline=None)
+    def test_partials_match_central_differences(self, rows, p, log_phi):
+        y, log_mu = np.array(rows).T
+        h = 1e-5
+
+        def log_pdf(log_mu, p, log_phi):
+            return tweedie_log_pdf(y, np.exp(log_mu), p, math.exp(log_phi))
+
+        _, d_log_mu, d_p, d_log_phi = tweedie_log_pdf_partials(y, np.exp(log_mu), p,
+                                                               math.exp(log_phi))
+        for analytic, up, down in (
+                (d_log_mu, log_pdf(log_mu + h, p, log_phi), log_pdf(log_mu - h, p, log_phi)),
+                (d_p, log_pdf(log_mu, p + h, log_phi), log_pdf(log_mu, p - h, log_phi)),
+                (d_log_phi, log_pdf(log_mu, p, log_phi + h), log_pdf(log_mu, p, log_phi - h))):
+            fd = (up - down) / (2.0 * h)
+            assert (np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd)) < 1e-4).all()
+
+    def test_no_series_without_positive_rows(self, monkeypatch):
+        def summed_terms(*args):
+            raise AssertionError("the series was summed with no positive y")
+
+        monkeypatch.setattr(tweedie, "_summed_terms", summed_terms)
+        for y in (np.zeros(0), np.zeros(5)):
+            mu = np.full(y.size, 4.0)
+            # v = mu ** (2 - p) / (phi * (2 - p)) = 2 at p = 1.5, phi = 2
+            assert_allclose(tweedie_log_pdf(y, mu, 1.5, 2.0), np.full(y.size, -2.0))
+            assert_allclose(tweedie_log_pdf_partials(y, mu, 1.5, 2.0)[0], np.full(y.size, -2.0))
 
 
 class TestSampling:
