@@ -29,26 +29,20 @@ import numpy as np
 
 from .autodiff import AdamState, ParamStore, adam_step, clip_global_norm
 from .model import (
+    LIKELIHOOD_FAILURES,
     Dataset,
-    FlaggedObservationError,
     _check_overflow,
     draws_schema,
     log_likelihood_partials,
     model_log_likelihood_value,
+    raw_size,
     sample_globals_prior,
 )
-from .tweedie import InvalidParameterError, compound_arrays, tweedie_sample_array
+from .tweedie import compound_arrays, tweedie_sample_array
 
 LOG_2PI_E = math.log(2.0 * math.pi) + 1.0
 #: posterior_predict's block size in (draw, row) elements: about 1 MB per float temporary.
 _PREDICT_BLOCK = 1 << 17
-#: Likelihood failures at a latent draw that training turns into a TrainingAbortError:
-#: eta past the log link's limit; (InvalidParameterError) p_index rounding to 1 or 2,
-#: the density's exponential-family term u + v over- or underflowing, or a
-#: latent-count series past its term budget; and (ArithmeticError) ``exp`` of a raw
-#: log dispersion or log scale past ~709: OverflowError from ``math.exp``,
-#: FloatingPointError from ``np.exp``.
-_LIKELIHOOD_FAILURES = (FlaggedObservationError, InvalidParameterError, ArithmeticError)
 #: Largest euclidean norm of a gradient that an Adam step applies; longer ones are scaled down.
 _GRAD_CLIP_NORM = 10.0
 #: Latent draws averaged by each validation negative log likelihood.
@@ -141,9 +135,8 @@ class InferenceNet:
 
     def __init__(self, n_covariates: int, store: ParamStore, rng: np.random.Generator,
                  hidden: Sequence[int] = (32,), prefix: str = "q"):
-        self.n_covariates = n_covariates
         self.noise_dim = _NOISE_DIM
-        self.out_dim = n_covariates + 4
+        self.out_dim = raw_size(n_covariates)
         self.net = MLP(prefix, [_NOISE_DIM, *hidden, self.out_dim], store, rng, weight_scale=0.1)
         self.store = store
 
@@ -227,6 +220,8 @@ class TrainConfig:
                      "critic_batch", "eval_every", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if isinstance(self.inference_hidden, list):
             self.inference_hidden = tuple(self.inference_hidden)
         if isinstance(self.critic_hidden, list):
@@ -335,49 +330,40 @@ def discriminator_loss(disc: Discriminator, posterior_batch: np.ndarray,
 def generator_loss(batch: Dataset, q: InferenceNet, disc: Discriminator,
                    rng: np.random.Generator,
                    group_posterior: Optional[GroupPosterior] = None,
-                   data_scale: float = 1.0,
-                   n_draws: int = 1) -> tuple[float, np.ndarray]:
+                   data_scale: float = 1.0) -> tuple[float, np.ndarray]:
     """Critic-estimated negative ELBO and its gradient in the inference-side parameters.
 
-    mean over latent draws of [T(z_Q) - model log likelihood - entropy of
-    the intercept posterior], with the critic's parameters entering as
-    constants; the entropy keeps the random-effect scale identified.  A
-    batch with groups needs ``group_posterior`` for its intercepts (a
-    ValueError otherwise); without groups it is ignored.  Each draw takes
-    its net noise, then its group noise, from ``rng``.  The gradient is
-    aligned with ``q.store``.
+    T(z_Q) - model log likelihood - entropy of the intercept posterior at
+    one latent draw, with the critic's parameters entering as constants;
+    the entropy keeps the random-effect scale identified.  A batch with
+    groups needs ``group_posterior`` for its intercepts (a ValueError
+    otherwise); without groups it is ignored.  The draw takes its net
+    noise, then its group noise, from ``rng``.  The gradient is aligned
+    with ``q.store``.
     """
     g = batch.group_count
     if g and group_posterior is None:
         raise ValueError("a batch with groups needs a GroupPosterior for its intercepts")
-    noise = rng.standard_normal((n_draws, q.noise_dim + g))
-    raw, q_pullback = q.net.vjp(noise[:, :q.noise_dim])
+    noise = rng.standard_normal(q.noise_dim + g)
+    raw, q_pullback = q.net.vjp(noise[None, :q.noise_dim])
     logits, critic_pullback = disc.net.vjp(raw)
-    _, d_raw = critic_pullback(np.ones((n_draws, 1)), params=False)
+    _, d_raw = critic_pullback(np.ones((1, 1)), params=False)
+    b = None
     if g:
         loc_span = q.store.span(f"{group_posterior.prefix}.loc")
         scale_span = q.store.span(f"{group_posterior.prefix}.log_scale")
         log_scale = q.store.values[scale_span]
         with np.errstate(over="raise"):
             scale = np.exp(log_scale)
-        entropy = float(log_scale.sum()) + 0.5 * LOG_2PI_E * g
-        d_loc, d_log_scale = np.zeros(g), np.zeros(g)
-    value = 0.0
-    for k in range(n_draws):
-        group_noise = noise[k, q.noise_dim:]
-        b = q.store.values[loc_span] + scale * group_noise if g else None
-        ll, d_ll, d_b = log_likelihood_partials(batch, raw[k], b, data_scale)
-        d_raw[k] -= d_ll
-        term = logits[k, 0] - ll
-        if g:
-            term -= entropy
-            d_loc -= d_b / n_draws
-            d_log_scale -= (d_b * scale * group_noise + 1.0) / n_draws
-        value += term / n_draws
+        b = q.store.values[loc_span] + scale * noise[q.noise_dim:]
+    ll, d_ll, d_b = log_likelihood_partials(batch, raw[0], b, data_scale)
+    d_raw[0] -= d_ll
+    value = logits[0, 0] - ll
     # the net's pullback leaves the intercept posterior's slices zero
-    grad, _ = q_pullback(d_raw / n_draws)
+    grad, _ = q_pullback(d_raw)
     if g:
-        grad[loc_span], grad[scale_span] = d_loc, d_log_scale
+        value -= float(log_scale.sum()) + 0.5 * LOG_2PI_E * g  # the entropy
+        grad[loc_span], grad[scale_span] = -d_b, -(d_b * scale * noise[q.noise_dim:] + 1.0)
     return float(value), grad
 
 
@@ -402,7 +388,7 @@ def build_trainer(n_covariates: int, group_count: int, cfg: TrainConfig,
     q = InferenceNet(n_covariates, gen_store, rng, hidden=cfg.inference_hidden)
     gp = GroupPosterior(group_count, gen_store) if group_count > 0 else None
     critic_store = ParamStore()
-    disc = Discriminator(n_covariates + 4, critic_store, rng, hidden=cfg.critic_hidden)
+    disc = Discriminator(q.out_dim, critic_store, rng, hidden=cfg.critic_hidden)
     return _Trainer(q, disc, gp, gen_store, critic_store)
 
 
@@ -477,7 +463,7 @@ def train(data: Dataset, cfg: TrainConfig, valid: Optional[Dataset] = None) -> F
             gen_loss, grad = generator_loss(minibatch, trainer.q, trainer.disc, rng,
                                             group_posterior=trainer.group_posterior,
                                             data_scale=m / batch_size)
-        except _LIKELIHOOD_FAILURES as exc:
+        except LIKELIHOOD_FAILURES as exc:
             _abort(step, f"generator loss: {exc}")
         if not math.isfinite(gen_loss):
             _abort(step, f"non-finite generator loss {gen_loss!r}")
@@ -489,7 +475,7 @@ def train(data: Dataset, cfg: TrainConfig, valid: Optional[Dataset] = None) -> F
         if valid is not None and (step + 1) % cfg.eval_every == 0:
             try:
                 nll = _validation_nll(trainer, valid, rng)
-            except _LIKELIHOOD_FAILURES as exc:
+            except LIKELIHOOD_FAILURES as exc:
                 _abort(step, f"validation likelihood: {exc}")
             if nll < best_nll - 1e-9:
                 best_nll = nll

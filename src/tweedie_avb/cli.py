@@ -104,12 +104,12 @@ def _parse(section: str, cls, d):
 
 
 def _apply_seed(config: dict, args) -> None:
-    """Set the top-level seed to ``--seed``, else the config's, else 0; it must be an integer."""
+    """Set the top-level seed to ``--seed``, else the config's, else 0; an integer >= 0."""
     if args.seed is not None:
         config["seed"] = args.seed
     config.setdefault("seed", 0)
-    if _type_error(config["seed"], "int"):
-        raise UserError(f"seed must be an integer, got {config['seed']!r}")
+    if _type_error(config["seed"], "int") or config["seed"] < 0:
+        raise UserError(f"seed must be an integer >= 0, got {config['seed']!r}")
 
 
 def _echo_config(config: dict, out: Path) -> None:
@@ -307,11 +307,10 @@ def cmd_evaluate(args) -> int:
             curve.write_csv(out / f"lorenz_{base_name}_{model_name}.csv")
 
     summaries = {}
-    for key, label in (("p_index", "p_index"), ("dispersion", "dispersion"),
-                       ("sigma_b", "sigma_b")):
+    for key in ("p_index", "dispersion", "sigma_b"):
         draws = np.asarray(fit.draws[key])
         if draws.size >= 2:
-            summaries[label] = evaluation.posterior_summary(draws)
+            summaries[key] = evaluation.posterior_summary(draws)
     sigma_sq = np.asarray(fit.draws["sigma_b"]) ** 2
     if sigma_sq.size >= 2:
         summaries["sigma_b_squared"] = evaluation.posterior_summary(sigma_sq)

@@ -74,6 +74,8 @@ class SplitSpec:
             raise SplitError(
                 f"fractions must sum to 1, got {self.train + self.valid + self.test!r}"
             )
+        if self.seed < 0:
+            raise SplitError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         return asdict(self)

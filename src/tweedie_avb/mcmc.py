@@ -1,20 +1,20 @@
 """Blockwise random-walk Metropolis over the same posterior as the
 variational fit, for desk-scale validation.
 
-The state is one vector ``x = [raw (D+4); b (G)]``, the form of a draw
-everywhere: the raw globals laid out as in :func:`model.split_raw_globals`,
+The state is one vector ``x = [raw; b (G)]``, the form of a draw
+everywhere: the raw globals in the layout of :func:`model.raw_blocks`,
 then the group intercepts.  Its blocks, fixed slices of ``x``, are the
-fixed-effect weights, the unconstrained index parameter, log dispersion,
-log random-effect scale and the intercepts (absent without groups).
+raw globals' blocks and the intercepts (absent without groups).
 Proposals are Gaussian per block with step sizes auto-tuned during
 burn-in toward an acceptance rate of ``_TARGET_ACCEPTANCE``.
 
 The one target, :func:`log_unnormalized_posterior`, has two parts: the
 Tweedie data log likelihood, which the random-effect scale does not
-enter, and the priors.  The sampler keeps the accepted state's data
-term, so a log random-effect scale proposal costs a prior evaluation
-only.  On a dataset with no rows the data term is exactly 0 and the
-chain samples the prior.
+enter, and the priors; a part that raises one of
+:data:`model.LIKELIHOOD_FAILURES` makes it -inf.  The sampler keeps the
+accepted state's data term, so a log random-effect scale proposal costs
+a prior evaluation only.  On a dataset with no rows the data term is
+exactly 0 and the chain samples the prior.
 """
 
 from __future__ import annotations
@@ -27,18 +27,18 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .model import (
+    LIKELIHOOD_FAILURES,
     Dataset,
     data_log_likelihood,
     draws_schema,
     globals_log_prior,
     intercept_log_prior,
-    split_raw_globals,
+    raw_blocks,
+    raw_size,
 )
-from .special import expit
 
-BLOCK_ORDER = ("w", "raw_p", "raw_log_dispersion", "raw_log_sigma_b", "b")
-#: Numerical errors of a target part that make the log target -inf.
-_TARGET_FAILURES = (OverflowError, FloatingPointError, ValueError)
+#: The raw globals' blocks in layout order, then the intercepts.
+BLOCK_ORDER = (*raw_blocks(0), "b")
 #: Burn-in re-scales each block's step every ``_TUNE_INTERVAL`` iterations
 #: toward this acceptance rate.
 _TUNE_INTERVAL = 100
@@ -67,8 +67,9 @@ class ChainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.burn_in < 0:
-            raise ChainConfigError(f"burn_in must be >= 0, got {self.burn_in}")
+        for name in ("burn_in", "seed"):
+            if getattr(self, name) < 0:
+                raise ChainConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.burn_in >= self.iterations:
             raise ChainConfigError(
                 f"burn_in ({self.burn_in}) must be < iterations ({self.iterations})"
@@ -126,22 +127,18 @@ class ChainResult:
 # ---------------------------------------------------------------------------
 
 def _data_term(data: Dataset, raw: np.ndarray, b: np.ndarray) -> float:
-    """:func:`model.data_log_likelihood`; reads w, raw_p, raw_log_dispersion and b."""
-    w, raw_p, raw_log_dispersion, _ = split_raw_globals(raw, data.n_covariates)
+    """:func:`model.data_log_likelihood`, -inf on a likelihood failure."""
     try:
-        return data_log_likelihood(data, w, b, 1.0 + expit(raw_p),
-                                   math.exp(raw_log_dispersion))
-    except _TARGET_FAILURES:
+        return data_log_likelihood(data, raw, b)
+    except LIKELIHOOD_FAILURES:
         return -math.inf
 
 
-def _plus_priors(data_value: float, raw: np.ndarray, b: np.ndarray) -> float:
-    """(data_value + intercept prior, if ``b`` is not empty) + :func:`model.globals_log_prior`."""
+def _plus_priors(data: Dataset, data_value: float, raw: np.ndarray, b: np.ndarray) -> float:
+    """(data_value + :func:`model.intercept_log_prior`) + :func:`model.globals_log_prior`."""
     try:
-        if b.size:  # raw's last entry is raw_log_sigma_b
-            data_value += intercept_log_prior(b, math.exp(raw[-1]))
-        return data_value + float(globals_log_prior(raw))
-    except _TARGET_FAILURES:
+        return data_value + intercept_log_prior(data, raw, b) + float(globals_log_prior(raw))
+    except LIKELIHOOD_FAILURES:
         return -math.inf
 
 
@@ -150,10 +147,10 @@ def log_unnormalized_posterior(data: Dataset, raw: np.ndarray, b: np.ndarray) ->
 
     ``raw`` holds the raw globals in the layout of :func:`model.split_raw_globals`
     and ``b`` the group intercepts (empty without groups).  The target that
-    :func:`run_chain` samples and AVB fits; a part that raises a numerical
-    error makes it -inf.
+    :func:`run_chain` samples and AVB fits; a part that raises one of
+    :data:`model.LIKELIHOOD_FAILURES` makes it -inf.
     """
-    return _plus_priors(_data_term(data, raw, b), raw, b)
+    return _plus_priors(data, _data_term(data, raw, b), raw, b)
 
 
 # ---------------------------------------------------------------------------
@@ -172,16 +169,14 @@ def run_chain(data: Dataset, cfg: ChainConfig) -> ChainResult:
     iterations - ``_TARGET_ACCEPTANCE`` (0.25)).  After burn-in the steps
     stay fixed, so ``burn_in=0`` runs an untuned chain.
     """
-    n_raw = data.n_covariates + 4
-    # block edges in x: the raw globals as in split_raw_globals, then b
-    bounds = (0, n_raw - 3, n_raw - 2, n_raw - 1, n_raw, n_raw + data.group_count)
-    spans = {name: slice(lo, hi)
-             for name, lo, hi in zip(BLOCK_ORDER, bounds, bounds[1:]) if hi > lo}
+    n_raw = raw_size(data.n_covariates)
+    blocks = {**raw_blocks(data.n_covariates), "b": slice(n_raw, n_raw + data.group_count)}
+    spans = {name: span for name, span in blocks.items() if span.stop > span.start}
     steps = {k: float(cfg.step_sizes[k]) for k in spans}
     rng = np.random.default_rng(cfg.seed)
     x = np.zeros(n_raw + data.group_count)
     current_data_value = _data_term(data, x[:n_raw], x[n_raw:])
-    current_lp = _plus_priors(current_data_value, x[:n_raw], x[n_raw:])
+    current_lp = _plus_priors(data, current_data_value, x[:n_raw], x[n_raw:])
     if not math.isfinite(current_lp):
         raise ValueError("log target is non-finite at the initial state")
 
@@ -195,7 +190,7 @@ def run_chain(data: Dataset, cfg: ChainConfig) -> ChainResult:
             raw, b = x[:n_raw], x[n_raw:]
             data_value = (current_data_value if name == "raw_log_sigma_b"
                           else _data_term(data, raw, b))
-            lp = _plus_priors(data_value, raw, b)
+            lp = _plus_priors(data, data_value, raw, b)
             accept = math.isfinite(lp) and math.log(rng.random()) < lp - current_lp
             if accept:
                 current_lp, current_data_value = lp, data_value

@@ -1,20 +1,20 @@
 """Per-observation Tweedie parameters from data and latent draws.
 
 A dataset couples a nonnegative response with a fixed-effect design
-matrix and a group index for the random intercept.  A draw of the latents
-is one vector of raw globals (fixed-effect weights, unconstrained index
-parameter, log dispersion, log random-effect scale; laid out by
-:func:`split_raw_globals`) plus explicit per-group intercepts ``b``.
-Constraint maps: p_index = 1 + sigmoid(raw), dispersion = exp(raw),
-sigma_b = exp(raw); the link is log.  :func:`draws_schema` applies them
-to rows of draws, in the schema that fitted and sampled draws are stored in.
+matrix and a group index for the random intercept.  This module alone
+knows what a draw ``(raw, b)`` of the latents is; the trainer and the
+MCMC chain read draws through its one layout (:func:`raw_blocks`: D+1
+fixed-effect weights, then raw_p, raw_log_dispersion, raw_log_sigma_b),
+its one constraint map (:func:`constrain`: p_index = 1 + expit(raw_p),
+dispersion and sigma_b = exp(raw); the link is log) and its one set of
+likelihood failures (:data:`LIKELIHOOD_FAILURES`).
 
 The log likelihood has one formula, the numpy Tweedie density.  The MCMC
 validator calls :func:`data_log_likelihood` for the data term and adds
 the priors itself; :func:`model_log_likelihood_value` adds the intercept
 prior to it; the variational trainer calls :func:`log_likelihood_partials`
 for the value and the density's analytic partials chained through the
-linear predictor and the constraint maps.
+linear predictor and the constraint map.
 """
 
 from __future__ import annotations
@@ -46,6 +46,14 @@ class FlaggedObservationError(ValueError):
         self.index = index
         self.eta = eta
         super().__init__(f"linear predictor eta={eta:.3g} at row {index} exceeds +/-{ETA_OVERFLOW_LIMIT}")
+
+
+#: The likelihood failures at a draw, which training turns into a typed abort and the
+#: chain's target into -inf: eta past the log link's limit; (InvalidParameterError)
+#: p_index rounding to 1 or 2, sigma_b underflowing to 0, u + v over- or underflowing,
+#: or a latent-count series past its term budget; and (ArithmeticError) ``exp`` of a
+#: raw log scale past ~709.  Any other error, a ShapeError say, is a bug and propagates.
+LIKELIHOOD_FAILURES = (FlaggedObservationError, InvalidParameterError, ArithmeticError)
 
 
 @dataclass
@@ -94,31 +102,47 @@ class Dataset:
         )
 
 
-def split_raw_globals(raw: np.ndarray, n_covariates: int):
-    """(fixed_weights, raw_p, raw_log_dispersion, raw_log_sigma_b), split on the last axis."""
+def raw_size(n_covariates: int) -> int:
+    """Entries of one raw-globals vector: D+1 fixed weights and three scalars."""
+    return n_covariates + 4
+
+
+def raw_blocks(n_covariates: int) -> dict:
+    """The layout of a raw-globals vector: each raw global's slice of it, in order."""
     d1 = n_covariates + 1
+    return {"w": slice(0, d1), "raw_p": slice(d1, d1 + 1),
+            "raw_log_dispersion": slice(d1 + 1, d1 + 2), "raw_log_sigma_b": slice(d1 + 2, d1 + 3)}
+
+
+def split_raw_globals(raw: np.ndarray, n_covariates: int):
+    """(fixed_weights, raw_p, raw_log_dispersion, raw_log_sigma_b) on the last axis, as laid out."""
+    d1 = n_covariates + 1
+    if raw.shape[-1:] != (raw_size(n_covariates),):
+        raise ShapeError(f"raw globals must be {d1} fixed weights and 3 scalars, got {raw.shape}")
     return raw[..., :d1], raw[..., d1], raw[..., d1 + 1], raw[..., d1 + 2]
 
 
-def _split_checked(data: Dataset, raw: np.ndarray):
-    """:func:`split_raw_globals` of one raw vector, checked against the dataset."""
-    d1 = data.n_covariates + 1
-    if raw.shape != (d1 + 3,):
-        raise ShapeError(f"raw globals must be {d1} fixed weights and 3 scalars, got {raw.shape}")
-    return split_raw_globals(raw, data.n_covariates)
+def constrain(raw: np.ndarray, n_covariates: int, groups: bool = True):
+    """(fixed_weights, p_index, dispersion, sigma_b, s) of raw globals: the constraint map.
+
+    p_index = 1 + s with s = expit(raw_p), kept for dp_index/draw_p = s (1 - s)
+    (p_index - 1 loses its low bits).  One draw (1-D ``raw``) takes ``math.exp``,
+    which raises OverflowError past ~709; rows of draws take ``np.exp``.
+    ``sigma_b`` is None unless ``groups``, so group-free data never read it.
+    """
+    w, raw_p, raw_log_dispersion, raw_log_sigma_b = split_raw_globals(raw, n_covariates)
+    exp = math.exp if raw.ndim == 1 else np.exp
+    s = expit(raw_p)
+    return w, 1.0 + s, exp(raw_log_dispersion), exp(raw_log_sigma_b) if groups else None, s
 
 
 def draws_schema(raw: np.ndarray, b: np.ndarray) -> dict:
-    """Rows of raw globals (n, D+4) and intercepts (n, G) as stored draws.
+    """Rows of raw globals (n, D+4) and intercepts (n, G) through :func:`constrain`, as stored.
 
-    Applies the constraint maps: ``fixed_weights`` (n, D+1), ``p_index``,
-    ``dispersion`` and ``sigma_b`` (n,), ``b`` (n, G).  The variational
-    fit's draws and the MCMC chain's JSON both come from here.
+    The variational fit's draws and the MCMC chain's JSON both come from here.
     """
-    w, raw_p, raw_log_dispersion, raw_log_sigma_b = split_raw_globals(raw, raw.shape[-1] - 4)
-    return {"fixed_weights": w, "p_index": 1.0 + expit(raw_p),
-            "dispersion": np.exp(raw_log_dispersion), "sigma_b": np.exp(raw_log_sigma_b),
-            "b": b}
+    w, p, phi, sigma_b, _ = constrain(raw, raw.shape[-1] - raw_size(0))
+    return {"fixed_weights": w, "p_index": p, "dispersion": phi, "sigma_b": sigma_b, "b": b}
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +175,16 @@ def _check_overflow(eta: np.ndarray) -> None:
         raise FlaggedObservationError(int(at[-1]), float(eta[at]))
 
 
-def intercept_log_prior(b: np.ndarray, sigma_b: float) -> float:
-    """sum_g log N(b_g; 0, sigma_b^2)."""
+def intercept_log_prior(data: Dataset, raw: np.ndarray, b: np.ndarray) -> float:
+    """sum_g log N(b_g; 0, sigma_b^2) of a draw; 0 without groups, which never read sigma_b.
+
+    Raises InvalidParameterError where sigma_b underflows to 0 (raw_log_sigma_b below ~-745).
+    """
+    if data.group_count == 0:
+        return 0.0
+    _, _, _, sigma_b, _ = constrain(raw, data.n_covariates)
+    if sigma_b == 0.0:
+        raise InvalidParameterError("sigma_b underflows to 0")
     # (b / sigma_b) ** 2 stays 0 at b = 0 when sigma_b ** 2 underflows; past the
     # float range it is inf, and the log prior -inf
     with np.errstate(over="ignore"):
@@ -178,62 +210,48 @@ def sample_globals_prior(rng: np.random.Generator, count: int, dim: int) -> np.n
     return rng.standard_normal((count, dim))
 
 
-def data_log_likelihood(data: Dataset, w: np.ndarray, b, p: float, phi: float) -> float:
-    """sum_i log Tweedie(y_i; mu_i, p, phi) with mu = exp(:func:`linear_predictor`)."""
-    eta = linear_predictor(data, np.asarray(w, dtype=float), b)
+def data_log_likelihood(data: Dataset, raw: np.ndarray, b: np.ndarray) -> float:
+    """sum_i log Tweedie(y_i; mu_i, p, phi) with mu = exp(:func:`linear_predictor`).
+
+    ``raw`` holds the raw globals (its raw_log_sigma_b does not enter) and
+    ``b`` the intercept values (ignored without groups).
+    """
+    w, p, phi, _, _ = constrain(raw, data.n_covariates, groups=False)
+    eta = linear_predictor(data, w, b)
     _check_overflow(eta)
     return float(tweedie_log_pdf(data.responses, np.exp(eta), p, phi).sum())
 
 
 def model_log_likelihood_value(data: Dataset, raw: np.ndarray, b: np.ndarray) -> float:
-    """:func:`data_log_likelihood` plus the random-intercept prior term (numpy).
-
-    ``raw`` holds the raw globals in the layout of :func:`split_raw_globals`
-    and ``b`` the intercept values (ignored without groups), as in
-    :func:`log_likelihood_partials`.
-    """
-    w, raw_p, raw_log_dispersion, raw_log_sigma_b = _split_checked(data, raw)
-    p = 1.0 + expit(raw_p)
-    phi = math.exp(raw_log_dispersion)
-    sigma_b = math.exp(raw_log_sigma_b)
-    data_term = data_log_likelihood(data, w, b, p, phi)
-    prior_term = 0.0
-    if data.group_count > 0:
-        prior_term = intercept_log_prior(np.asarray(b, dtype=float), sigma_b)
-    return data_term + prior_term
+    """:func:`data_log_likelihood` plus the random-intercept prior term."""
+    return data_log_likelihood(data, raw, b) + intercept_log_prior(data, raw, b)
 
 
 def log_likelihood_partials(data: Dataset, raw: np.ndarray, b: np.ndarray,
                             data_scale: float = 1.0):
     """Value of :func:`model_log_likelihood_value` and its partials.
 
-    ``raw`` holds the raw globals in the layout of :func:`split_raw_globals`
-    and ``b`` the intercept values (ignored without groups).  Returns
-    ``(value, d_raw, d_b)`` with ``d_raw`` aligned with ``raw`` and ``d_b``
-    with ``b``; the intercept prior term reaches ``b`` and raw_log_sigma_b
-    directly, so a caller whose ``b`` depends on sigma_b chains ``d_b``
-    through that dependence itself.  ``data_scale`` multiplies the data
-    terms only.  A p_index rounding to 1 or 2 raises InvalidParameterError,
-    as in :func:`model_log_likelihood_value`.
+    Returns ``(value, d_raw, d_b)`` with ``d_raw`` aligned with ``raw`` and
+    ``d_b`` with ``b``; the intercept prior term reaches ``b`` and
+    raw_log_sigma_b directly, so a caller whose ``b`` depends on sigma_b
+    chains ``d_b`` through that dependence itself.  ``data_scale``
+    multiplies the data terms only.
     """
     d1 = data.n_covariates + 1
-    w, raw_p, raw_log_dispersion, raw_log_sigma_b = _split_checked(data, raw)
-    s = expit(raw_p)  # = p - 1
+    w, p, phi, sigma_b, s = constrain(raw, data.n_covariates, groups=data.group_count > 0)
     eta = linear_predictor(data, w, b)
     _check_overflow(eta)
-    log_pdf, d_eta, d_p, d_log_phi = tweedie_log_pdf_partials(
-        data.responses, np.exp(eta), 1.0 + s, math.exp(raw_log_dispersion))
+    log_pdf, d_eta, d_p, d_log_phi = tweedie_log_pdf_partials(data.responses, np.exp(eta), p, phi)
     value = data_scale * float(log_pdf.sum())
     d_eta = data_scale * d_eta
-    d_raw = np.zeros(d1 + 3)
+    d_raw = np.zeros(raw_size(data.n_covariates))
     d_raw[0] = d_eta.sum()
     d_raw[1:d1] = data.fixed_design.T @ d_eta
     d_raw[d1] = s * (1.0 - s) * data_scale * float(d_p.sum())
     d_raw[d1 + 1] = data_scale * float(d_log_phi.sum())
     d_b = np.zeros(0)
-    if data.group_count > 0:
-        sigma_b = math.exp(raw_log_sigma_b)
-        value += intercept_log_prior(b, sigma_b)
+    if sigma_b is not None:
+        value += intercept_log_prior(data, raw, b)
         # b / sigma_b first: sigma_b ** 2 underflows to 0 below log sigma_b ~ -354;
         # where the value is -inf (b / sigma_b past the float range) the partials are infinite
         with np.errstate(over="ignore"):

@@ -119,23 +119,19 @@ def likelihood_node(tape, batch, raw_nodes, b_nodes, data_scale):
 
 
 def generator_loss_tape_reference(batch, q, disc, cfg, rng, group_posterior=None,
-                                  data_scale=1.0, n_draws=1):
+                                  data_scale=1.0):
     """The critic-estimated negative ELBO built node by node on the scalar tape."""
     tape = Tape()
     leaves = q.store.leaves(tape)
-    draw_terms = []
-    for _ in range(n_draws):
-        raw_nodes = mlp_forward_tape(q.net, rng.standard_normal(q.noise_dim).tolist(), leaves)
-        group_noise = rng.standard_normal(batch.group_count)
-        t_node = mlp_forward_tape(disc.net, raw_nodes)[0]  # critic weights as constants
-        b_nodes = []
-        if batch.group_count:
-            b_nodes = group_sample_tape(group_posterior, leaves, group_noise)
-        term = t_node - likelihood_node(tape, batch, raw_nodes, b_nodes, data_scale)
-        if b_nodes:
-            term = term - group_entropy_tape(group_posterior, leaves)
-        draw_terms.append((term, 1.0 / n_draws))
-    loss = ad.dot(draw_terms)
+    raw_nodes = mlp_forward_tape(q.net, rng.standard_normal(q.noise_dim).tolist(), leaves)
+    group_noise = rng.standard_normal(batch.group_count)
+    t_node = mlp_forward_tape(disc.net, raw_nodes)[0]  # critic weights as constants
+    b_nodes = []
+    if batch.group_count:
+        b_nodes = group_sample_tape(group_posterior, leaves, group_noise)
+    loss = t_node - likelihood_node(tape, batch, raw_nodes, b_nodes, data_scale)
+    if b_nodes:
+        loss = loss - group_entropy_tape(group_posterior, leaves)
     backward(loss)
     return loss.value, collect_gradient(leaves)
 
@@ -385,13 +381,12 @@ class TestGeneratorLoss:
         with pytest.raises(ValueError, match="GroupPosterior"):
             generator_loss(data, trainer.q, trainer.disc, np.random.default_rng(1))
 
-    @pytest.mark.parametrize("groups, posterior, n_draws, data_scale", [
-        (2, True, 1, 1.0),   # with groups
-        (0, False, 1, 1.0),  # without groups
-        (2, True, 3, 1.0),
-        (2, True, 1, 4.0),   # minibatch reweighting
+    @pytest.mark.parametrize("groups, posterior, data_scale", [
+        (2, True, 1.0),   # with groups
+        (0, False, 1.0),  # without groups
+        (2, True, 4.0),   # minibatch reweighting
     ])
-    def test_numpy_matches_tape_reference(self, groups, posterior, n_draws, data_scale):
+    def test_numpy_matches_tape_reference(self, groups, posterior, data_scale):
         data = small_dataset(m=6, d=2, g=groups, seed=4)
         cfg = TrainConfig(outer_steps=1, seed=0, inference_hidden=(4,), critic_hidden=(5,))
         trainer = build_trainer(data.n_covariates, data.group_count, cfg,
@@ -406,14 +401,14 @@ class TestGeneratorLoss:
             trainer.gen_store.values[:] = p.values
             value, grad = generator_loss(data, trainer.q, trainer.disc,
                                          np.random.default_rng(6), group_posterior=gp,
-                                         data_scale=data_scale, n_draws=n_draws)
+                                         data_scale=data_scale)
             trainer.gen_store.values[:] = saved
             return value, grad
 
         value, grad = numpy_loss(trainer.gen_store)
         want_value, want_grad = generator_loss_tape_reference(
             data, trainer.q, trainer.disc, cfg, np.random.default_rng(6), group_posterior=gp,
-            data_scale=data_scale, n_draws=n_draws)
+            data_scale=data_scale)
         assert_allclose(value, want_value, rtol=1e-12)
         assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12 * np.abs(want_grad).max())
         assert finite_diff_check(numpy_loss, trainer.gen_store.copy(), h=1e-5) < 1e-4
@@ -489,6 +484,24 @@ class TestTrainLoop:
             train(data, cfg, valid=valid)
         assert isinstance(exc.value.__context__, FlaggedObservationError)
         assert exc.value.checkpoint is not None
+
+    def test_sigma_b_underflow_aborts_with_checkpoint(self, monkeypatch):
+        # the first generator draw has raw_log_sigma_b near -800, where sigma_b
+        # underflows to 0; the checkpoint holds the parameters step 0 started from
+        loss = avb.generator_loss
+
+        def shifted(batch, q, *args, **kwargs):
+            out_bias = f"{q.net.prefix}.b{q.net.n_layers - 1}"
+            q.store.get(out_bias)[-1] -= 800.0  # raw_log_sigma_b comes last
+            return loss(batch, q, *args, **kwargs)
+
+        monkeypatch.setattr(avb, "generator_loss", shifted)
+        with pytest.raises(TrainingAbortError, match="sigma_b underflows") as exc:
+            train(small_dataset(m=40), TrainConfig(**self.CFG))
+        assert exc.value.step == 0
+        assert isinstance(exc.value.__context__, InvalidParameterError)
+        assert exc.value.checkpoint is not None
+        assert (exc.value.checkpoint.draws["sigma_b"] > 0).all()
 
     @pytest.mark.parametrize("learning_rate, seed, with_valid", [
         (1e2, 0, False), (1e4, 0, False), (1e4, 0, True), (1.0, 1, False), (1.0, 1, True)])

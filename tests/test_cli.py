@@ -352,6 +352,33 @@ class TestErrors:
         assert next(iter(setting)) in err
         assert not list(tmp_path.glob("o/*"))
 
+    @pytest.mark.parametrize("command,section,setting,flags", [
+        ("fit", "train", {"seed": -1}, []),
+        ("fit", "mcmc", {"seed": -1}, []),
+        ("fit", "split", {"seed": -1}, []),
+        ("fit", None, {}, ["--seed", "-1"]),
+        ("simulate", None, {"seed": -1}, []),
+        ("simulate", None, {}, ["--seed", "-1"]),
+    ])
+    def test_negative_seed_exits_1(self, workspace, tmp_path, capsys, command, section, setting,
+                                   flags):
+        # numpy rejects a negative seed with a traceback; the config check names it first
+        if command == "fit":
+            config = json.loads((workspace / "fit" / "config_echo.json").read_text())
+            config["mcmc"] = {"iterations": 60, "burn_in": 20}
+        else:
+            config = {"seed": 0, "truth": TRUTH}
+        if section is None:
+            config.update(setting)
+        else:
+            config[section] = {**config[section], **setting}
+        cfg = write_json(tmp_path / "c.json", config)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "seed must be" in err and ">= 0" in err
+        assert not list(tmp_path.glob("o/*"))
+
     @pytest.mark.parametrize("command", ["evaluate", "predict"])
     @pytest.mark.parametrize("key,value", [("fixed_weights", float("nan")), ("b", float("inf"))])
     def test_non_finite_stored_draw_is_invalid_artifact(self, workspace, tmp_path, capsys,

@@ -90,16 +90,18 @@ class TestLogPosterior:
     @given(w=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2),
            raw_p=st.floats(-1e3, 1e3) | st.sampled_from([-45.0, -40.5, 40.5, 45.0]),
            raw_log_dispersion=st.floats(-1e3, 1e3) | st.sampled_from([-710.0, 709.5, 710.0]),
-           raw_log_sigma_b=st.floats(-1e3, 1e3) | st.sampled_from([-710.0, -400.0, 710.0]),
+           raw_log_sigma_b=st.floats(-1e3, 1e3)
+           | st.sampled_from([-800.0, -746.0, -710.0, -400.0, 710.0]),
            b=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3))
     @settings(max_examples=200, deadline=None)
     # p_index rounds to 1; lambda overflows; sigma_b ** 2 underflows at b = 0;
-    # b / sigma_b overflows
+    # b / sigma_b overflows; sigma_b underflows to 0
     @example(w=[0.0, 0.0], raw_p=-37.0, raw_log_dispersion=0.0, raw_log_sigma_b=0.0, b=[0.0] * 3)
     @example(w=[0.0, 0.0], raw_p=0.0, raw_log_dispersion=-710.0, raw_log_sigma_b=0.0, b=[0.0] * 3)
     @example(w=[0.0, 0.0], raw_p=0.0, raw_log_dispersion=0.0, raw_log_sigma_b=-710.0, b=[0.0] * 3)
     @example(w=[0.0, 0.0], raw_p=0.0, raw_log_dispersion=0.0, raw_log_sigma_b=-710.0,
              b=[0.0, 0.0, 1.0])
+    @example(w=[0.0, 0.0], raw_p=0.0, raw_log_dispersion=0.0, raw_log_sigma_b=-746.0, b=[0.0] * 3)
     def test_extreme_raw_globals_give_finite_or_minus_inf(self, w, raw_p, raw_log_dispersion,
                                                           raw_log_sigma_b, b):
         # the target run_chain samples maps numerical errors to -inf and raises nothing
@@ -108,6 +110,13 @@ class TestLogPosterior:
         raw = np.array([*w, raw_p, raw_log_dispersion, raw_log_sigma_b])
         lp = log_unnormalized_posterior(data, raw, np.array(b))
         assert math.isfinite(lp) or lp == -math.inf
+
+    def test_wrong_length_intercepts_raise_shape_error(self):
+        # a shape bug is not a numerical failure: it must not read as -inf and be rejected
+        data = small_grouped_dataset()
+        raw = np.zeros(data.n_covariates + 4)
+        with pytest.raises(model.ShapeError):
+            log_unnormalized_posterior(data, raw, np.zeros(data.group_count + 1))
 
 
 def empty_dataset(g=3, d=1):
@@ -220,8 +229,8 @@ class TestSplitTarget:
         cfg = ChainConfig(iterations=300, burn_in=100, thinning=3, seed=4)
         reused = run_chain(data, cfg)
         plus_priors = mcmc._plus_priors
-        monkeypatch.setattr(mcmc, "_plus_priors", lambda data_value, raw, b: plus_priors(
-            mcmc._data_term(data, raw, b), raw, b))
+        monkeypatch.setattr(mcmc, "_plus_priors", lambda data, data_value, raw, b: plus_priors(
+            data, mcmc._data_term(data, raw, b), raw, b))
         recomputed = run_chain(data, cfg)
         assert reused.acceptance == recomputed.acceptance
         for part in ("raw", "b"):

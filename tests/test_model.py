@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from tweedie_avb import tweedie
 from tweedie_avb.autodiff import ParamStore, finite_diff_check
 from tweedie_avb.model import (
+    LIKELIHOOD_FAILURES,
     Dataset,
     FlaggedObservationError,
     ShapeError,
@@ -286,3 +289,52 @@ class TestLikelihoodTape:
         # d/d log sigma_b of the intercept prior is sum (b / sigma_b) ** 2 - G
         noise_sq = 0.0 if at_zero else float(noise @ noise)
         assert_allclose(d_raw[-1], noise_sq - 2.0, rtol=1e-12)
+
+
+class TestLikelihoodFailures:
+    """The one set of likelihood failures, shared by the trainer's abort and the chain's -inf."""
+
+    @given(w=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2),
+           raw_p=st.floats(-1e3, 1e3) | st.sampled_from([-45.0, -40.5, 40.5, 45.0]),
+           raw_log_dispersion=st.floats(-1e3, 1e3) | st.sampled_from([-710.0, 709.5, 710.0]),
+           raw_log_sigma_b=st.floats(-1e3, 1e3)
+           | st.sampled_from([-800.0, -746.0, -710.0, -400.0, 710.0]),
+           b=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    # sigma_b underflows to 0: log(sigma_b) has no value
+    @example(w=[0.0, 0.0], raw_p=0.0, raw_log_dispersion=0.0, raw_log_sigma_b=-746.0, b=[0.0] * 3)
+    @example(w=[0.0, 0.0], raw_p=0.0, raw_log_dispersion=0.0, raw_log_sigma_b=-800.0,
+             b=[0.0, 0.0, 1.0])
+    def test_extreme_raw_globals_give_a_value_or_a_likelihood_failure(
+            self, w, raw_p, raw_log_dispersion, raw_log_sigma_b, b):
+        # what the trainer turns into a typed abort: a value (-inf makes the
+        # loss non-finite) or a member of LIKELIHOOD_FAILURES, never another error
+        data = Dataset(responses=np.array([0.0, 1.0, 0.5, 0.0]), fixed_design=np.zeros((4, 1)),
+                       group_index=np.array([0, 1, 2, 0]), group_count=3)
+        raw = np.array([*w, raw_p, raw_log_dispersion, raw_log_sigma_b])
+        b = np.array(b)
+        for value_of in (lambda: model_log_likelihood_value(data, raw, b),
+                         lambda: log_likelihood_partials(data, raw, b)[0]):
+            try:
+                value = value_of()
+            except LIKELIHOOD_FAILURES:
+                continue
+            assert math.isfinite(value) or value == -math.inf
+
+    def test_group_free_data_never_read_sigma_b(self):
+        # exp(710) overflows, but without groups raw_log_sigma_b enters nothing
+        data = toy_dataset(m=4, d=1, g=1, seed=3)
+        data = Dataset(responses=data.responses, fixed_design=data.fixed_design,
+                       group_index=np.zeros(4, dtype=int), group_count=0)
+        raw = np.array([0.1, 0.2, 0.0, 0.0, 710.0])
+        value, d_raw, _ = log_likelihood_partials(data, raw, np.zeros(0))
+        assert math.isfinite(value) and d_raw[-1] == 0.0
+        assert model_log_likelihood_value(data, raw, np.zeros(0)) == value
+
+    def test_wrong_raw_length_is_a_shape_error(self):
+        data = toy_dataset(m=4, d=1, g=2)
+        for raw in (np.zeros(4), np.zeros(6)):
+            with pytest.raises(ShapeError, match="raw globals"):
+                model_log_likelihood_value(data, raw, np.zeros(2))
+            with pytest.raises(ShapeError, match="raw globals"):
+                log_likelihood_partials(data, raw, np.zeros(2))
