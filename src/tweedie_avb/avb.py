@@ -1,12 +1,12 @@
 """Adversarial variational inference for the Tweedie mixed model.
 
-Two small networks drive the fit: an inference network mapping noise
-to the global latents, and a discriminator (critic) estimating the log
-density ratio between posterior draws of those globals and draws from
-their fixed standard normal prior (:func:`model.globals_log_prior`, the
-prior the MCMC chain targets too).  Per-group random intercepts are
-handled in closed form by a reparameterized Gaussian posterior, so the
-adversarial ratio is only needed for the intractable globals.
+The trainer holds two plain MLPs: ``q`` maps noise to the global latents,
+and ``critic`` estimates the log density ratio between posterior draws of
+those globals and draws from their fixed standard normal prior
+(:func:`model.globals_log_prior`, the prior the MCMC chain targets too).
+Per-group random intercepts are handled in closed form by a Gaussian
+posterior, the ``b_post.loc`` and ``b_post.log_scale`` entries of q's
+store, so the adversarial ratio is only needed for the intractable globals.
 
 Training alternates a fixed number of critic updates with one Adam
 update of the inference-side parameters.  Both losses run in numpy and
@@ -52,12 +52,16 @@ _NOISE_DIM = 8
 
 
 class TrainingAbortError(RuntimeError):
-    """Training hit a numerical failure; carries the last good checkpoint."""
+    """Training hit a numerical failure; carries the last good checkpoint if it can be stored."""
 
     def __init__(self, step: int, message: str, checkpoint: Optional["FitResult"] = None):
         self.step = step
         self.checkpoint = checkpoint
         super().__init__(f"training aborted at step {step}: {message}")
+
+
+class StoredDrawError(ValueError):
+    """Draws outside the range a :class:`FitResult` stores."""
 
 
 # ---------------------------------------------------------------------------
@@ -130,59 +134,38 @@ class MLP:
         return hs[-1], pullback
 
 
-class InferenceNet:
-    """Maps a noise vector to the raw global latents (w, raw_p, raw_log_phi, raw_log_sigma_b)."""
+@dataclass
+class _Trainer:
+    """The networks and parameter stores :func:`train` fits (also built by the tests).
 
-    def __init__(self, n_covariates: int, store: ParamStore, rng: np.random.Generator,
-                 hidden: Sequence[int] = (32,), prefix: str = "q"):
-        self.noise_dim = _NOISE_DIM
-        self.out_dim = raw_size(n_covariates)
-        self.net = MLP(prefix, [_NOISE_DIM, *hidden, self.out_dim], store, rng, weight_scale=0.1)
-        self.store = store
-
-    def latents_np(self, eps: np.ndarray) -> np.ndarray:
-        return self.net.forward_np(eps)
-
-
-class Discriminator:
-    """Critic mapping a raw global-latent vector to a scalar logit."""
-
-    def __init__(self, latent_dim: int, store: ParamStore, rng: np.random.Generator,
-                 hidden: Sequence[int] = (32, 32), prefix: str = "critic"):
-        self.latent_dim = latent_dim
-        self.net = MLP(prefix, [latent_dim, *hidden, 1], store, rng)
-        self.store = store
-
-    def logit_np(self, z: np.ndarray) -> np.ndarray:
-        out = self.net.forward_np(z)
-        return out[..., 0]
-
-
-class GroupPosterior:
-    """Reparameterized Gaussian posterior over the per-group intercepts.
-
-    The spec's fresh-noise reparameterization b = sigma_b * eps cannot
-    adapt to the data (its mean is zero by construction), which provably
-    collapses the random-effect scale during training.  A per-group
-    location/scale pair keeps the random-effect treatment tractable and
-    in closed form while letting the intercepts be inferred; its entropy
+    ``q`` maps ``_NOISE_DIM`` standard normal noise to the raw globals and
+    ``critic`` maps raw globals to a logit.  With groups, ``gen_store`` also
+    holds ``b_post.loc`` and ``b_post.log_scale``, a Gaussian posterior over
+    the intercepts: the spec's fresh-noise b = sigma_b * eps cannot adapt to
+    the data (its mean is zero by construction), which provably collapses the
+    random-effect scale in training.  A per-group location/scale pair keeps
+    the intercepts in closed form while letting them be inferred; its entropy
     enters the generator objective so the scale stays well defined.
     """
 
-    def __init__(self, group_count: int, store: ParamStore, prefix: str = "b_post"):
-        self.group_count = group_count
-        self.store = store
-        self.prefix = prefix
-        store.register(f"{prefix}.loc", np.zeros(group_count))
-        store.register(f"{prefix}.log_scale", np.full(group_count, math.log(0.3)))
+    q: MLP
+    critic: MLP
+    group_count: int
+    gen_store: ParamStore
+    critic_store: ParamStore
 
-    @property
-    def loc(self) -> np.ndarray:
-        return self.store.get(f"{self.prefix}.loc")
 
-    @property
-    def scale(self) -> np.ndarray:
-        return np.exp(self.store.get(f"{self.prefix}.log_scale"))
+def build_trainer(n_covariates: int, group_count: int, cfg: TrainConfig,
+                  rng: np.random.Generator) -> _Trainer:
+    gen_store = ParamStore()
+    out_dim = raw_size(n_covariates)
+    q = MLP("q", [_NOISE_DIM, *cfg.inference_hidden, out_dim], gen_store, rng, weight_scale=0.1)
+    if group_count > 0:
+        gen_store.register("b_post.loc", np.zeros(group_count))
+        gen_store.register("b_post.log_scale", np.full(group_count, math.log(0.3)))
+    critic_store = ParamStore()
+    critic = MLP("critic", [out_dim, *cfg.critic_hidden, 1], critic_store, rng)
+    return _Trainer(q, critic, group_count, gen_store, critic_store)
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +236,14 @@ class FitResult:
     def __post_init__(self):
         p = np.asarray(self.draws["p_index"])
         if not ((p > 1.0) & (p < 2.0)).all():
-            raise ValueError("stored p_index draws must lie in (1, 2)")
+            raise StoredDrawError("stored p_index draws must lie in (1, 2)")
         for key in ("dispersion", "sigma_b"):
             draws = np.asarray(self.draws[key], dtype=float)
             if not (np.isfinite(draws) & (draws > 0.0)).all():
-                raise ValueError(f"stored {key} draws must be finite and positive")
+                raise StoredDrawError(f"stored {key} draws must be finite and positive")
         for key in ("fixed_weights", "b"):
             if not np.isfinite(np.asarray(self.draws[key], dtype=float)).all():
-                raise ValueError(f"stored {key} draws must be finite")
+                raise StoredDrawError(f"stored {key} draws must be finite")
 
     def to_json_dict(self) -> dict:
         return {
@@ -300,7 +283,7 @@ class FitResult:
 # Losses
 # ---------------------------------------------------------------------------
 
-def discriminator_loss(disc: Discriminator, posterior_batch: np.ndarray,
+def discriminator_loss(critic: MLP, posterior_batch: np.ndarray,
                        prior_batch: np.ndarray) -> tuple[float, np.ndarray]:
     """Logistic density-ratio loss and its gradient in the critic's parameters.
 
@@ -314,7 +297,7 @@ def discriminator_loss(disc: Discriminator, posterior_batch: np.ndarray,
     if posterior_batch.shape[0] == 0 or prior_batch.shape[0] == 0:
         raise ValueError("batches must be non-empty")
     n_q = posterior_batch.shape[0]
-    logits, pullback = disc.net.vjp(np.concatenate([posterior_batch, prior_batch]))
+    logits, pullback = critic.vjp(np.concatenate([posterior_batch, prior_batch]))
     # each row's loss term is softplus(u): u = -T(z_Q) on the posterior rows, T(z_P) below
     u = np.concatenate([-logits[:n_q, 0], logits[n_q:, 0]])
     terms = np.logaddexp(0.0, u)
@@ -327,35 +310,28 @@ def discriminator_loss(disc: Discriminator, posterior_batch: np.ndarray,
     return float(value), param_grad
 
 
-def generator_loss(batch: Dataset, q: InferenceNet, disc: Discriminator,
-                   rng: np.random.Generator,
-                   group_posterior: Optional[GroupPosterior] = None,
+def generator_loss(batch: Dataset, trainer: _Trainer, rng: np.random.Generator,
                    data_scale: float = 1.0) -> tuple[float, np.ndarray]:
     """Critic-estimated negative ELBO and its gradient in the inference-side parameters.
 
     T(z_Q) - model log likelihood - entropy of the intercept posterior at
     one latent draw, with the critic's parameters entering as constants;
-    the entropy keeps the random-effect scale identified.  A batch with
-    groups needs ``group_posterior`` for its intercepts (a ValueError
-    otherwise); without groups it is ignored.  The draw takes its net
-    noise, then its group noise, from ``rng``.  The gradient is aligned
-    with ``q.store``.
+    the entropy keeps the random-effect scale identified.  The draw takes
+    its net noise, then its group noise, from ``rng``.  The gradient is
+    aligned with ``trainer.gen_store``.
     """
-    g = batch.group_count
-    if g and group_posterior is None:
-        raise ValueError("a batch with groups needs a GroupPosterior for its intercepts")
-    noise = rng.standard_normal(q.noise_dim + g)
-    raw, q_pullback = q.net.vjp(noise[None, :q.noise_dim])
-    logits, critic_pullback = disc.net.vjp(raw)
+    g, store = batch.group_count, trainer.gen_store
+    noise = rng.standard_normal(_NOISE_DIM + g)
+    raw, q_pullback = trainer.q.vjp(noise[None, :_NOISE_DIM])
+    logits, critic_pullback = trainer.critic.vjp(raw)
     _, d_raw = critic_pullback(np.ones((1, 1)), params=False)
     b = None
     if g:
-        loc_span = q.store.span(f"{group_posterior.prefix}.loc")
-        scale_span = q.store.span(f"{group_posterior.prefix}.log_scale")
-        log_scale = q.store.values[scale_span]
+        loc_span, scale_span = store.span("b_post.loc"), store.span("b_post.log_scale")
+        log_scale = store.values[scale_span]
         with np.errstate(over="raise"):
             scale = np.exp(log_scale)
-        b = q.store.values[loc_span] + scale * noise[q.noise_dim:]
+        b = store.values[loc_span] + scale * noise[_NOISE_DIM:]
     ll, d_ll, d_b = log_likelihood_partials(batch, raw[0], b, data_scale)
     d_raw[0] -= d_ll
     value = logits[0, 0] - ll
@@ -363,7 +339,7 @@ def generator_loss(batch: Dataset, q: InferenceNet, disc: Discriminator,
     grad, _ = q_pullback(d_raw)
     if g:
         value -= float(log_scale.sum()) + 0.5 * LOG_2PI_E * g  # the entropy
-        grad[loc_span], grad[scale_span] = -d_b, -(d_b * scale * noise[q.noise_dim:] + 1.0)
+        grad[loc_span], grad[scale_span] = -d_b, -(d_b * scale * noise[_NOISE_DIM:] + 1.0)
     return float(value), grad
 
 
@@ -371,44 +347,24 @@ def generator_loss(batch: Dataset, q: InferenceNet, disc: Discriminator,
 # Training
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Trainer:
-    """Bundles the stores and nets built by :func:`train` (also reused for tests)."""
-
-    q: InferenceNet
-    disc: Discriminator
-    group_posterior: Optional[GroupPosterior]
-    gen_store: ParamStore
-    critic_store: ParamStore
-
-
-def build_trainer(n_covariates: int, group_count: int, cfg: TrainConfig,
-                  rng: np.random.Generator) -> _Trainer:
-    gen_store = ParamStore()
-    q = InferenceNet(n_covariates, gen_store, rng, hidden=cfg.inference_hidden)
-    gp = GroupPosterior(group_count, gen_store) if group_count > 0 else None
-    critic_store = ParamStore()
-    disc = Discriminator(q.out_dim, critic_store, rng, hidden=cfg.critic_hidden)
-    return _Trainer(q, disc, gp, gen_store, critic_store)
-
-
 def _validation_nll(trainer: _Trainer, valid: Dataset, rng: np.random.Generator) -> float:
-    b = trainer.group_posterior.loc if trainer.group_posterior is not None else np.zeros(0)
+    b = trainer.gen_store.get("b_post.loc") if trainer.group_count else np.zeros(0)
     total = 0.0
     for _ in range(_VALID_DRAWS):
-        raw = trainer.q.latents_np(rng.standard_normal(trainer.q.noise_dim))
+        raw = trainer.q.forward_np(rng.standard_normal(_NOISE_DIM))
         total += -model_log_likelihood_value(valid, raw, b)
     return total / _VALID_DRAWS
 
 
 def _collect_draws(trainer: _Trainer, count: int, rng: np.random.Generator) -> dict:
-    noise_dim = trainer.q.noise_dim
-    gp = trainer.group_posterior
-    g = gp.group_count if gp is not None else 0
+    g, store = trainer.group_count, trainer.gen_store
     # one row per draw: net noise, then group noise (the per-draw stream order)
-    noise = rng.standard_normal((count, noise_dim + g))
-    b = gp.loc + gp.scale * noise[:, noise_dim:] if g else np.empty((count, 0))
-    return draws_schema(trainer.q.latents_np(noise[:, :noise_dim]), b)
+    noise = rng.standard_normal((count, _NOISE_DIM + g))
+    # a draw past the float range is inf, which FitResult refuses to store
+    with np.errstate(over="ignore"):
+        b = (store.get("b_post.loc") + np.exp(store.get("b_post.log_scale")) * noise[:, _NOISE_DIM:]
+             if g else np.empty((count, 0)))
+        return draws_schema(trainer.q.forward_np(noise[:, :_NOISE_DIM]), b)
 
 
 def train(data: Dataset, cfg: TrainConfig, valid: Optional[Dataset] = None) -> FitResult:
@@ -417,10 +373,11 @@ def train(data: Dataset, cfg: TrainConfig, valid: Optional[Dataset] = None) -> F
     Each outer step performs exactly ``n_critic`` critic Adam updates on
     the density-ratio loss, then one Adam update of the inference-side
     parameters on the critic-estimated negative ELBO.  Deterministic
-    given the seed.  A non-finite loss, or a likelihood that overflows
-    the log link, leaves its domain or overflows ``exp`` of a raw latent,
-    aborts with a checkpoint of the parameters at the start of the last
-    step whose losses were finite.
+    given the seed.  A non-finite loss, a likelihood that overflows the
+    log link, leaves its domain or overflows ``exp`` of a raw latent, or
+    final draws that cannot be stored abort with a checkpoint of the
+    parameters at the start of the last step whose losses were finite, or
+    with none where those parameters' draws cannot be stored either.
     """
     if data.n_obs == 0:
         raise ValueError("dataset is empty")
@@ -438,21 +395,23 @@ def train(data: Dataset, cfg: TrainConfig, valid: Optional[Dataset] = None) -> F
     stale_evals = 0
     # parameters at the start of the last step whose losses were finite (the
     # updates a step applies are not evaluated until the next one)
-    last_good = (trainer.gen_store.copy(), trainer.critic_store.copy())
+    last_good = (trainer.gen_store.values.copy(), trainer.critic_store.values.copy())
 
     def _abort(step: int, message: str):
-        gen_snap, critic_snap = last_good
-        checkpoint = _finalize(trainer, cfg, data, critic_trace, gen_trace,
-                               gen_snap, critic_snap, rng)
+        trainer.gen_store.values[:], trainer.critic_store.values[:] = last_good
+        try:
+            checkpoint = _finalize(trainer, cfg, data, critic_trace, gen_trace, rng)
+        except StoredDrawError:
+            checkpoint = None
         raise TrainingAbortError(step, message, checkpoint)
 
     for step in range(cfg.outer_steps):
-        step_start = (trainer.gen_store.copy(), trainer.critic_store.copy())
+        step_start = (trainer.gen_store.values.copy(), trainer.critic_store.values.copy())
         critic_loss = math.nan
         for _ in range(cfg.n_critic):
-            post = trainer.q.latents_np(rng.standard_normal((cfg.critic_batch, _NOISE_DIM)))
-            prior = sample_globals_prior(rng, cfg.critic_batch, trainer.disc.latent_dim)
-            critic_loss, grad = discriminator_loss(trainer.disc, post, prior)
+            post = trainer.q.forward_np(rng.standard_normal((cfg.critic_batch, _NOISE_DIM)))
+            prior = sample_globals_prior(rng, cfg.critic_batch, trainer.critic.sizes[0])
+            critic_loss, grad = discriminator_loss(trainer.critic, post, prior)
             if not math.isfinite(critic_loss):
                 _abort(step, f"non-finite critic loss {critic_loss!r}")
             adam_step(trainer.critic_store, clip_global_norm(grad, _GRAD_CLIP_NORM),
@@ -460,9 +419,7 @@ def train(data: Dataset, cfg: TrainConfig, valid: Optional[Dataset] = None) -> F
         rows = rng.choice(m, size=batch_size, replace=False)
         minibatch = data.subset(np.sort(rows))
         try:
-            gen_loss, grad = generator_loss(minibatch, trainer.q, trainer.disc, rng,
-                                            group_posterior=trainer.group_posterior,
-                                            data_scale=m / batch_size)
+            gen_loss, grad = generator_loss(minibatch, trainer, rng, data_scale=m / batch_size)
         except LIKELIHOOD_FAILURES as exc:
             _abort(step, f"generator loss: {exc}")
         if not math.isfinite(gen_loss):
@@ -479,7 +436,7 @@ def train(data: Dataset, cfg: TrainConfig, valid: Optional[Dataset] = None) -> F
                 _abort(step, f"validation likelihood: {exc}")
             if nll < best_nll - 1e-9:
                 best_nll = nll
-                best_params = trainer.gen_store.copy()
+                best_params = trainer.gen_store.values.copy()
                 stale_evals = 0
             else:
                 stale_evals += 1
@@ -487,16 +444,16 @@ def train(data: Dataset, cfg: TrainConfig, valid: Optional[Dataset] = None) -> F
                     break
 
     if best_params is not None:
-        trainer.gen_store.values[:] = best_params.values
-    return _finalize(trainer, cfg, data, critic_trace, gen_trace,
-                     trainer.gen_store, trainer.critic_store, rng)
+        trainer.gen_store.values[:] = best_params
+    try:
+        return _finalize(trainer, cfg, data, critic_trace, gen_trace, rng)
+    except StoredDrawError as exc:  # the last update, never evaluated, left the stored range
+        _abort(step, f"posterior draws: {exc}")
 
 
 def _finalize(trainer: _Trainer, cfg: TrainConfig, data: Dataset,
-              critic_trace, gen_trace, gen_store: ParamStore,
-              critic_store: ParamStore, rng: np.random.Generator) -> FitResult:
-    trainer.gen_store.values[:] = gen_store.values
-    trainer.critic_store.values[:] = critic_store.values
+              critic_trace, gen_trace, rng: np.random.Generator) -> FitResult:
+    gen_store, critic_store = trainer.gen_store, trainer.critic_store
     draws = _collect_draws(trainer, cfg.latent_sample_count, rng)
     return FitResult(
         draws=draws,

@@ -200,7 +200,9 @@ def cmd_fit(args) -> int:
     try:
         fit = train(train_set, cfg, valid=valid_set)
     except TrainingAbortError as exc:
-        if exc.checkpoint is not None:
+        if exc.checkpoint is None:
+            log.error("training aborted at step %d; no checkpoint could be stored", exc.step)
+        else:
             checkpoint_path = out / "fit_checkpoint.json"
             exc.checkpoint.save(checkpoint_path)
             log.error("training aborted at step %d; checkpoint at %s", exc.step, checkpoint_path)

@@ -27,7 +27,7 @@ from tweedie_avb.autodiff import (
 )
 from tweedie_avb import autodiff as ad
 from tweedie_avb.avb import (
-    Discriminator,
+    MLP,
     TrainConfig,
     build_trainer,
     discriminator_loss,
@@ -212,8 +212,7 @@ def test_criterion_5_gradient_suite():
     def gen(p):
         saved = trainer.gen_store.values.copy()
         trainer.gen_store.values[:] = p.values
-        value, grad = generator_loss(data, trainer.q, trainer.disc, np.random.default_rng(7),
-                                     group_posterior=trainer.group_posterior)
+        value, grad = generator_loss(data, trainer, np.random.default_rng(7))
         trainer.gen_store.values[:] = saved
         return value, grad
 
@@ -225,7 +224,7 @@ def test_criterion_5_gradient_suite():
     def disc_loss(p):
         saved = trainer.critic_store.values.copy()
         trainer.critic_store.values[:] = p.values
-        value, grad = discriminator_loss(trainer.disc, post, prior)
+        value, grad = discriminator_loss(trainer.critic, post, prior)
         trainer.critic_store.values[:] = saved
         return value, grad
 
@@ -243,7 +242,7 @@ def test_criterion_6_critic_optimality():
     # matching function class; training stays within the step budget.
     rng = np.random.default_rng(0)
     store = ParamStore()
-    disc = Discriminator(1, store, rng, hidden=())
+    critic = MLP("critic", [1, 1], store, rng)
     state = AdamState.for_store(store, 0.05)
     steps = 2500
     assert steps <= 10_000
@@ -252,10 +251,10 @@ def test_criterion_6_critic_optimality():
             state.learning_rate *= 0.4
         post = rng.normal(1.0, 1.0, size=(128, 1))
         prior = rng.normal(0.0, 1.0, size=(128, 1))
-        _, grad = discriminator_loss(disc, post, prior)
+        _, grad = discriminator_loss(critic, post, prior)
         adam_step(store, clip_global_norm(grad, 10.0), state)
     z = np.linspace(-2.0, 3.0, 11)
-    err = np.abs(disc.logit_np(z[:, None]) - (z - 0.5))
+    err = np.abs(critic.forward_np(z[:, None])[:, 0] - (z - 0.5))
     report(6, "critic optimality", float(err.max()) < 0.1,
            f"max |T(z) - (z - 0.5)| = {err.max():.4f} over 11 grid points, "
            f"{steps} steps")

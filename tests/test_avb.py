@@ -20,10 +20,7 @@ from tweedie_avb.autodiff import (
     slice_leaves,
 )
 from tweedie_avb.avb import (
-    Discriminator,
     FitResult,
-    GroupPosterior,
-    InferenceNet,
     MLP,
     TrainConfig,
     TrainingAbortError,
@@ -42,6 +39,7 @@ from tweedie_avb.model import (
     globals_log_prior,
     log_likelihood_partials,
     model_log_likelihood_value,
+    raw_blocks,
     sample_globals_prior,
     split_raw_globals,
 )
@@ -80,29 +78,34 @@ def mlp_forward_tape(net, x, leaves=None):
     return h
 
 
-def group_sample_tape(gp, leaves, eps):
-    """The intercepts loc + exp(log_scale) * eps as tape nodes."""
-    loc = slice_leaves(leaves, gp.store, f"{gp.prefix}.loc")
-    log_scale = slice_leaves(leaves, gp.store, f"{gp.prefix}.log_scale")
-    return [loc[g] + ad.exp(log_scale[g]) * float(eps[g]) for g in range(gp.group_count)]
+def group_sample_tape(store, leaves, eps):
+    """The intercepts b_post.loc + exp(b_post.log_scale) * eps as tape nodes."""
+    loc = slice_leaves(leaves, store, "b_post.loc")
+    log_scale = slice_leaves(leaves, store, "b_post.log_scale")
+    return [loc[g] + ad.exp(log_scale[g]) * float(eps[g]) for g in range(len(eps))]
 
 
-def group_entropy_tape(gp, leaves):
+def group_entropy_tape(store, leaves):
     """The intercept posterior's Gaussian entropy as a tape node."""
-    log_scale = slice_leaves(leaves, gp.store, f"{gp.prefix}.log_scale")
-    return ad.dot([(s, 1.0) for s in log_scale], bias=0.5 * avb.LOG_2PI_E * gp.group_count)
+    log_scale = slice_leaves(leaves, store, "b_post.log_scale")
+    return ad.dot([(s, 1.0) for s in log_scale], bias=0.5 * avb.LOG_2PI_E * len(log_scale))
 
 
-def critic_loss_tape_reference(disc, post, prior):
+def critic_net(dim, rng, hidden=(32, 32)):
+    """A critic as the trainer builds it: raw globals of width ``dim`` to one logit."""
+    return MLP("critic", [dim, *hidden, 1], ParamStore(), rng)
+
+
+def critic_loss_tape_reference(critic, post, prior):
     """The density-ratio loss built node by node on the scalar tape."""
     tape = Tape()
-    leaves = disc.store.leaves(tape)
+    leaves = critic.store.leaves(tape)
     terms = []
     for z in post:
-        t = mlp_forward_tape(disc.net, list(z), leaves)[0]
+        t = mlp_forward_tape(critic, list(z), leaves)[0]
         terms.append((ad.softplus(ad.neg(t)), 1.0 / len(post)))
     for z in prior:
-        t = mlp_forward_tape(disc.net, list(z), leaves)[0]
+        t = mlp_forward_tape(critic, list(z), leaves)[0]
         terms.append((ad.softplus(t), 1.0 / len(prior)))
     loss = ad.dot(terms)
     backward(loss)
@@ -118,20 +121,20 @@ def likelihood_node(tape, batch, raw_nodes, b_nodes, data_scale):
     return ad.TapeNode(tape, value, tuple(parents), "tweedie_log_likelihood")
 
 
-def generator_loss_tape_reference(batch, q, disc, cfg, rng, group_posterior=None,
-                                  data_scale=1.0):
+def generator_loss_tape_reference(batch, trainer, rng, data_scale=1.0):
     """The critic-estimated negative ELBO built node by node on the scalar tape."""
     tape = Tape()
-    leaves = q.store.leaves(tape)
-    raw_nodes = mlp_forward_tape(q.net, rng.standard_normal(q.noise_dim).tolist(), leaves)
+    leaves = trainer.gen_store.leaves(tape)
+    raw_nodes = mlp_forward_tape(trainer.q, rng.standard_normal(avb._NOISE_DIM).tolist(),
+                                 leaves)
     group_noise = rng.standard_normal(batch.group_count)
-    t_node = mlp_forward_tape(disc.net, raw_nodes)[0]  # critic weights as constants
+    t_node = mlp_forward_tape(trainer.critic, raw_nodes)[0]  # critic weights as constants
     b_nodes = []
     if batch.group_count:
-        b_nodes = group_sample_tape(group_posterior, leaves, group_noise)
+        b_nodes = group_sample_tape(trainer.gen_store, leaves, group_noise)
     loss = t_node - likelihood_node(tape, batch, raw_nodes, b_nodes, data_scale)
     if b_nodes:
-        loss = loss - group_entropy_tape(group_posterior, leaves)
+        loss = loss - group_entropy_tape(trainer.gen_store, leaves)
     backward(loss)
     return loss.value, collect_gradient(leaves)
 
@@ -193,10 +196,9 @@ class TestMLP:
 
 class TestSampling:
     def test_zero_network_maps_to_constraint_midpoints(self):
-        store = ParamStore()
-        q = InferenceNet(2, store, np.random.default_rng(0))
-        store.values[:] = 0.0
-        raw = q.latents_np(np.random.default_rng(1).standard_normal((1, q.noise_dim)))
+        q = build_trainer(2, 0, TrainConfig(), np.random.default_rng(0)).q
+        q.store.values[:] = 0.0
+        raw = q.forward_np(np.random.default_rng(1).standard_normal((1, avb._NOISE_DIM)))
         z = draws_schema(raw, np.zeros((1, 3)))
         assert z["p_index"][0] == 1.5
         assert z["dispersion"][0] == 1.0
@@ -204,16 +206,15 @@ class TestSampling:
         assert z["fixed_weights"].shape == (1, 3)
 
     def test_posterior_deterministic_given_seed(self):
-        store = ParamStore()
-        q = InferenceNet(1, store, np.random.default_rng(4))
-        a = q.latents_np(np.random.default_rng(9).standard_normal(q.noise_dim))
-        b = q.latents_np(np.random.default_rng(9).standard_normal(q.noise_dim))
+        q = build_trainer(1, 0, TrainConfig(), np.random.default_rng(4)).q
+        a = q.forward_np(np.random.default_rng(9).standard_normal(avb._NOISE_DIM))
+        b = q.forward_np(np.random.default_rng(9).standard_normal(avb._NOISE_DIM))
         assert (a == b).all()
 
     def test_output_dimension(self):
-        store = ParamStore()
-        q = InferenceNet(5, store, np.random.default_rng(0))
-        assert q.out_dim == 5 + 4  # D weights + intercept + three raw globals
+        trainer = build_trainer(5, 0, TrainConfig(), np.random.default_rng(0))
+        # D weights + intercept + three raw globals, into the critic too
+        assert trainer.q.sizes[-1] == trainer.critic.sizes[0] == 5 + 4
 
     def test_prior_location(self):
         draws = sample_globals_prior(np.random.default_rng(0), 100_000, 3)
@@ -229,28 +230,24 @@ class TestSampling:
 
 
 class TestDiscriminatorLoss:
-    def make_disc(self, dim=2, seed=0):
-        store = ParamStore()
-        return Discriminator(dim, store, np.random.default_rng(seed))
-
     def test_zero_critic_gives_two_log_two(self):
-        disc = self.make_disc()
+        disc = critic_net(2, np.random.default_rng(0))
         disc.store.values[:] = 0.0
         batch = np.random.default_rng(1).standard_normal((5, 2))
         value, _ = discriminator_loss(disc, batch, batch + 1.0)
         assert_allclose(value, 2.0 * math.log(2.0), rtol=1e-12)
 
     def test_perfect_separation_near_zero_loss(self):
-        store = ParamStore()
-        disc = Discriminator(1, store, np.random.default_rng(0), hidden=())
+        disc = critic_net(1, np.random.default_rng(0), hidden=())
+        store = disc.store
         store.set("critic.W0", np.array([40.0]))
         store.set("critic.b0", np.array([0.0]))
         value, _ = discriminator_loss(disc, np.array([[0.5]]), np.array([[-0.5]]))
         assert value < 1e-8
 
     def test_swap_symmetry_with_negated_critic(self):
-        store = ParamStore()
-        disc = Discriminator(1, store, np.random.default_rng(2), hidden=())
+        disc = critic_net(1, np.random.default_rng(2), hidden=())
+        store = disc.store
         store.set("critic.W0", np.array([1.3]))
         store.set("critic.b0", np.array([0.2]))
         post = np.random.default_rng(3).standard_normal((6, 1))
@@ -262,13 +259,13 @@ class TestDiscriminatorLoss:
         assert_allclose(direct, swapped, rtol=1e-12)
 
     def test_empty_batch_rejected(self):
-        disc = self.make_disc()
+        disc = critic_net(2, np.random.default_rng(0))
         with pytest.raises(ValueError):
             discriminator_loss(disc, np.zeros((0, 2)), np.zeros((1, 2)))
 
     def test_gradient_vs_central_differences(self):
-        store = ParamStore()
-        disc = Discriminator(2, store, np.random.default_rng(5), hidden=(4,))
+        disc = critic_net(2, np.random.default_rng(5), hidden=(4,))
+        store = disc.store
         post = np.random.default_rng(6).standard_normal((8, 2))
         prior = np.random.default_rng(7).standard_normal((8, 2))
 
@@ -282,12 +279,11 @@ class TestDiscriminatorLoss:
         assert finite_diff_check(f, store.copy(), h=1e-5) < 1e-4
 
     def test_fused_matches_tape_reference_past_softplus_cutoffs(self):
-        store = ParamStore()
-        disc = Discriminator(3, store, np.random.default_rng(8), hidden=(32, 32))
-        store.set("critic.W2", 100.0 * store.get("critic.W2"))
+        disc = critic_net(3, np.random.default_rng(8))
+        disc.store.set("critic.W2", 100.0 * disc.store.get("critic.W2"))
         post = np.random.default_rng(9).standard_normal((5, 3))
         prior = np.random.default_rng(10).standard_normal((3, 3))
-        args = np.concatenate([-disc.logit_np(post), disc.logit_np(prior)])
+        args = np.concatenate([-disc.forward_np(post)[:, 0], disc.forward_np(prior)[:, 0]])
         assert args.max() > 30.0 and args.min() < -30.0  # both softplus branches
         value, grad = discriminator_loss(disc, post, prior)
         want_value, want_grad = critic_loss_tape_reference(disc, post, prior)
@@ -295,8 +291,8 @@ class TestDiscriminatorLoss:
         assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12 * np.abs(want_grad).max())
 
     def test_gradient_two_hidden_layers(self):
-        store = ParamStore()
-        disc = Discriminator(3, store, np.random.default_rng(12), hidden=(6, 5))
+        disc = critic_net(3, np.random.default_rng(12), hidden=(6, 5))
+        store = disc.store
         post = np.random.default_rng(13).standard_normal((7, 3))
         prior = np.random.default_rng(14).standard_normal((4, 3))
 
@@ -314,8 +310,7 @@ class TestDiscriminatorLoss:
     @settings(max_examples=60, deadline=None)
     def test_matches_tape_reference_property(self, depth, n_post, n_prior, scale, seed):
         rng = np.random.default_rng(seed)
-        store = ParamStore()
-        disc = Discriminator(3, store, rng, hidden=(4,) * depth)
+        disc = critic_net(3, rng, hidden=(4,) * depth)
         post = scale * rng.standard_normal((n_post, 3))
         prior = scale * rng.standard_normal((n_prior, 3))
         value, grad = discriminator_loss(disc, post, prior)
@@ -335,15 +330,11 @@ class TestGeneratorLoss:
         data = Dataset(responses=np.array([0.0]), fixed_design=np.zeros((1, 0)),
                        group_index=np.zeros(1, dtype=int), group_count=0)
         cfg = TrainConfig(outer_steps=1, seed=0)
-        store = ParamStore()
-        rng = np.random.default_rng(0)
-        q = InferenceNet(0, store, rng, hidden=cfg.inference_hidden)
-        store.values[:] = 0.0
-        store.set("q.b1", np.array([0.0, 0.0, math.log(2.0), 0.0]))
-        critic_store = ParamStore()
-        disc = Discriminator(4, critic_store, rng)
-        critic_store.values[:] = 0.0
-        value, _ = generator_loss(data, q, disc, np.random.default_rng(1))
+        trainer = build_trainer(0, 0, cfg, np.random.default_rng(0))
+        trainer.gen_store.values[:] = 0.0
+        trainer.gen_store.set("q.b1", np.array([0.0, 0.0, math.log(2.0), 0.0]))
+        trainer.critic_store.values[:] = 0.0
+        value, _ = generator_loss(data, trainer, np.random.default_rng(1))
         assert_allclose(value, 1.0, rtol=1e-12)
 
     def test_gradient_vs_central_differences(self):
@@ -356,8 +347,7 @@ class TestGeneratorLoss:
         def f(p):
             saved = trainer.gen_store.values.copy()
             trainer.gen_store.values[:] = p.values
-            value, grad = generator_loss(data, trainer.q, trainer.disc, np.random.default_rng(3),
-                                         group_posterior=trainer.group_posterior)
+            value, grad = generator_loss(data, trainer, np.random.default_rng(3))
             trainer.gen_store.values[:] = saved
             return value, grad
 
@@ -368,18 +358,9 @@ class TestGeneratorLoss:
         cfg = TrainConfig(outer_steps=1, seed=0)
         trainer = build_trainer(1, 2, cfg, np.random.default_rng(0))
         before = trainer.critic_store.values.copy()
-        _, grad = generator_loss(data, trainer.q, trainer.disc, np.random.default_rng(1),
-                                 group_posterior=trainer.group_posterior)
+        _, grad = generator_loss(data, trainer, np.random.default_rng(1))
         assert grad.shape == (trainer.gen_store.size,)
         assert (trainer.critic_store.values == before).all()
-
-    def test_groups_without_posterior_rejected(self):
-        # b = sigma_b * noise cannot adapt to the data (see GroupPosterior)
-        data = small_dataset(m=4, d=1, g=2, seed=2)
-        cfg = TrainConfig(outer_steps=1, seed=0)
-        trainer = build_trainer(1, 2, cfg, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="GroupPosterior"):
-            generator_loss(data, trainer.q, trainer.disc, np.random.default_rng(1))
 
     @pytest.mark.parametrize("groups, posterior, data_scale", [
         (2, True, 1.0),   # with groups
@@ -391,49 +372,44 @@ class TestGeneratorLoss:
         cfg = TrainConfig(outer_steps=1, seed=0, inference_hidden=(4,), critic_hidden=(5,))
         trainer = build_trainer(data.n_covariates, data.group_count, cfg,
                                 np.random.default_rng(5))
-        gp = trainer.group_posterior if posterior else None
-        if gp is not None:
+        if posterior:
             trainer.gen_store.set("b_post.loc", [0.2, -0.3])
             trainer.gen_store.set("b_post.log_scale", [-1.0, -0.5])
 
         def numpy_loss(p):
             saved = trainer.gen_store.values.copy()
             trainer.gen_store.values[:] = p.values
-            value, grad = generator_loss(data, trainer.q, trainer.disc,
-                                         np.random.default_rng(6), group_posterior=gp,
+            value, grad = generator_loss(data, trainer, np.random.default_rng(6),
                                          data_scale=data_scale)
             trainer.gen_store.values[:] = saved
             return value, grad
 
         value, grad = numpy_loss(trainer.gen_store)
         want_value, want_grad = generator_loss_tape_reference(
-            data, trainer.q, trainer.disc, cfg, np.random.default_rng(6), group_posterior=gp,
-            data_scale=data_scale)
+            data, trainer, np.random.default_rng(6), data_scale=data_scale)
         assert_allclose(value, want_value, rtol=1e-12)
         assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12 * np.abs(want_grad).max())
         assert finite_diff_check(numpy_loss, trainer.gen_store.copy(), h=1e-5) < 1e-4
 
 
-class TestGroupPosterior:
+class TestInterceptPosterior:
     def test_entropy_value(self):
-        store = ParamStore()
-        gp = GroupPosterior(2, store)
+        store = build_trainer(1, 2, TrainConfig(), np.random.default_rng(0)).gen_store
         store.set("b_post.log_scale", np.array([0.0, math.log(2.0)]))
         tape = Tape()
         leaves = store.leaves(tape)
-        entropy = group_entropy_tape(gp, leaves)
+        entropy = group_entropy_tape(store, leaves)
         want = 2 * 0.5 * (math.log(2 * math.pi) + 1.0) + math.log(2.0)
         assert_allclose(entropy.value, want, rtol=1e-12)
 
     def test_sample_paths_agree(self):
-        store = ParamStore()
-        gp = GroupPosterior(3, store)
+        store = build_trainer(1, 3, TrainConfig(), np.random.default_rng(0)).gen_store
         store.set("b_post.loc", np.array([0.1, -0.2, 0.3]))
         eps = np.array([0.5, -1.0, 2.0])
         tape = Tape()
         leaves = store.leaves(tape)
-        nodes = group_sample_tape(gp, leaves, eps)
-        want = gp.loc + gp.scale * eps
+        nodes = group_sample_tape(store, leaves, eps)
+        want = store.get("b_post.loc") + np.exp(store.get("b_post.log_scale")) * eps
         assert_allclose([n.value for n in nodes], want, rtol=1e-12)
 
 
@@ -490,10 +466,10 @@ class TestTrainLoop:
         # underflows to 0; the checkpoint holds the parameters step 0 started from
         loss = avb.generator_loss
 
-        def shifted(batch, q, *args, **kwargs):
-            out_bias = f"{q.net.prefix}.b{q.net.n_layers - 1}"
-            q.store.get(out_bias)[-1] -= 800.0  # raw_log_sigma_b comes last
-            return loss(batch, q, *args, **kwargs)
+        def shifted(batch, trainer, *args, **kwargs):
+            q = trainer.q
+            q.store.get(f"q.b{q.n_layers - 1}")[-1] -= 800.0  # raw_log_sigma_b comes last
+            return loss(batch, trainer, *args, **kwargs)
 
         monkeypatch.setattr(avb, "generator_loss", shifted)
         with pytest.raises(TrainingAbortError, match="sigma_b underflows") as exc:
@@ -502,6 +478,52 @@ class TestTrainLoop:
         assert isinstance(exc.value.__context__, InvalidParameterError)
         assert exc.value.checkpoint is not None
         assert (exc.value.checkpoint.draws["sigma_b"] > 0).all()
+
+    @pytest.mark.parametrize("block, shift", [
+        ("raw_log_sigma_b", -800.0), ("raw_p", 800.0), ("raw_log_dispersion", 800.0)])
+    def test_unstorable_checkpoint_aborts_without_one(self, monkeypatch, block, shift):
+        # shifted before step 0, the output bias puts every draw of the parameters step 0
+        # starts from, which are also the last good ones, where sigma_b underflows to 0,
+        # p_index rounds to 2 or the dispersion overflows: a FitResult cannot store them
+        build = avb.build_trainer
+
+        def shifted(n_covariates, *args):
+            trainer = build(n_covariates, *args)
+            q = trainer.q
+            q.store.get(f"q.b{q.n_layers - 1}")[raw_blocks(n_covariates)[block]] += shift
+            return trainer
+
+        monkeypatch.setattr(avb, "build_trainer", shifted)
+        with pytest.raises(TrainingAbortError) as exc:
+            train(small_dataset(m=40), TrainConfig(**self.CFG))
+        assert exc.value.step == 0
+        assert exc.value.checkpoint is None
+
+    def test_unstorable_final_draws_abort_with_checkpoint(self):
+        # a generator step of size 100 sends draws out of the stored range, and no later
+        # step evaluates it: the checkpoint holds the parameters step 0 started from
+        cfg = TrainConfig(outer_steps=1, seed=0, inference_hidden=(4,), critic_hidden=(4,),
+                          generator_learning_rate=1e2)
+        with pytest.raises(TrainingAbortError, match="posterior draws") as exc:
+            train(small_dataset(m=40), cfg)
+        assert exc.value.step == 0
+        assert exc.value.checkpoint is not None
+
+    @settings(max_examples=40, deadline=None)
+    @given(log10_y=st.floats(-300.0, 300.0), log10_x=st.floats(-300.0, 8.0))
+    def test_extreme_scales_give_finite_draws_or_typed_abort(self, log10_y, log10_x):
+        data = small_dataset(m=30, g=3)
+        valid = small_dataset(m=12, g=3, seed=5)
+        for d in (data, valid):
+            d.responses *= 10.0 ** log10_y
+            d.fixed_design *= 10.0 ** log10_x
+        cfg = TrainConfig(**{**self.CFG, "outer_steps": 6, "eval_every": 2})
+        try:
+            fit = train(data, cfg, valid=valid)
+        except TrainingAbortError:
+            return
+        for draws in fit.draws.values():
+            assert np.isfinite(draws).all()
 
     @pytest.mark.parametrize("learning_rate, seed, with_valid", [
         (1e2, 0, False), (1e4, 0, False), (1e4, 0, True), (1.0, 1, False), (1.0, 1, True)])
@@ -538,14 +560,23 @@ class TestTrainLoop:
         cfg = TrainConfig(**{**self.CFG, "outer_steps": 1})
         trainer = build_trainer(data.n_covariates, data.group_count, cfg,
                                 np.random.default_rng(cfg.seed))
-        _, grad = generator_loss(data, trainer.q, trainer.disc, np.random.default_rng(1),
-                                 group_posterior=trainer.group_posterior)
+        _, grad = generator_loss(data, trainer, np.random.default_rng(1))
         assert grad.shape == (trainer.gen_store.size,)
         assert (grad != 0.0).all()
         fit = train(data, cfg)
         assert set(fit.gen_params) == set(trainer.gen_store.names)
         for name, after in fit.gen_params.items():
             assert (np.asarray(after) != trainer.gen_store.get(name)).all(), name
+
+    def test_stored_parameter_names(self):
+        # fit.json stores the parameters under these names, in this order
+        cfg = TrainConfig(outer_steps=1, latent_sample_count=5)
+        fit = train(small_dataset(m=30), cfg)
+        q = ["q.W0", "q.b0", "q.W1", "q.b1"]
+        assert list(fit.gen_params) == [*q, "b_post.loc", "b_post.log_scale"]
+        assert list(fit.critic_params) == ["critic.W0", "critic.b0", "critic.W1", "critic.b1",
+                                           "critic.W2", "critic.b2"]
+        assert list(train(small_dataset(m=30, g=0), cfg).gen_params) == q
 
     def test_training_builds_no_tape_node(self, monkeypatch):
         def refuse(node, *args, **kwargs):
@@ -573,30 +604,30 @@ class TestTrainLoop:
         trainer = build_trainer(2, 3, cfg, np.random.default_rng(0))
         got = _collect_draws(trainer, 25, np.random.default_rng(1))
         rng = np.random.default_rng(1)
-        gp = trainer.group_posterior
+        loc = trainer.gen_store.get("b_post.loc")
+        scale = np.exp(trainer.gen_store.get("b_post.log_scale"))
         for s in range(25):
-            raw = trainer.q.latents_np(rng.standard_normal(trainer.q.noise_dim))
+            raw = trainer.q.forward_np(rng.standard_normal(avb._NOISE_DIM))
             w, raw_p, raw_ld, raw_ls = split_raw_globals(raw, 2)
             assert_allclose(got["fixed_weights"][s], w, rtol=1e-14, atol=1e-15)
             assert_allclose(got["p_index"][s], 1.0 + expit(raw_p), rtol=1e-14)
             assert_allclose(got["dispersion"][s], math.exp(raw_ld), rtol=1e-14)
             assert_allclose(got["sigma_b"][s], math.exp(raw_ls), rtol=1e-14)
-            b = gp.loc + gp.scale * rng.standard_normal(gp.group_count)
+            b = loc + scale * rng.standard_normal(3)
             assert_allclose(got["b"][s], b, rtol=1e-14, atol=1e-15)
 
     def test_validation_nll_matches_per_draw_loop(self):
         # each draw takes its net noise only: b = loc reads no group noise
         cfg = TrainConfig(**self.CFG)
         trainer = build_trainer(1, 2, cfg, np.random.default_rng(0))
-        gp = trainer.group_posterior
-        trainer.gen_store.set(f"{gp.prefix}.loc", np.array([0.2, -0.3]))
+        trainer.gen_store.set("b_post.loc", np.array([0.2, -0.3]))
         valid = small_dataset(m=12, seed=5)
         rng = np.random.default_rng(1)
         got = _validation_nll(trainer, valid, rng)
         ref = np.random.default_rng(1)
         total = 0.0
         for _ in range(avb._VALID_DRAWS):
-            raw = trainer.q.latents_np(ref.standard_normal(trainer.q.noise_dim))
+            raw = trainer.q.forward_np(ref.standard_normal(avb._NOISE_DIM))
             total -= model_log_likelihood_value(valid, raw, np.array([0.2, -0.3]))
         assert_allclose(got, total / avb._VALID_DRAWS, rtol=1e-14)
         assert rng.standard_normal() == ref.standard_normal()

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from tweedie_avb import avb
 from tweedie_avb.cli import main
 from tweedie_avb.data import SimTruth, simulate_dataset, write_csv
 
@@ -127,6 +128,27 @@ class TestFit:
         cfg = write_json(tmp_path / "f.json", echo)
         assert main(["fit", "--config", cfg]) == 2
         assert (tmp_path / "o" / "fit_checkpoint.json").exists()
+        assert not (tmp_path / "o" / "fit.json").exists()
+
+    def test_abort_without_storable_checkpoint_exits_2(self, workspace, tmp_path, monkeypatch,
+                                                        capsys, caplog):
+        # the inference net starts where sigma_b underflows to 0 on every draw: step 0
+        # aborts, and the parameters it started from cannot be stored as a checkpoint
+        build = avb.build_trainer
+
+        def shifted(*args):
+            trainer = build(*args)
+            trainer.q.store.get(f"q.b{trainer.q.n_layers - 1}")[-1] -= 800.0
+            return trainer
+
+        monkeypatch.setattr(avb, "build_trainer", shifted)
+        echo = json.loads((workspace / "fit" / "config_echo.json").read_text())
+        echo["out"] = str(tmp_path / "o")
+        cfg = write_json(tmp_path / "f.json", echo)
+        assert main(["fit", "--config", cfg]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert "no checkpoint could be stored" in caplog.text
+        assert not (tmp_path / "o" / "fit_checkpoint.json").exists()
         assert not (tmp_path / "o" / "fit.json").exists()
 
 
