@@ -8,12 +8,16 @@ raw globals' blocks and the intercepts (absent without groups).
 Proposals are Gaussian per block with step sizes auto-tuned during
 burn-in toward an acceptance rate of ``_TARGET_ACCEPTANCE``.
 
-The one target, :func:`log_unnormalized_posterior`, has two parts: the
-Tweedie data log likelihood, which the random-effect scale does not
-enter, and the priors; a part that raises one of
-:data:`model.LIKELIHOOD_FAILURES` makes it -inf.  The sampler keeps the
-accepted state's data term, so a log random-effect scale proposal costs
-a prior evaluation only.  On a dataset with no rows the data term is
+The one target, :func:`log_unnormalized_posterior`, is the Tweedie data
+log likelihood plus the intercept prior plus the globals prior; a part
+that raises one of :data:`model.LIKELIHOOD_FAILURES` makes it -inf.  The
+sampler keeps the accepted state's parts and a proposal recomputes only
+those its block enters (:class:`_SplitTarget`): the density's μ-free
+series on raw_p and raw_log_dispersion proposals, its mean terms on every
+proposal but raw_log_sigma_b's, the intercept prior on raw_log_sigma_b
+and b proposals, and the globals prior on every proposal but b's.  Each
+part has the bits the full target computes, so the draws are those of
+evaluating it in full.  On a dataset with no rows the data term is
 exactly 0 and the chain samples the prior.
 """
 
@@ -31,11 +35,13 @@ from .model import (
     Dataset,
     data_log_likelihood,
     draws_schema,
+    edm_parameters,
     globals_log_prior,
     intercept_log_prior,
     raw_blocks,
     raw_size,
 )
+from .tweedie import checked_responses, compose_log_pdf, mean_terms, series_terms
 
 #: The raw globals' blocks in layout order, then the intercepts.
 BLOCK_ORDER = (*raw_blocks(0), "b")
@@ -126,22 +132,6 @@ class ChainResult:
 # Target
 # ---------------------------------------------------------------------------
 
-def _data_term(data: Dataset, raw: np.ndarray, b: np.ndarray) -> float:
-    """:func:`model.data_log_likelihood`, -inf on a likelihood failure."""
-    try:
-        return data_log_likelihood(data, raw, b)
-    except LIKELIHOOD_FAILURES:
-        return -math.inf
-
-
-def _plus_priors(data: Dataset, data_value: float, raw: np.ndarray, b: np.ndarray) -> float:
-    """(data_value + :func:`model.intercept_log_prior`) + :func:`model.globals_log_prior`."""
-    try:
-        return data_value + intercept_log_prior(data, raw, b) + float(globals_log_prior(raw))
-    except LIKELIHOOD_FAILURES:
-        return -math.inf
-
-
 def log_unnormalized_posterior(data: Dataset, raw: np.ndarray, b: np.ndarray) -> float:
     """Data log likelihood plus the intercept prior and :func:`model.globals_log_prior`.
 
@@ -150,7 +140,57 @@ def log_unnormalized_posterior(data: Dataset, raw: np.ndarray, b: np.ndarray) ->
     :func:`run_chain` samples and AVB fits; a part that raises one of
     :data:`model.LIKELIHOOD_FAILURES` makes it -inf.
     """
-    return _plus_priors(data, _data_term(data, raw, b), raw, b)
+    try:
+        return (data_log_likelihood(data, raw, b) + intercept_log_prior(data, raw, b)
+                + float(globals_log_prior(raw)))
+    except LIKELIHOOD_FAILURES:
+        return -math.inf
+
+
+class _SplitTarget:
+    """:func:`log_unnormalized_posterior` at the chain's states, kept in parts.
+
+    The parts are the positive rows' :func:`tweedie.series_terms`, the data
+    term (the row sum of :func:`tweedie.compose_log_pdf` of the series and
+    :func:`tweedie.mean_terms`), the intercept prior and the globals prior,
+    added in the full target's order.  The accepted state's parts are kept,
+    and :meth:`propose` recomputes only those the moving block enters.
+    """
+
+    def __init__(self, data: Dataset):
+        self.data = data
+        self._rows = None  # checked_responses of the data, set by the first evaluation
+        self._accepted = self._proposed = None
+
+    def propose(self, block: str | None, raw: np.ndarray, b: np.ndarray) -> float:
+        """The target at ``(raw, b)``, which differs from the accepted state in ``block`` only.
+
+        ``block`` None evaluates every part; that is the first evaluation.
+        """
+        series, data_value, intercept, globals_value = self._accepted or (None,) * 4
+        try:
+            if block is None:
+                self._rows = checked_responses(self.data.responses)
+            if block != "raw_log_sigma_b":
+                y, positive, log_y = self._rows
+                mu, p, phi = edm_parameters(self.data, raw, b)
+                u, v = mean_terms(y, mu, p, phi)
+                if block in (None, "raw_p", "raw_log_dispersion"):
+                    series = series_terms(log_y, p, phi)
+                data_value = float(compose_log_pdf(positive, u, v, series).sum())
+            if block in (None, "raw_log_sigma_b", "b"):
+                intercept = intercept_log_prior(self.data, raw, b)
+            if block != "b":
+                globals_value = float(globals_log_prior(raw))
+        except LIKELIHOOD_FAILURES:
+            self._proposed = None
+            return -math.inf
+        self._proposed = series, data_value, intercept, globals_value
+        return data_value + intercept + globals_value
+
+    def accept(self) -> None:
+        """Keep the last proposal's parts as the accepted state's."""
+        self._accepted = self._proposed
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +200,12 @@ def log_unnormalized_posterior(data: Dataset, raw: np.ndarray, b: np.ndarray) ->
 def run_chain(data: Dataset, cfg: ChainConfig) -> ChainResult:
     """Sample :func:`log_unnormalized_posterior` for a dataset, from x = 0.
 
-    Each iteration proposes the blocks in :data:`BLOCK_ORDER` in turn; a
-    raw_log_sigma_b proposal reuses the accepted state's data term.
+    Each iteration proposes the blocks in :data:`BLOCK_ORDER` in turn.  The
+    accepted state's parts of the target are kept, and a proposal
+    recomputes only those its block enters: the density's series on raw_p
+    and raw_log_dispersion proposals, its mean terms on every proposal but
+    raw_log_sigma_b's, the intercept prior on raw_log_sigma_b and b
+    proposals, and the globals prior on every proposal but b's.
     Deterministic given the seed.  Acceptance uses the detailed-balance
     rule min(1, exp(delta log target)).  Each block starts at its
     ``cfg.step_sizes`` entry; during burn-in, every ``_TUNE_INTERVAL`` (100)
@@ -175,10 +219,11 @@ def run_chain(data: Dataset, cfg: ChainConfig) -> ChainResult:
     steps = {k: float(cfg.step_sizes[k]) for k in spans}
     rng = np.random.default_rng(cfg.seed)
     x = np.zeros(n_raw + data.group_count)
-    current_data_value = _data_term(data, x[:n_raw], x[n_raw:])
-    current_lp = _plus_priors(data, current_data_value, x[:n_raw], x[n_raw:])
+    target = _SplitTarget(data)
+    current_lp = target.propose(None, x[:n_raw], x[n_raw:])
     if not math.isfinite(current_lp):
         raise ValueError("log target is non-finite at the initial state")
+    target.accept()
 
     kept = []
     for it in range(cfg.iterations):
@@ -187,13 +232,11 @@ def run_chain(data: Dataset, cfg: ChainConfig) -> ChainResult:
         for name, span in spans.items():
             old = x[span].copy()
             x[span] += steps[name] * rng.standard_normal(old.size)
-            raw, b = x[:n_raw], x[n_raw:]
-            data_value = (current_data_value if name == "raw_log_sigma_b"
-                          else _data_term(data, raw, b))
-            lp = _plus_priors(data, data_value, raw, b)
+            lp = target.propose(name, x[:n_raw], x[n_raw:])
             accept = math.isfinite(lp) and math.log(rng.random()) < lp - current_lp
             if accept:
-                current_lp, current_data_value = lp, data_value
+                current_lp = lp
+                target.accept()
             else:
                 x[span] = old
             proposed[name] += 1

@@ -10,8 +10,9 @@ dispersion and sigma_b = exp(raw); the link is log) and its one set of
 likelihood failures (:data:`LIKELIHOOD_FAILURES`).
 
 The log likelihood has one formula, the numpy Tweedie density.  The MCMC
-validator calls :func:`data_log_likelihood` for the data term and adds
-the priors itself; :func:`model_log_likelihood_value` adds the intercept
+validator's target calls :func:`data_log_likelihood` for the data term and
+adds the priors itself (its sampler composes the density's parts at
+:func:`edm_parameters`); :func:`model_log_likelihood_value` adds the intercept
 prior to it; the variational trainer calls :func:`log_likelihood_partials`
 for the value and the density's analytic partials chained through the
 linear predictor and the constraint map.
@@ -210,16 +211,22 @@ def sample_globals_prior(rng: np.random.Generator, count: int, dim: int) -> np.n
     return rng.standard_normal((count, dim))
 
 
-def data_log_likelihood(data: Dataset, raw: np.ndarray, b: np.ndarray) -> float:
-    """sum_i log Tweedie(y_i; mu_i, p, phi) with mu = exp(:func:`linear_predictor`).
+def edm_parameters(data: Dataset, raw: np.ndarray, b: np.ndarray):
+    """``(mu, p_index, dispersion)`` of a draw: each row's mean exp(:func:`linear_predictor`).
 
     ``raw`` holds the raw globals (its raw_log_sigma_b does not enter) and
-    ``b`` the intercept values (ignored without groups).
+    ``b`` the intercept values (ignored without groups).  Raises
+    FlaggedObservationError for eta past the log link's limit.
     """
     w, p, phi, _, _ = constrain(raw, data.n_covariates, groups=False)
     eta = linear_predictor(data, w, b)
     _check_overflow(eta)
-    return float(tweedie_log_pdf(data.responses, np.exp(eta), p, phi).sum())
+    return np.exp(eta), p, phi
+
+
+def data_log_likelihood(data: Dataset, raw: np.ndarray, b: np.ndarray) -> float:
+    """sum_i log Tweedie(y_i; mu_i, p, phi) at :func:`edm_parameters` of a draw."""
+    return float(tweedie_log_pdf(data.responses, *edm_parameters(data, raw, b)).sum())
 
 
 def model_log_likelihood_value(data: Dataset, raw: np.ndarray, b: np.ndarray) -> float:

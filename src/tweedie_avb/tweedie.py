@@ -11,10 +11,12 @@ log f = a(y; p, phi) - u - v (Dunn & Smyth 2005): the exponential-family
 term has u = y * mu ** (1 - p) / (phi * (p - 1)) and
 v = mu ** (2 - p) / (phi * (2 - p)), and the series
 a = log sum_n exp(n * s - G(n)) - log(y) for y > 0 (a = 0 at y = 0) does
-not depend on mu.  The series is truncated to every count whose term is
-at least ``TAIL_REL_TOL`` of the largest, a rule with no settings
-(:func:`summation_range`).  A high-precision series evaluator serves as
-the internal ground-truth oracle for truncation-error tests.
+not depend on mu.  :func:`mean_terms` writes u and v, :func:`series_terms`
+the series, and :func:`tweedie_log_pdf` composes them, so a caller that
+moves only mu can keep the series.  The series is truncated to every
+count whose term is at least ``TAIL_REL_TOL`` of the largest, a rule with
+no settings (:func:`summation_range`).  A high-precision series evaluator
+serves as the internal ground-truth oracle for truncation-error tests.
 
 The count terms need lgamma and digamma only at the multiples n * alpha
 of the Gamma shape.  Their tables, indexed by the count n, are built
@@ -412,17 +414,32 @@ def series_log_density_oracle(y: float, e: EdmParams, rel_tol: float = 1e-12) ->
 # Vectorized fast path (shared p_index and dispersion across observations)
 # ---------------------------------------------------------------------------
 
-def _checked_parts(y, mu, p: float, phi: float):
-    """Checked ``(y, log y of the positive rows, u, v)`` for the vectorized paths.
+def checked_responses(y):
+    """``(y, positive rows, log y of the positive rows)``; raises for a negative response.
 
-    u = y * mu ** (1 - p) / (phi * (p - 1)) and v = mu ** (2 - p) / (phi * (2 - p)),
-    so the exponential-family term of the log density is -(u + v).
+    These depend on the responses alone, so a caller that evaluates one
+    dataset at many parameters computes them once.
     """
     y = np.asarray(y, dtype=float)
     if (y < 0).any():
         raise InvalidParameterError("y must be nonnegative")
+    positive = y > 0.0
+    return y, positive, np.log(y[positive])
+
+
+def _check_index(p: float) -> None:
     if not 1.0 < p < 2.0:  # 1 + sigmoid(raw) rounds to 1 or 2 for |raw| past ~37
         raise InvalidParameterError(f"p_index must lie in the open interval (1, 2), got {p!r}")
+
+
+def mean_terms(y, mu, p: float, phi: float):
+    """Checked ``(u, v)`` per row: the exponential-family term of the log density is -(u + v).
+
+    u = y * mu ** (1 - p) / (phi * (p - 1)) and v = mu ** (2 - p) / (phi * (2 - p)),
+    computed as mu * mu ** (1 - p).  Raises InvalidParameterError for p
+    outside (1, 2) and where u or v over- or underflows.
+    """
+    _check_index(p)
     # an extreme mean or dispersion over- or underflows u or v: checked below
     with np.errstate(over="ignore", divide="ignore", under="ignore", invalid="ignore"):
         mu = np.asarray(mu, dtype=float)
@@ -432,7 +449,31 @@ def _checked_parts(y, mu, p: float, phi: float):
     if not (np.isfinite(u).all() and (np.isfinite(v) & (v > 0.0)).all()):
         raise InvalidParameterError(
             f"compound parameters out of range at p_index={p!r}, dispersion={phi!r}")
-    return y, np.log(y[y > 0.0]), u, v
+    return u, v
+
+
+def series_terms(log_y: np.ndarray, p: float, phi: float) -> np.ndarray:
+    """The series a = log_mass - log(y) of each positive row, from its log(y).
+
+    ``log_mass`` is :func:`summation_range`'s truncated sum at the row's
+    :func:`series_slope`.  The mean does not enter, so the terms change
+    only with p and phi.
+    """
+    _check_index(p)
+    if not (math.isfinite(phi) and phi * min(p - 1.0, 2.0 - p) > 0.0):
+        raise InvalidParameterError(f"dispersion out of range for the series: {phi!r}")
+    if not log_y.size:
+        return log_y
+    _, _, log_mass = summation_range(series_slope(log_y, p, phi), (2.0 - p) / (p - 1.0))
+    return log_mass - log_y
+
+
+def compose_log_pdf(positive: np.ndarray, u: np.ndarray, v: np.ndarray,
+                    series: np.ndarray) -> np.ndarray:
+    """log f = a - u - v per row: :func:`mean_terms` and the positive rows' :func:`series_terms`."""
+    out = -(u + v)
+    out[positive] += series
+    return out
 
 
 def tweedie_log_pdf(y: np.ndarray, mu: np.ndarray, p: float, phi: float) -> np.ndarray:
@@ -442,13 +483,9 @@ def tweedie_log_pdf(y: np.ndarray, mu: np.ndarray, p: float, phi: float) -> np.n
     index parameter and dispersion across observations; see the module
     docstring for the split.
     """
-    y, log_y, u, v = _checked_parts(y, mu, p, phi)
-    out = -(u + v)
-    if log_y.size:
-        alpha = (2.0 - p) / (p - 1.0)
-        _, _, log_mass = summation_range(series_slope(log_y, p, phi), alpha)
-        out[y > 0.0] += log_mass - log_y
-    return out
+    y, positive, log_y = checked_responses(y)
+    u, v = mean_terms(y, mu, p, phi)
+    return compose_log_pdf(positive, u, v, series_terms(log_y, p, phi))
 
 
 def tweedie_log_pdf_partials(y: np.ndarray, mu: np.ndarray, p: float, phi: float):
@@ -462,17 +499,17 @@ def tweedie_log_pdf_partials(y: np.ndarray, mu: np.ndarray, p: float, phi: float
     + (E[n * digamma(n * alpha)] - E[n] (L + 2 - p)) / (p - 1) ** 2; the
     series terms are absent on a zero row.
     """
-    y, log_y, u, v = _checked_parts(y, mu, p, phi)
+    y, pos, log_y = checked_responses(y)
+    u, v = mean_terms(y, mu, p, phi)
     log_mu = np.log(mu)
     d_log_phi = u + v
-    out = -d_log_phi
     d_p = u * (log_mu + 1.0 / (p - 1.0)) + v * (log_mu - 1.0 / (2.0 - p))
+    series = log_y
     if log_y.size:
-        pos = y > 0.0
         alpha = (2.0 - p) / (p - 1.0)
         _, _, starts, row, ns, terms = _summed_terms(series_slope(log_y, p, phi), alpha)
         log_mass = _log_row_sums(terms, starts, row)
-        out[pos] += log_mass - log_y
+        series = log_mass - log_y
         weighted_n = np.exp(terms - log_mass[row]) * ns
         mean_n = np.add.reduceat(weighted_n, starts)
         mean_n_psi = np.add.reduceat(weighted_n * _digamma_table(alpha)[ns], starts)
@@ -480,7 +517,7 @@ def tweedie_log_pdf_partials(y: np.ndarray, mu: np.ndarray, p: float, phi: float
         d_p[pos] += (mean_n / (2.0 - p)
                      + (mean_n_psi - mean_n * (log_y - math.log(phi * (p - 1.0)) + 2.0 - p))
                      / (p - 1.0) ** 2)
-    return out, (p - 1.0) * u - (2.0 - p) * v, d_p, d_log_phi
+    return compose_log_pdf(pos, u, v, series), (p - 1.0) * u - (2.0 - p) * v, d_p, d_log_phi
 
 
 # ---------------------------------------------------------------------------

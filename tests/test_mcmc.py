@@ -21,6 +21,16 @@ from tweedie_avb.model import Dataset, globals_log_prior, model_log_likelihood_v
 from tweedie_avb.tweedie import LOG_2PI
 
 
+#: Raw globals and intercepts out to where each numerical failure of the target sets in.
+extreme_draws = given(
+    w=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2),
+    raw_p=st.floats(-1e3, 1e3) | st.sampled_from([-45.0, -40.5, 40.5, 45.0]),
+    raw_log_dispersion=st.floats(-1e3, 1e3) | st.sampled_from([-710.0, 709.5, 710.0]),
+    raw_log_sigma_b=st.floats(-1e3, 1e3)
+    | st.sampled_from([-800.0, -746.0, -710.0, -400.0, 710.0]),
+    b=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3))
+
+
 class TestChainConfig:
     def test_burn_in_bound(self):
         with pytest.raises(ChainConfigError):
@@ -87,12 +97,7 @@ class TestLogPosterior:
         got = log_unnormalized_posterior(data, raw, b)
         assert got == model_log_likelihood_value(data, raw, b) + globals_log_prior(raw)
 
-    @given(w=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2),
-           raw_p=st.floats(-1e3, 1e3) | st.sampled_from([-45.0, -40.5, 40.5, 45.0]),
-           raw_log_dispersion=st.floats(-1e3, 1e3) | st.sampled_from([-710.0, 709.5, 710.0]),
-           raw_log_sigma_b=st.floats(-1e3, 1e3)
-           | st.sampled_from([-800.0, -746.0, -710.0, -400.0, 710.0]),
-           b=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3))
+    @extreme_draws
     @settings(max_examples=200, deadline=None)
     # p_index rounds to 1; lambda overflows; sigma_b ** 2 underflows at b = 0;
     # b / sigma_b overflows; sigma_b underflows to 0
@@ -221,31 +226,93 @@ def small_grouped_dataset():
     return simulate_dataset(truth, np.random.default_rng(5))[0]
 
 
+def small_group_free_dataset():
+    truth = SimTruth(fixed_weights=np.array([0.1, 0.3]), p_index=1.5,
+                     dispersion=1.0, sigma_b=0.4, n_obs=60, group_count=0)
+    return simulate_dataset(truth, np.random.default_rng(6))[0]
+
+
+def all_zero_dataset():
+    """Responses all 0: no row has a series term."""
+    data = small_grouped_dataset()
+    return Dataset(responses=np.zeros(data.n_obs), fixed_design=data.fixed_design,
+                   group_index=data.group_index, group_count=data.group_count)
+
+
+def assert_same_target(got, want):
+    """Equal within 1e-12 of the value, or both -inf."""
+    if want == -math.inf:
+        assert got == -math.inf
+    else:
+        assert math.isfinite(want) and abs(got - want) <= 1e-12 * abs(want), (got, want)
+
+
 class TestSplitTarget:
     def test_matches_one_part_target(self, monkeypatch):
-        # reusing the accepted data term on raw_log_sigma_b proposals gives the
-        # draws of recomputing it on every proposal
-        data = small_grouped_dataset()
+        # the cached parts give the draws and acceptance of evaluating
+        # log_unnormalized_posterior in full on every proposal
         cfg = ChainConfig(iterations=300, burn_in=100, thinning=3, seed=4)
-        reused = run_chain(data, cfg)
-        plus_priors = mcmc._plus_priors
-        monkeypatch.setattr(mcmc, "_plus_priors", lambda data, data_value, raw, b: plus_priors(
-            data, mcmc._data_term(data, raw, b), raw, b))
-        recomputed = run_chain(data, cfg)
-        assert reused.acceptance == recomputed.acceptance
-        for part in ("raw", "b"):
-            assert np.array_equal(reused.draws[part], recomputed.draws[part])
+        for data in (small_grouped_dataset(), small_group_free_dataset(), all_zero_dataset()):
+            with monkeypatch.context() as patched:
+                cached = run_chain(data, cfg)
+                patched.setattr(mcmc._SplitTarget, "propose",
+                                lambda self, block, raw, b: log_unnormalized_posterior(
+                                    self.data, raw, b))
+                full = run_chain(data, cfg)
+            assert cached.acceptance == full.acceptance
+            for part in ("raw", "b"):
+                assert np.array_equal(cached.draws[part], full.draws[part])
 
     def test_sigma_b_proposals_skip_the_likelihood(self, monkeypatch):
+        # only the first evaluation and the raw_p and raw_log_dispersion
+        # proposals evaluate the series; the other blocks reuse it
         calls = []
-        density = model.tweedie_log_pdf
+        series = mcmc.series_terms
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return density(*args, **kwargs)
+            return series(*args, **kwargs)
 
-        monkeypatch.setattr(model, "tweedie_log_pdf", counted)
+        monkeypatch.setattr(mcmc, "series_terms", counted)
         data = small_grouped_dataset()
         cfg = ChainConfig(iterations=40, burn_in=10, thinning=1, seed=0)
         run_chain(data, cfg)
-        assert len(calls) == 1 + cfg.iterations * (len(BLOCK_ORDER) - 1)
+        assert len(calls) == 1 + 2 * cfg.iterations
+
+    @pytest.mark.parametrize("groups", [3, 0], ids=["grouped", "group_free"])
+    @pytest.mark.parametrize("rows", [4, 0], ids=["rows", "no_rows"])
+    @extreme_draws
+    @settings(max_examples=100, deadline=None)
+    # p_index rounds to 1; lambda overflows; sigma_b ** 2 underflows at b = 0;
+    # sigma_b underflows to 0; eta past +30 and -30
+    @example(w=[0.0, 0.0], raw_p=-37.0, raw_log_dispersion=0.0, raw_log_sigma_b=0.0, b=[0.0] * 3)
+    @example(w=[0.0, 0.0], raw_p=0.0, raw_log_dispersion=-710.0, raw_log_sigma_b=0.0, b=[0.0] * 3)
+    @example(w=[0.0, 0.0], raw_p=0.0, raw_log_dispersion=0.0, raw_log_sigma_b=-800.0, b=[0.0] * 3)
+    @example(w=[0.0, 0.0], raw_p=0.0, raw_log_dispersion=0.0, raw_log_sigma_b=-746.0, b=[0.0] * 3)
+    @example(w=[30.5, 0.0], raw_p=0.0, raw_log_dispersion=0.0, raw_log_sigma_b=0.0, b=[0.0] * 3)
+    @example(w=[0.0, 0.0], raw_p=0.0, raw_log_dispersion=0.0, raw_log_sigma_b=0.0,
+             b=[0.0, -31.0, 0.0])
+    def test_parts_compose_to_the_one_target(self, groups, rows, w, raw_p, raw_log_dispersion,
+                                             raw_log_sigma_b, b):
+        # the part sum at a fresh state, and at a move of each block from an
+        # accepted state, is log_unnormalized_posterior there
+        data = Dataset(responses=np.array([0.0, 1.0, 0.5, 0.0])[:rows],
+                       fixed_design=np.zeros((rows, 1)),
+                       group_index=np.array([0, 1, 2, 0])[:rows], group_count=groups)
+        n_raw = data.n_covariates + 4
+        drawn = np.array([*w, raw_p, raw_log_dispersion, raw_log_sigma_b, *b[:groups]])
+        fresh = mcmc._SplitTarget(data)
+        assert_same_target(fresh.propose(None, drawn[:n_raw], drawn[n_raw:]),
+                           log_unnormalized_posterior(data, drawn[:n_raw], drawn[n_raw:]))
+        accepted = mcmc._SplitTarget(data)
+        start = np.zeros_like(drawn)
+        assert math.isfinite(accepted.propose(None, start[:n_raw], start[n_raw:]))
+        accepted.accept()
+        spans = {**model.raw_blocks(data.n_covariates), "b": slice(n_raw, None)}
+        for name, span in spans.items():
+            if name == "b" and not groups:
+                continue
+            moved = start.copy()
+            moved[span] = drawn[span]
+            assert_same_target(accepted.propose(name, moved[:n_raw], moved[n_raw:]),
+                               log_unnormalized_posterior(data, moved[:n_raw], moved[n_raw:]))

@@ -315,6 +315,13 @@ class TestSplitDensity:
             fd = (up - down) / (2.0 * h)
             assert (np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd)) < 1e-4).all()
 
+    @pytest.mark.parametrize("p, phi", [(1.0, 1.0), (2.0, 1.0), (1.5, 0.0), (1.5, -1.0),
+                                        (1.5, math.inf), (1.5, math.nan), (1.5, 5e-324)])
+    def test_series_rejects_out_of_range_parameters(self, p, phi):
+        # the series alone, without the mean terms' checks, fails typed, not in math.log
+        with pytest.raises(InvalidParameterError):
+            tweedie.series_terms(np.log([1.0, 2.0]), p, phi)
+
     def test_no_series_without_positive_rows(self, monkeypatch):
         def summed_terms(*args):
             raise AssertionError("the series was summed with no positive y")
