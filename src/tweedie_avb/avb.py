@@ -270,8 +270,9 @@ class FitResult:
         )
 
     def save(self, path) -> None:
+        # json.dump would encode in pure Python; dumps uses the C encoder, same bytes
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh)
+            fh.write(json.dumps(self.to_json_dict()))
 
     @classmethod
     def load(cls, path) -> "FitResult":

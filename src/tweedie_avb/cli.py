@@ -351,14 +351,8 @@ def cmd_predict(args) -> int:
     with open(out / "predictions.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", "mean", "q05", "q50", "q95"])
-        for i in range(ds.n_obs):
-            writer.writerow([
-                i,
-                repr(float(preds["mean"][i])),
-                repr(float(preds["q05"][i])),
-                repr(float(preds["q50"][i])),
-                repr(float(preds["q95"][i])),
-            ])
+        columns = [preds[k].tolist() for k in ("mean", "q05", "q50", "q95")]
+        writer.writerows(zip(range(ds.n_obs), *columns))
     _echo_config(config, out)
     return 0
 

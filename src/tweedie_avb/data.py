@@ -137,52 +137,63 @@ def _parse_cell(text: str, row: int, column: str) -> float:
         ) from None
 
 
+def _encode(labels: Sequence[str]) -> tuple:
+    """Sorted distinct labels and each label's index among them."""
+    levels = sorted(set(labels))
+    index = {lvl: k for k, lvl in enumerate(levels)}
+    return levels, np.array([index[v] for v in labels], dtype=int)
+
+
 def load_csv(path, schema: SchemaConfig) -> Dataset:
     """Read a CSV into a Dataset under the given column-role schema.
 
-    Categorical covariates are one-hot expanded with the first (sorted)
-    level dropped; the group column is label-encoded to 0..G-1 in sorted
-    label order.
+    Blank lines are skipped, and row numbers in errors count the
+    remaining data rows from 0.  Categorical covariates are one-hot
+    expanded with the first (sorted) level dropped; the group column is
+    label-encoded to 0..G-1 in sorted label order.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         needed = [schema.response_column, *schema.fixed_columns]
         if schema.group_column is not None:
             needed.append(schema.group_column)
         missing = [c for c in needed if c not in header]
         if missing:
             raise SchemaError(f"missing columns {missing} in {path}")
-        rows = list(reader)
+        rows = [row for row in reader if row]
     if not rows:
         raise SchemaError(f"no data rows in {path}")
-
-    responses = np.empty(len(rows))
     for i, row in enumerate(rows):
-        responses[i] = _parse_cell(row[schema.response_column], i, schema.response_column)
-        if responses[i] < 0:
-            raise SchemaError(f"negative response {responses[i]} at row {i}")
+        if len(row) < len(header):
+            raise SchemaError(f"row {i} has {len(row)} cells but the header has {len(header)}")
+    # one pass transposes the rows; a repeated header name reads its last column
+    cells = dict(zip(header, zip(*rows)))
+
+    responses = []
+    for i, text in enumerate(cells[schema.response_column]):
+        value = _parse_cell(text, i, schema.response_column)
+        if value < 0:
+            raise SchemaError(f"negative response {value} at row {i}")
+        responses.append(value)
 
     columns = []
     names = []
     categorical = set(schema.categorical_columns)
     for col in schema.fixed_columns:
-        raw = [row[col] for row in rows]
+        raw = cells[col]
         if col in categorical:
-            levels = sorted(set(raw))
-            for level in levels[1:]:
+            levels, codes = _encode(raw)
+            for k, level in enumerate(levels[1:], start=1):
                 names.append(f"{col}={level}")
-                columns.append(np.array([1.0 if v == level else 0.0 for v in raw]))
+                columns.append((codes == k).astype(float))
         else:
             names.append(col)
             columns.append(np.array([_parse_cell(v, i, col) for i, v in enumerate(raw)]))
     design = np.column_stack(columns) if columns else np.zeros((len(rows), 0))
 
     if schema.group_column is not None:
-        labels = [row[schema.group_column] for row in rows]
-        levels = sorted(set(labels))
-        encode = {lvl: i for i, lvl in enumerate(levels)}
-        group_index = np.array([encode[v] for v in labels], dtype=int)
+        levels, group_index = _encode(cells[schema.group_column])
         group_count = len(levels)
     else:
         levels = None
@@ -190,7 +201,7 @@ def load_csv(path, schema: SchemaConfig) -> Dataset:
         group_count = 0
 
     return Dataset(
-        responses=responses,
+        responses=np.array(responses),
         fixed_design=design,
         group_index=group_index,
         group_count=group_count,

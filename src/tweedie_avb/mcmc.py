@@ -125,7 +125,7 @@ class ChainResult:
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh)
+            fh.write(json.dumps(self.to_json_dict()))
 
 
 # ---------------------------------------------------------------------------

@@ -671,6 +671,27 @@ class TestFitResult:
             doc = json.load(fh)
         assert set(doc) == {"metadata", "config", "draws", "traces", "parameters"}
 
+    @pytest.mark.parametrize("case", ["grouped", "group-free", "checkpoint", "non-finite"])
+    def test_save_writes_the_pure_python_encoders_bytes(self, tmp_path, case):
+        # save uses json's C encoder; its bytes must stay those of json.dump, which
+        # encodes in pure Python: separators, float reprs and NaN/Infinity alike
+        cfg = TrainConfig(**TestTrainLoop.CFG)
+        if case == "checkpoint":
+            data = small_dataset(m=40)
+            data.fixed_design *= 1e4  # past the log-link limit at step 0
+            with pytest.raises(TrainingAbortError) as exc:
+                train(data, cfg)
+            fit = exc.value.checkpoint
+        elif case == "non-finite":
+            fit = self.make_fit()
+            fit.critic_trace = np.array([math.nan, math.inf, -math.inf, 5e-324, -0.0])
+        else:
+            fit = train(small_dataset(m=30, g=2 if case == "grouped" else 0), cfg)
+        fit.save(tmp_path / "fit.json")
+        with open(tmp_path / "reference.json", "w", encoding="utf-8") as fh:
+            json.dump(fit.to_json_dict(), fh)
+        assert (tmp_path / "fit.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+
     def test_constraint_validation(self):
         with pytest.raises(ValueError):
             FitResult(

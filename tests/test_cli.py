@@ -304,6 +304,20 @@ class TestErrors:
         cfg = write_json(tmp_path / "c.json", {"seed": 0, "truth": TRUTH})
         assert main(["simulate", "--config", cfg]) == 1
 
+    @pytest.mark.parametrize("command", ["fit", "evaluate", "predict"])
+    def test_short_csv_row_exits_1(self, workspace, tmp_path, capsys, command):
+        # a row with fewer cells than the header is named, not left to a TypeError
+        data_csv = tmp_path / "short.csv"
+        data_csv.write_text("y,x0,x1,group\n1.0,0.5,0.2,g1\n0.0,0.1\n", encoding="utf-8")
+        cfg = write_json(tmp_path / "c.json", {
+            "fit_json": str(workspace / "fit" / "fit.json"), "data_csv": str(data_csv),
+            "schema": SCHEMA, "train": TRAIN, "seed": 0,
+        })
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "row 1 has 2 cells but the header has 4" in err
+
     @pytest.mark.parametrize("argv", [["fit", "--n-max", "5"], ["refit"], []])
     def test_usage_error_exits_1(self, argv, capsys):
         assert main(argv) == 1

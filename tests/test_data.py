@@ -1,10 +1,14 @@
 """CSV ingestion, splitting, standardization, and simulation."""
 
+import csv
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from tweedie_avb.data import (
@@ -25,6 +29,94 @@ from tweedie_avb.model import Dataset
 
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def dict_reader_load_csv(path, schema):
+    """The csv.DictReader loader that load_csv replaced: its reference for full rows."""
+    def parse(text, row, column):
+        try:
+            return float(text)
+        except ValueError:
+            raise SchemaError(
+                f"unparseable numeric cell {text!r} at row {row}, column {column!r}"
+            ) from None
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        needed = [schema.response_column, *schema.fixed_columns]
+        if schema.group_column is not None:
+            needed.append(schema.group_column)
+        missing = [c for c in needed if c not in header]
+        if missing:
+            raise SchemaError(f"missing columns {missing} in {path}")
+        rows = list(reader)
+    if not rows:
+        raise SchemaError(f"no data rows in {path}")
+    responses = np.empty(len(rows))
+    for i, row in enumerate(rows):
+        responses[i] = parse(row[schema.response_column], i, schema.response_column)
+        if responses[i] < 0:
+            raise SchemaError(f"negative response {responses[i]} at row {i}")
+    columns, names = [], []
+    for col in schema.fixed_columns:
+        raw = [row[col] for row in rows]
+        if col in schema.categorical_columns:
+            levels = sorted(set(raw))
+            for level in levels[1:]:
+                names.append(f"{col}={level}")
+                columns.append(np.array([1.0 if v == level else 0.0 for v in raw]))
+        else:
+            names.append(col)
+            columns.append(np.array([parse(v, i, col) for i, v in enumerate(raw)]))
+    design = np.column_stack(columns) if columns else np.zeros((len(rows), 0))
+    levels, group_index = None, np.zeros(len(rows), dtype=int)
+    if schema.group_column is not None:
+        labels = [row[schema.group_column] for row in rows]
+        levels = sorted(set(labels))
+        encode = {lvl: i for i, lvl in enumerate(levels)}
+        group_index = np.array([encode[v] for v in labels], dtype=int)
+    return Dataset(responses=responses, fixed_design=design, group_index=group_index,
+                   group_count=0 if levels is None else len(levels), column_names=names,
+                   group_levels=levels)
+
+
+def load_or_error(loader, path, schema):
+    try:
+        return loader(path, schema)
+    except SchemaError as exc:
+        return str(exc)
+
+
+NUMERIC_CELLS = ["0", "1.5", "2e-3", " 4 ", "-0.0", "-1", "-2.5e300", "nan", "inf", "1_0",
+                 "", "oops", "1,5", '3"']
+LABELS = ["a", "b", "B", "a b", "c,d", 'e"f', "g\nh", "", "1"]
+
+
+@st.composite
+def csv_files(draw):
+    """A CSV text and a schema over it: shuffled columns, perhaps a repeated or an
+    unused one, quoted or bare cells, blank lines, extra trailing cells."""
+    columns = draw(st.permutations(["y", "x", "c", "g", "u"]))
+    columns = columns[:draw(st.integers(3, 5))]
+    if draw(st.booleans()):
+        columns.append(draw(st.sampled_from(columns)))
+    fixed = [c for c in ("x", "c") if c in columns and draw(st.booleans())]
+    schema = SchemaConfig(
+        response_column="y", fixed_columns=tuple(draw(st.permutations(fixed))),
+        group_column="g" if draw(st.booleans()) else None,
+        categorical_columns=("c",) if "c" in fixed else ())
+    cell = {"y": NUMERIC_CELLS, "x": NUMERIC_CELLS, "c": LABELS, "g": LABELS, "u": LABELS}
+    rows = draw(st.lists(st.tuples(*(st.sampled_from(cell[c]) for c in columns)),
+                         max_size=6))
+    out = io.StringIO()
+    writer = csv.writer(out, quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])))
+    writer.writerow(columns)
+    for row in rows:
+        if draw(st.booleans()):
+            out.write("\r\n" * draw(st.integers(1, 2)))
+        writer.writerow([*row, *draw(st.lists(st.sampled_from(LABELS), max_size=2))])
+    return out.getvalue(), schema
 
 
 class TestSchemaConfig:
@@ -95,6 +187,43 @@ class TestLoadCsv:
         write_lines(path, ["y,x", "-1,2"])
         with pytest.raises(SchemaError, match="negative response"):
             load_csv(path, SchemaConfig(response_column="y", fixed_columns=("x",)))
+
+    @pytest.mark.parametrize("short,cells", [("0.0,0.1", 2), (",,", 3), ('""', 1)])
+    def test_short_row_rejected(self, tmp_path, short, cells):
+        # a missing response, covariate, categorical or group cell is named, not a TypeError
+        path = tmp_path / "d.csv"
+        write_lines(path, ["y,x,c,g", "1.0,0.5,red,g1", "", short, "2.0,0.1,blue,g2"])
+        schema = SchemaConfig(response_column="y", fixed_columns=("x", "c"),
+                              categorical_columns=("c",), group_column="g")
+        with pytest.raises(SchemaError, match=f"row 1 has {cells} cells but the header has 4"):
+            load_csv(path, schema)
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_files())
+    @example(("y,x\r\n", SchemaConfig(response_column="y", fixed_columns=("x",))))
+    @example(("", SchemaConfig(response_column="y", fixed_columns=())))
+    @example(("\r\ny\r\n1\r\n", SchemaConfig(response_column="y", fixed_columns=())))
+    @example(("y,x,x\r\n1,2,3\r\n", SchemaConfig(response_column="y", fixed_columns=("x",))))
+    @example(("y,x\r\n\r\n1,2,extra\r\n\r\n\r\n1,oops\r\n",
+              SchemaConfig(response_column="y", fixed_columns=("x",))))
+    def test_matches_the_dict_reader_loader(self, tmp_path_factory, case):
+        # same Dataset, or the same SchemaError message, as the DictReader loader
+        text, schema = case
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        got = load_or_error(load_csv, path, schema)
+        want = load_or_error(dict_reader_load_csv, path, schema)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert not isinstance(got, str), got
+        for field in ("responses", "fixed_design", "group_index"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b, equal_nan=True)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+        assert (got.group_count, got.column_names, got.group_levels) == \
+            (want.group_count, want.column_names, want.group_levels)
 
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(2)

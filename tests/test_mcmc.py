@@ -1,5 +1,6 @@
 """Random-walk Metropolis validator."""
 
+import json
 import math
 
 import numpy as np
@@ -205,6 +206,17 @@ class TestModelChain:
                               "dispersion": (n,), "sigma_b": (n,), "b": (n, g)}
             p = np.asarray(doc["draws"]["p_index"])
             assert ((p > 1.0) & (p < 2.0)).all()
+
+    @pytest.mark.parametrize("grouped", [True, False])
+    def test_save_writes_the_pure_python_encoders_bytes(self, tmp_path, grouped):
+        # save uses json's C encoder; its bytes must stay those of json.dump
+        data = small_grouped_dataset() if grouped else small_group_free_dataset()
+        result = run_chain(data, ChainConfig(iterations=300, burn_in=100, thinning=10,
+                                                  seed=0))
+        result.save(tmp_path / "mcmc.json")
+        with open(tmp_path / "reference.json", "w", encoding="utf-8") as fh:
+            json.dump(result.to_json_dict(), fh)
+        assert (tmp_path / "mcmc.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
 
     def test_seed_change_keeps_long_run_means(self):
         data = empty_dataset()
