@@ -56,11 +56,14 @@ def _load_config(path) -> dict:
         return {}
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except FileNotFoundError:
         raise UserError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (OSError, ValueError) as exc:  # a directory, not UTF-8, or not JSON
         raise UserError(f"malformed config {path}: {exc}") from None
+    if not isinstance(config, dict):
+        raise UserError(f"malformed config {path}: expected a JSON object")
+    return config
 
 
 def _out_dir(config: dict, args) -> Path:
@@ -68,7 +71,10 @@ def _out_dir(config: dict, args) -> Path:
     if out is None:
         raise UserError("an output directory is required (--out or config key 'out')")
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file by that name, or under one
+        raise UserError(f"cannot make output directory {out}: {exc}") from None
     return path
 
 
@@ -162,8 +168,8 @@ def _write_trace_csv(fit: FitResult, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "critic_loss", "generator_loss"])
-        for i, (c, g) in enumerate(zip(fit.critic_trace, fit.generator_trace)):
-            writer.writerow([i, repr(float(c)), repr(float(g))])
+        writer.writerows(zip(range(fit.critic_trace.size), fit.critic_trace.tolist(),
+                             fit.generator_trace.tolist()))
 
 
 def cmd_fit(args) -> int:
@@ -237,7 +243,7 @@ def _load_fit(config: dict) -> FitResult:
         raise UserError(f"fit artifact not found: {path}")
     try:
         return FitResult.load(path)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OSError) as exc:
         raise UserError(f"invalid fit artifact {path}: {exc!r}") from None
 
 
@@ -290,7 +296,11 @@ def cmd_evaluate(args) -> int:
     for name, path in (config.get("extra_predictions") or {}).items():
         if not Path(path).exists():
             raise UserError(f"prediction file not found for model {name!r}: {path}")
-        values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1)
+        try:
+            values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1)
+        except (OSError, ValueError) as exc:  # a directory, or a cell that is not a number
+            raise UserError(
+                f"unreadable prediction file {path} for model {name!r}: {exc}") from None
         if values.shape[0] != test_set.n_obs:
             raise UserError(
                 f"prediction file {path} has {values.shape[0]} rows, expected {test_set.n_obs}"

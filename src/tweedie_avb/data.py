@@ -152,16 +152,19 @@ def load_csv(path, schema: SchemaConfig) -> Dataset:
     expanded with the first (sorted) level dropped; the group column is
     label-encoded to 0..G-1 in sorted label order.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        needed = [schema.response_column, *schema.fixed_columns]
-        if schema.group_column is not None:
-            needed.append(schema.group_column)
-        missing = [c for c in needed if c not in header]
-        if missing:
-            raise SchemaError(f"missing columns {missing} in {path}")
-        rows = [row for row in reader if row]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            needed = [schema.response_column, *schema.fixed_columns]
+            if schema.group_column is not None:
+                needed.append(schema.group_column)
+            missing = [c for c in needed if c not in header]
+            if missing:
+                raise SchemaError(f"missing columns {missing} in {path}")
+            rows = [row for row in reader if row]
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, or not UTF-8
+        raise SchemaError(f"cannot read {path}: {exc}") from None
     if not rows:
         raise SchemaError(f"no data rows in {path}")
     for i, row in enumerate(rows):
@@ -217,15 +220,12 @@ def write_csv(data: Dataset, path, response_column: str = "y",
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         header = [response_column, *names]
+        columns = [data.responses.tolist(), *data.fixed_design.T.tolist()]
         if data.group_count > 0:
             header.append(group_column)
+            columns.append([f"g{g:04d}" for g in data.group_index.tolist()])
         writer.writerow(header)
-        for i in range(data.n_obs):
-            row = [repr(float(data.responses[i]))]
-            row.extend(repr(float(v)) for v in data.fixed_design[i])
-            if data.group_count > 0:
-                row.append(f"g{data.group_index[i]:04d}")
-            writer.writerow(row)
+        writer.writerows(zip(*columns))
 
 
 def csv_schema_for(data: Dataset, response_column: str = "y",

@@ -50,8 +50,7 @@ class LorenzCurve:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["F_p", "F_y"])
-            for fp, fy in self.points:
-                writer.writerow([repr(float(fp)), repr(float(fy))])
+            writer.writerows(np.asarray(self.points, dtype=float).tolist())
 
 
 def ordered_lorenz(y: np.ndarray, p: np.ndarray, y_hat: np.ndarray) -> LorenzCurve:

@@ -19,15 +19,17 @@ no settings (:func:`summation_range`).  A high-precision series evaluator
 serves as the internal ground-truth oracle for truncation-error tests.
 
 The count terms need lgamma and digamma only at the multiples n * alpha
-of the Gamma shape.  Their tables, indexed by the count n, are built
-from ``math.lgamma`` and :func:`special.digamma`, kept for a few recent
-alpha values and grown, never rebuilt, when a row needs more counts.
+of the Gamma shape.  Their tables, indexed by the count n, are pure
+functions of (alpha, size) built from ``math.lgamma`` and
+:func:`special.digamma`; the lgamma tables of a few recent (alpha, size)
+pairs are cached, read-only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,8 +47,7 @@ _LOG_TAIL_TOL = math.log(TAIL_REL_TOL)
 _CORE_WIDTH = 10
 #: Longest latent-count table the truncated sum may build.
 _MAX_TERMS = 100_000
-#: Alpha values whose count tables are kept: the chain moves alpha only on
-#: index-parameter proposals, training moves it on every step.
+#: (alpha, size) pairs whose count tables are kept: the chain reuses its accepted alpha.
 _TABLES_KEPT = 4
 #: Counts past each end of the core window checked in one 2-D evaluation
 #: before a row whose summed range reaches further is bisected.
@@ -175,70 +176,29 @@ def _log_summand(y: float, n, c: CompoundParams) -> np.ndarray:
 # Count tables
 # ---------------------------------------------------------------------------
 
-# The tables hold values that depend on alpha alone, so sharing them across
-# callers changes what a call costs, never what it returns.
-
-#: lgamma(n + 1) at index n, shared by every alpha.
-_log_factorials = np.zeros(1)
-#: alpha -> [G table, digamma table] for the _TABLES_KEPT most recent alpha
-#: values, least recent first.
-_tables: dict = {}
-
-
-def _appended(table, values) -> np.ndarray:
-    """``table`` followed by ``values``, read-only: cached tables are shared."""
-    table = np.concatenate((table, values))
-    table.flags.writeable = False
-    return table
-
-
-#: Both tables before their first count: index 0 is n = 0, which has no
-#: term when y > 0.
-_NO_COUNTS = (_appended([], [np.inf]), _appended([], [np.nan]))
-
-
 def _lgamma(values) -> np.ndarray:
     """``math.lgamma`` of each of ``values``."""
     return np.array(list(map(math.lgamma, values)))
 
 
-def _tables_of(alpha: float) -> list:
-    """The cache entry of ``alpha``, made the most recent."""
-    entry = _tables.pop(alpha, None)
-    if entry is None:
-        if len(_tables) >= _TABLES_KEPT:
-            del _tables[next(iter(_tables))]
-        entry = list(_NO_COUNTS)
-    _tables[alpha] = entry
-    return entry
+@lru_cache(maxsize=_TABLES_KEPT)
+def _log_factorials(size: int) -> tuple:
+    """lgamma(n + 1) at n = 1..size, the part of every alpha's :func:`_count_table`."""
+    return tuple(map(math.lgamma, range(2, size + 2)))
 
 
+@lru_cache(maxsize=_TABLES_KEPT)
 def _count_table(alpha: float, size: int) -> np.ndarray:
-    """G(n) = lgamma(n * alpha) + lgamma(n + 1) at index n = 1..size, +inf at n = 0."""
-    global _log_factorials
-    alpha = float(alpha)
-    entry = _tables_of(alpha)
-    g = entry[0]
-    if g.size <= size:
-        log_factorials = _log_factorials
-        if log_factorials.size <= size:
-            log_factorials = _log_factorials = _appended(
-                log_factorials, _lgamma(range(log_factorials.size + 1, size + 2)))
-        new = _lgamma([n * alpha for n in range(g.size, size + 1)])
-        new += log_factorials[g.size:size + 1]
-        g = entry[0] = _appended(g, new)
-    return g[:size + 1]
+    """G(n) = lgamma(n * alpha) + lgamma(n + 1) at n = 1..size, +inf at n = 0; read-only."""
+    g = np.concatenate(([np.inf], _lgamma([n * alpha for n in range(1, size + 1)])))
+    g[1:] += _log_factorials(size)
+    g.flags.writeable = False
+    return g
 
 
-def _digamma_table(alpha: float) -> np.ndarray:
-    """digamma(n * alpha) at every index n of alpha's :func:`_count_table`; NaN at n = 0."""
-    alpha = float(alpha)
-    entry = _tables_of(alpha)
-    g, psi = entry
-    if psi.size < g.size:
-        n = np.arange(psi.size, g.size, dtype=float)
-        psi = entry[1] = _appended(psi, digamma(n * alpha))
-    return psi
+def _digamma_table(alpha: float, size: int) -> np.ndarray:
+    """digamma(n * alpha) at index n - 1 for n = 1..size."""
+    return digamma(np.arange(1, size + 1) * alpha)
 
 
 def series_slope(log_y, p: float, phi: float):
@@ -268,7 +228,7 @@ def _summand_mode(slope: np.ndarray, alpha: float,
             raise InvalidParameterError(
                 f"the latent-count series needs more than {_MAX_TERMS} terms"
             )
-        table = _count_table(alpha, size)
+        table = _count_table(float(alpha), size)
         mode = 1 + np.searchsorted(np.diff(table[1:]), slope)
         peak = mode * slope - table[mode]
         if ((mode + reach <= size) & (size * slope - table[-1] - peak < _LOG_TAIL_TOL)).all():
@@ -397,15 +357,14 @@ def series_log_density_oracle(y: float, e: EdmParams, rel_tol: float = 1e-12) ->
         return -c.lam
     mode = int(_summand_mode(series_slope(np.log([y]), e.p_index, e.dispersion),
                              c.alpha, 1)[0][0])
-    max_terms = 100_000
     log_sum = -math.inf
-    for n in range(1, max_terms + 1):
+    for n in range(1, _MAX_TERMS + 1):
         log_t = float(_log_summand(y, n, c))
         log_sum = np.logaddexp(log_sum, log_t)
         if n > mode and log_t - log_sum < math.log(rel_tol):
             return float(log_sum)
     raise NonConvergenceError(
-        f"series did not converge within {max_terms} terms (y={y}, {e})",
+        f"series did not converge within {_MAX_TERMS} terms (y={y}, {e})",
         last_value=float(log_sum),
     )
 
@@ -507,12 +466,12 @@ def tweedie_log_pdf_partials(y: np.ndarray, mu: np.ndarray, p: float, phi: float
     series = log_y
     if log_y.size:
         alpha = (2.0 - p) / (p - 1.0)
-        _, _, starts, row, ns, terms = _summed_terms(series_slope(log_y, p, phi), alpha)
+        _, hi, starts, row, ns, terms = _summed_terms(series_slope(log_y, p, phi), alpha)
         log_mass = _log_row_sums(terms, starts, row)
         series = log_mass - log_y
         weighted_n = np.exp(terms - log_mass[row]) * ns
         mean_n = np.add.reduceat(weighted_n, starts)
-        mean_n_psi = np.add.reduceat(weighted_n * _digamma_table(alpha)[ns], starts)
+        mean_n_psi = np.add.reduceat(weighted_n * _digamma_table(alpha, hi.max() - 1)[ns - 1], starts)
         d_log_phi[pos] -= mean_n / (p - 1.0)
         d_p[pos] += (mean_n / (2.0 - p)
                      + (mean_n_psi - mean_n * (log_y - math.log(phi * (p - 1.0)) + 2.0 - p))

@@ -318,6 +318,40 @@ class TestErrors:
         assert err.startswith("error:") and "Traceback" not in err
         assert "row 1 has 2 cells but the header has 4" in err
 
+    @pytest.mark.parametrize("command,role,content", [
+        ("evaluate", "config", b"[1, 2]"),
+        ("evaluate", "config", b"\xff{}"),
+        ("evaluate", "config", None),
+        ("fit", "data_csv", b"y,x0,x1,group\n1.0,0.5,\xff,g1\n"),
+        ("fit", "data_csv", None),
+        ("evaluate", "extra_predictions", b"pred\n1.0\nabc\n"),
+        ("evaluate", "extra_predictions", None),
+        ("predict", "fit_json", None),
+        ("predict", "out", b""),
+    ], ids=["config-not-object", "config-not-utf8", "config-is-dir", "csv-not-utf8",
+            "csv-is-dir", "predictions-not-numeric", "predictions-is-dir", "fit-json-is-dir",
+            "out-is-file"])
+    def test_unreadable_input_exits_1(self, workspace, tmp_path, capsys, command, role,
+                                      content):
+        # an input that cannot be read (None: a directory) is named, not left to a traceback
+        path = tmp_path / "input"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        config = {"fit_json": str(workspace / "fit" / "fit.json"),
+                  "data_csv": str(workspace / "sim" / "dataset.csv"),
+                  "schema": SCHEMA, "train": TRAIN, "seed": 0}
+        if role in ("data_csv", "fit_json"):
+            config[role] = str(path)
+        elif role == "extra_predictions":
+            config[role] = {"glm": str(path)}
+        cfg = str(path) if role == "config" else write_json(tmp_path / "c.json", config)
+        out = path if role == "out" else tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [["fit", "--n-max", "5"], ["refit"], []])
     def test_usage_error_exits_1(self, argv, capsys):
         assert main(argv) == 1

@@ -241,6 +241,19 @@ class TestLoadCsv:
         assert (back.fixed_design == data.fixed_design).all()
         assert (back.group_index == data.group_index).all()
 
+    def test_writes_each_cells_repr(self, tmp_path):
+        # the shortest repr of every float, whatever its exponent or sign
+        values = [0.0, 5e-324, 0.1, 1e-7, 1e16, 123456789012345678.0, 2.5]
+        negated = [-v for v in values]
+        groups = [0, 1, 2, 0, 1, 2, 11]
+        data = Dataset(responses=values, fixed_design=np.column_stack([values[::-1], negated]),
+                       group_index=groups, group_count=12, column_names=["a", "b"])
+        write_csv(data, tmp_path / "d.csv")
+        rows = [[repr(y), repr(a), repr(b), f"g{g:04d}"]
+                for y, a, b, g in zip(values, values[::-1], negated, groups)]
+        want = "".join(",".join(r) + "\r\n" for r in [["y", "a", "b", "group"], *rows])
+        assert (tmp_path / "d.csv").read_bytes().decode() == want
+
 
 class TestSplit:
     def test_paper_fractions(self):

@@ -50,6 +50,12 @@ class TestOrderedLorenz:
         assert curve.points[0] == (0.0, 0.0)
         assert curve.points[-1] == (1.0, 1.0)
 
+    def test_write_csv_gives_each_points_repr(self, tmp_path):
+        points = ((0.0, 0.0), (1 / 3, 5e-324), (np.float64(2 / 3), 1e-7), (1.0, 1.0))
+        LorenzCurve(points=points).write_csv(tmp_path / "c.csv")
+        want = "F_p,F_y\r\n" + "".join(f"{float(a)!r},{float(b)!r}\r\n" for a, b in points)
+        assert (tmp_path / "c.csv").read_bytes().decode() == want
+
     def test_degenerate_predictions(self):
         with pytest.raises(DegeneratePredictionError):
             ordered_lorenz(Y, ONES, np.zeros(3))

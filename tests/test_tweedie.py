@@ -174,54 +174,65 @@ class TestSummationRange:
 P_GRID = [1.001, 1.01, 1.2, 1.5, 1.8, 1.99, 1.999]
 
 
-@pytest.fixture
-def fresh_tables(monkeypatch):
-    """Empty count-table caches for one test; the module's own come back after it."""
-    monkeypatch.setattr(tweedie, "_tables", {})
-    monkeypatch.setattr(tweedie, "_log_factorials", np.zeros(1))
-
-
 class TestCountTables:
     @pytest.mark.parametrize("p", P_GRID)
-    def test_tables_match_scipy(self, p, fresh_tables):
+    def test_tables_match_scipy(self, p):
         alpha = (2.0 - p) / (p - 1.0)
         n = np.arange(1.0, 10_001.0)
         g = tweedie._count_table(alpha, 10_000)
-        psi = tweedie._digamma_table(alpha)
-        assert g.shape == psi.shape == (10_001,) and g[0] == np.inf
+        psi = tweedie._digamma_table(alpha, 10_000)
+        assert g.shape == (10_001,) and psi.shape == (10_000,) and g[0] == np.inf
         # atol for the values near 0: G(1) = lgamma(alpha) at alpha near 1 or 2, and
         # digamma near its root 1.4616...
         assert_allclose(g[1:], gammaln(n * alpha) + gammaln(n + 1.0), rtol=1e-13, atol=1e-14)
-        assert_allclose(psi[1:], digamma(n * alpha), rtol=1e-13, atol=1e-14)
+        assert_allclose(psi, digamma(n * alpha), rtol=1e-13, atol=1e-14)
 
     @pytest.mark.parametrize("p", P_GRID)
-    def test_extended_table_equals_fresh_build(self, p, monkeypatch, fresh_tables):
+    def test_extended_table_equals_fresh_build(self, p):
+        # the doubling in _summand_mode asks for longer tables of one alpha: each is
+        # built afresh and starts with the shorter ones, bit for bit
         alpha = (2.0 - p) / (p - 1.0)
-        for size in (3, 40, 41, 700, 5000):
-            grown = {"g": tweedie._count_table(alpha, size), "psi": tweedie._digamma_table(alpha)}
-        monkeypatch.setattr(tweedie, "_tables", {})
-        monkeypatch.setattr(tweedie, "_log_factorials", np.zeros(1))
-        np.testing.assert_array_equal(grown["g"], tweedie._count_table(alpha, 5000))
-        np.testing.assert_array_equal(grown["psi"], tweedie._digamma_table(alpha))
-        # a shorter request is a prefix of the cached table, which callers cannot write
-        short = tweedie._count_table(alpha, 10)
-        np.testing.assert_array_equal(short, grown["g"][:11])
-        assert not short.flags.writeable
+        long_g = tweedie._count_table(alpha, 5000)
+        long_psi = tweedie._digamma_table(alpha, 5000)
+        for size in (3, 10, 40, 41, 700):
+            np.testing.assert_array_equal(tweedie._count_table(alpha, size), long_g[:size + 1])
+            np.testing.assert_array_equal(tweedie._digamma_table(alpha, size), long_psi[:size])
+        # a cached table is shared, so callers cannot write it
+        assert not tweedie._count_table(alpha, 10).flags.writeable
 
-    def test_cache_stays_bounded(self, fresh_tables):
-        for alpha in np.linspace(0.01, 50.0, 1000):
-            tweedie._count_table(alpha, 200)
-            tweedie._digamma_table(alpha)
-        assert len(tweedie._tables) == tweedie._TABLES_KEPT
-        assert tweedie._log_factorials.size == 201
+    def test_cache_stays_bounded(self):
+        for k, alpha in enumerate(np.linspace(0.01, 50.0, 1000)):
+            tweedie._count_table(float(alpha), 40 << k % 4)
+        assert tweedie._count_table.cache_info().currsize <= tweedie._TABLES_KEPT
+        assert tweedie._log_factorials.cache_info().currsize <= tweedie._TABLES_KEPT
 
-    def test_recent_alpha_is_kept(self, fresh_tables):
-        first = tweedie._count_table(0.5, 40)
-        for alpha in (1.0, 2.0, 0.5, 3.0, 4.0, 5.0):
-            tweedie._count_table(alpha, 40)
-        # 0.5 was used again after 1.0 and 2.0, so those two went first
-        assert list(tweedie._tables) == [0.5, 3.0, 4.0, 5.0]
-        assert tweedie._count_table(0.5, 40).base is first.base
+    def test_recent_alpha_is_kept(self):
+        # the chain's pattern: an index-parameter proposal at a fresh alpha, then a
+        # dispersion proposal at the accepted one, which must find its table kept
+        accepted = tweedie._count_table(0.5, 40)
+        for alpha in np.linspace(1.0, 3.0, 50):
+            tweedie._count_table(float(alpha), 40)
+            assert tweedie._count_table(0.5, 40) is accepted
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.floats(1.15, 1.85), phi=st.floats(0.2, 5.0),
+           history=st.lists(st.just(0.0) | st.floats(-0.1, 0.1), max_size=6))
+    def test_results_do_not_depend_on_earlier_alphas(self, p, phi, history):
+        # history holds the offsets from p of the index parameters evaluated before
+        rng = np.random.default_rng(0)
+        y = np.where(rng.random(64) < 0.3, 0.0, rng.gamma(0.7, 3.0, 64))
+        mu = rng.gamma(2.0, 1.0, 64)
+        log_y = np.log(y[y > 0])
+
+        def bits():
+            return [a.tobytes() for a in (tweedie.series_terms(log_y, p, phi),
+                                          *tweedie_log_pdf_partials(y, mu, p, phi))]
+
+        for offset in history:
+            tweedie_log_pdf_partials(y, mu, p + offset, phi)
+        after_history = bits()
+        tweedie._count_table.cache_clear()
+        assert bits() == after_history
 
 
 class TestSeriesOracle:
