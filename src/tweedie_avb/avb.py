@@ -216,10 +216,6 @@ class TrainConfig:
         d["critic_hidden"] = list(self.critic_hidden)
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
-
 
 @dataclass
 class FitResult:

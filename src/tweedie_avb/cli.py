@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import logging
 import os
@@ -51,7 +52,40 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+# The type of every top-level config key a command reads; null passes (``mcmc: null`` runs
+# no chain, and predict's ``schema: null`` means the fit's schema).  A key no command reads
+# is ignored, so one config can serve several commands.
+_TOP_LEVEL_TYPES = {
+    "out": "str", "data_csv": "str", "fit_json": "str", "seed": "int",
+    "standardize": "bool", "extra_predictions": "dict[str, str]",
+    "truth": "object", "schema": "object", "split": "object", "train": "object",
+    "mcmc": "object",
+}
+
+
+def _type_error(value, annotation: str):
+    """What a config value annotated ``annotation`` needs, if ``value`` is not that; else None."""
+    if annotation == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+        return "an integer"
+    if annotation == "float" and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        return "a number"
+    if annotation == "tuple[int, ...]" and not (
+            isinstance(value, list) and not any(_type_error(v, "int") for v in value)):
+        return "a list of integers"
+    if annotation == "str" and not isinstance(value, str):
+        return "a string"
+    if annotation == "bool" and not isinstance(value, bool):
+        return "true or false"
+    if annotation == "object" and not isinstance(value, dict):
+        return "an object"
+    if annotation == "dict[str, str]" and not (
+            isinstance(value, dict) and all(isinstance(v, str) for v in value.values())):
+        return "an object of strings"
+    return None
+
+
 def _load_config(path) -> dict:
+    """The config at ``path`` ({} for None), each top-level key of the type it needs."""
     if path is None:
         return {}
     try:
@@ -63,10 +97,15 @@ def _load_config(path) -> dict:
         raise UserError(f"malformed config {path}: {exc}") from None
     if not isinstance(config, dict):
         raise UserError(f"malformed config {path}: expected a JSON object")
+    for key, annotation in _TOP_LEVEL_TYPES.items():
+        expected = config.get(key) is not None and _type_error(config[key], annotation)
+        if expected:
+            raise UserError(f"config key {key!r} must be {expected}, got {config[key]!r}")
     return config
 
 
 def _out_dir(config: dict, args) -> Path:
+    """Make ``--out``, else the config's ``out``, and record it in the config as ``out``."""
     out = args.out or config.get("out")
     if out is None:
         raise UserError("an output directory is required (--out or config key 'out')")
@@ -75,26 +114,15 @@ def _out_dir(config: dict, args) -> Path:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file by that name, or under one
         raise UserError(f"cannot make output directory {out}: {exc}") from None
+    config["out"] = str(path)
     return path
 
 
-def _type_error(value, annotation: str):
-    """What a config field annotated ``annotation`` needs, if ``value`` is not that; else None."""
-    if annotation == "int" and (isinstance(value, bool) or not isinstance(value, int)):
-        return "an integer"
-    if annotation == "float" and (isinstance(value, bool) or not isinstance(value, (int, float))):
-        return "a number"
-    if annotation == "tuple[int, ...]" and not (
-            isinstance(value, list) and not any(_type_error(v, "int") for v in value)):
-        return "a list of integers"
-    return None
-
-
 def _parse(section: str, cls, d):
-    """``cls.from_dict(d)``; a missing, unknown or bad key is a UserError naming ``section``.
+    """``cls(**d)``; a missing, unknown or bad key is a UserError naming ``section``.
 
-    A value that does not fit its field's annotation (``int``, ``float`` or
-    ``tuple[int, ...]``; a bool is not a number) is a bad key.
+    A value that does not fit its field's annotation, where ``_type_error``
+    knows the annotation (a bool is not a number), is a bad key.
     """
     if not isinstance(d, dict):
         raise UserError(f"invalid {section} config: expected an object, got {d!r}")
@@ -104,7 +132,7 @@ def _parse(section: str, cls, d):
             raise UserError(f"invalid {section} config: {f.name} must be {expected}, "
                             f"got {d[f.name]!r}")
     try:
-        return cls.from_dict(d)
+        return cls(**d)
     except (TypeError, ValueError) as exc:
         raise UserError(f"invalid {section} config: {exc}") from None
 
@@ -127,23 +155,17 @@ def _echo_config(config: dict, out: Path) -> None:
 # simulate
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(args) -> int:
-    config = _load_config(args.config)
-    _apply_seed(config, args)
-    config["out"] = str(_out_dir(config, args))
+def cmd_simulate(config: dict, args, out: Path) -> None:
     if config.get("truth") is None:
         raise UserError("simulate needs a 'truth' object in the config")
     truth = _parse("truth", SimTruth, config["truth"])
-    out = Path(config["out"])
     rng = np.random.default_rng(config["seed"])
     dataset, realized = simulate_dataset(truth, rng)
     write_csv(dataset, out / "dataset.csv")
     config["truth"] = truth.to_dict()  # echo the input truth; realized b goes to truth.json
     with open(out / "truth.json", "w", encoding="utf-8") as fh:
         json.dump(realized.to_dict(), fh, indent=2)
-    _echo_config(config, out)
     log.info("wrote %d rows to %s", dataset.n_obs, out / "dataset.csv")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -172,16 +194,12 @@ def _write_trace_csv(fit: FitResult, path) -> None:
                              fit.generator_trace.tolist()))
 
 
-def cmd_fit(args) -> int:
-    config = _load_config(args.config)
-    if args.seed is not None:
-        config.setdefault("train", {})["seed"] = args.seed
-    if args.steps is not None:
-        config.setdefault("train", {})["outer_steps"] = args.steps
+def cmd_fit(config: dict, args, out: Path) -> None:
+    for key, value in (("seed", args.seed), ("outer_steps", args.steps)):
+        if value is not None:  # a null train section takes the flag over the defaults
+            config["train"] = {**(config.get("train") or {}), key: value}
     if args.mcmc:
         config.setdefault("mcmc", {})
-    config["out"] = str(_out_dir(config, args))
-    out = Path(config["out"])
 
     dataset, schema = _load_dataset(config)
     split = _parse("split", SplitSpec, config.get("split", {}))
@@ -227,8 +245,6 @@ def cmd_fit(args) -> int:
 
     if chain_cfg is not None:
         run_chain(train_set, chain_cfg).save(out / "mcmc.json")
-    _echo_config(config, out)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -247,23 +263,8 @@ def _load_fit(config: dict) -> FitResult:
         raise UserError(f"invalid fit artifact {path}: {exc!r}") from None
 
 
-def _apply_stored_transform(fit: FitResult, ds):
-    info = fit.metadata.get("standardize")
-    if not info or not info.get("enabled"):
-        return ds
-    return data_io.apply_standardization(ds, np.asarray(info["means"]),
-                                         np.asarray(info["scales"]))
-
-
-def _encode_groups(fit: FitResult, ds) -> np.ndarray:
-    levels = fit.metadata.get("group_levels")
-    if not levels or ds.group_levels is None:
-        return np.full(ds.n_obs, -1, dtype=int)
-    encode = {lvl: i for i, lvl in enumerate(levels)}
-    return np.array([encode.get(ds.group_levels[g], -1) for g in ds.group_index], dtype=int)
-
-
-def _check_columns(fit: FitResult, ds) -> None:
+def _predict(fit: FitResult, ds, rng, **kwargs) -> dict:
+    """``posterior_predict`` on ``ds``'s rows, under the fit's stored transform and group codes."""
     trained = list(fit.metadata.get("column_names", []))
     got = list(ds.column_names)
     if trained != got:
@@ -272,25 +273,27 @@ def _check_columns(fit: FitResult, ds) -> None:
         raise UserError(
             f"covariate columns differ from training: missing {missing}, unexpected {extra}"
         )
+    info = fit.metadata.get("standardize")
+    if info and info.get("enabled"):
+        ds = data_io.apply_standardization(ds, np.asarray(info["means"]),
+                                           np.asarray(info["scales"]))
+    levels = fit.metadata.get("group_levels")
+    if levels and ds.group_levels is not None:
+        encode = {lvl: i for i, lvl in enumerate(levels)}
+        groups = np.array([encode.get(ds.group_levels[g], -1) for g in ds.group_index], dtype=int)
+    else:
+        groups = np.full(ds.n_obs, -1, dtype=int)
+    return posterior_predict(fit, ds.fixed_design, groups, rng, **kwargs)
 
 
-def cmd_evaluate(args) -> int:
-    config = _load_config(args.config)
-    _apply_seed(config, args)
-    config["out"] = str(_out_dir(config, args))
-    out = Path(config["out"])
+def cmd_evaluate(config: dict, args, out: Path) -> None:
     fit = _load_fit(config)
     dataset, schema = _load_dataset(config)
     split = _parse("split", SplitSpec, config.get("split", fit.metadata.get("split", {})))
     config["split"] = split.to_dict()
     config["schema"] = schema.to_dict()
     train_set, _, test_set = split_dataset(dataset, split)
-    test_std = _apply_stored_transform(fit, test_set)
-    _check_columns(fit, test_std)
-
-    rng = np.random.default_rng(config["seed"])
-    preds = posterior_predict(fit, test_std.fixed_design, _encode_groups(fit, test_std), rng,
-                              quantiles=())
+    preds = _predict(fit, test_set, np.random.default_rng(config["seed"]), quantiles=())
     baseline = np.full(test_set.n_obs, max(train_set.responses.mean(), 1e-12))
     predictions = {"intercept": baseline, "avb": preds["mean"]}
     for name, path in (config.get("extra_predictions") or {}).items():
@@ -310,22 +313,14 @@ def cmd_evaluate(args) -> int:
     matrix = evaluation.pairwise_gini_matrix(test_set.responses, predictions)
     evaluation.write_gini_matrix_csv(matrix, out / "gini_matrix.csv")
     evaluation.write_gini_matrix_json(matrix, out / "gini_matrix.json")
-    for i, base_name in enumerate(matrix["names"]):
-        for j, model_name in enumerate(matrix["names"]):
-            if i == j:
-                continue
-            curve = evaluation.ordered_lorenz(
-                test_set.responses, predictions[base_name], predictions[model_name])
-            curve.write_csv(out / f"lorenz_{base_name}_{model_name}.csv")
+    for base_name, model_name in itertools.permutations(matrix["names"], 2):
+        curve = evaluation.ordered_lorenz(
+            test_set.responses, predictions[base_name], predictions[model_name])
+        curve.write_csv(out / f"lorenz_{base_name}_{model_name}.csv")
 
-    summaries = {}
-    for key in ("p_index", "dispersion", "sigma_b"):
-        draws = np.asarray(fit.draws[key])
-        if draws.size >= 2:
-            summaries[key] = evaluation.posterior_summary(draws)
-    sigma_sq = np.asarray(fit.draws["sigma_b"]) ** 2
-    if sigma_sq.size >= 2:
-        summaries["sigma_b_squared"] = evaluation.posterior_summary(sigma_sq)
+    draws = {key: np.asarray(fit.draws[key]) for key in ("p_index", "dispersion", "sigma_b")}
+    draws["sigma_b_squared"] = draws["sigma_b"] ** 2
+    summaries = {key: evaluation.posterior_summary(d) for key, d in draws.items() if d.size >= 2}
     with open(out / "posterior_summary.json", "w", encoding="utf-8") as fh:
         json.dump(summaries, fh, indent=2)
 
@@ -335,36 +330,23 @@ def cmd_evaluate(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(["bin_left", "bin_right", "count"])
             edges = p_summary["histogram_edges"]
-            for left, right, count in zip(edges[:-1], edges[1:],
-                                          p_summary["histogram_counts"]):
-                writer.writerow([repr(left), repr(right), count])
-    _echo_config(config, out)
-    return 0
+            writer.writerows(zip(edges[:-1], edges[1:], p_summary["histogram_counts"]))
 
 
 # ---------------------------------------------------------------------------
 # predict
 # ---------------------------------------------------------------------------
 
-def cmd_predict(args) -> int:
-    config = _load_config(args.config)
-    _apply_seed(config, args)
-    config["out"] = str(_out_dir(config, args))
-    out = Path(config["out"])
+def cmd_predict(config: dict, args, out: Path) -> None:
     fit = _load_fit(config)
     ds, schema = _load_dataset(config, fit.metadata.get("schema"))
     config["schema"] = schema.to_dict()
-    ds_std = _apply_stored_transform(fit, ds)
-    _check_columns(fit, ds_std)
-    rng = np.random.default_rng(config["seed"])
-    preds = posterior_predict(fit, ds_std.fixed_design, _encode_groups(fit, ds_std), rng)
+    preds = _predict(fit, ds, np.random.default_rng(config["seed"]))
     with open(out / "predictions.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", "mean", "q05", "q50", "q95"])
         columns = [preds[k].tolist() for k in ("mean", "q05", "q50", "q95")]
         writer.writerows(zip(range(ds.n_obs), *columns))
-    _echo_config(config, out)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +377,13 @@ def main(argv=None) -> int:
     _setup_logging()
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        config = _load_config(args.config)
+        if args.command != "fit":  # fit's --seed is the training seed
+            _apply_seed(config, args)
+        out = _out_dir(config, args)
+        args.func(config, args, out)
+        _echo_config(config, out)
+        return 0
     except (UserError, data_io.SchemaError, data_io.SplitError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -52,10 +52,6 @@ class SchemaConfig:
         return {**asdict(self), "fixed_columns": list(self.fixed_columns),
                 "categorical_columns": list(self.categorical_columns)}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SchemaConfig":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class SplitSpec:
@@ -80,10 +76,6 @@ class SplitSpec:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SplitSpec":
-        return cls(**d)
-
 
 @dataclass
 class SimTruth:
@@ -100,12 +92,18 @@ class SimTruth:
 
     def __post_init__(self):
         self.fixed_weights = np.asarray(self.fixed_weights, dtype=float)
+        if (self.fixed_weights.ndim != 1 or self.fixed_weights.size == 0
+                or not np.isfinite(self.fixed_weights).all()):
+            raise ValueError("fixed_weights must be a non-empty list of finite numbers, "
+                             f"got {self.fixed_weights.tolist()!r}")
         if not (1.0 < self.p_index < 2.0):
             raise ValueError(f"p_index must lie in (1, 2), got {self.p_index}")
         if self.dispersion <= 0 or self.sigma_b < 0:
             raise ValueError("dispersion must be positive and sigma_b nonnegative")
         if self.n_obs < 1:
             raise ValueError(f"n_obs must be >= 1, got {self.n_obs}")
+        if self.group_count < 0:
+            raise ValueError(f"group_count must be >= 0, got {self.group_count}")
         if self.b is not None:
             self.b = np.asarray(self.b, dtype=float)
             if self.b.shape != (self.group_count,):
@@ -118,10 +116,6 @@ class SimTruth:
     def to_dict(self) -> dict:
         return {**asdict(self), "fixed_weights": self.fixed_weights.tolist(),
                 "b": None if self.b is None else self.b.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SimTruth":
-        return cls(**d)
 
 
 # ---------------------------------------------------------------------------

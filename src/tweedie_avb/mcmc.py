@@ -93,10 +93,6 @@ class ChainConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ChainConfig":
-        return cls(**d)
-
 
 @dataclass
 class ChainResult:

@@ -484,12 +484,8 @@ def tweedie_log_pdf_partials(y: np.ndarray, mu: np.ndarray, p: float, phi: float
 # ---------------------------------------------------------------------------
 
 def tweedie_sample(c: CompoundParams, rng: np.random.Generator) -> float:
-    """One draw: N ~ Poisson(lambda), then the sum of N Gamma(alpha, beta)."""
-    n = int(rng.poisson(c.lam))
-    if n == 0:
-        return 0.0
-    # sum of n iid Gamma(alpha, scale beta) is Gamma(n * alpha, scale beta)
-    return float(rng.gamma(n * c.alpha, c.beta))
+    """One draw: N ~ Poisson(lambda), then the sum of N Gamma(alpha, beta); see the array form."""
+    return float(tweedie_sample_array(c.lam, c.alpha, c.beta, rng))
 
 
 def tweedie_sample_array(lam: np.ndarray, alpha, beta: np.ndarray,

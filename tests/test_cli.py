@@ -108,7 +108,7 @@ class TestFit:
 
     def test_numerical_abort_exits_2_with_checkpoint(self, tmp_path):
         # unstandardized covariates x1e4 overflow the log link
-        truth = SimTruth.from_dict(TRUTH)
+        truth = SimTruth(**TRUTH)
         data, _ = simulate_dataset(truth, np.random.default_rng(0))
         data.fixed_design *= 1e4
         write_csv(data, tmp_path / "big.csv")
@@ -351,6 +351,40 @@ class TestErrors:
         assert main([command, "--config", cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command,setting,flags,named", [
+        ("fit", {"data_csv": 5}, [], "'data_csv' must be a string"),
+        ("fit", {"standardize": "no"}, [], "'standardize' must be true or false"),
+        ("fit", {"out": 5}, None, "'out' must be a string"),
+        ("fit", {"train": 5}, ["--seed", "3"], "'train' must be an object"),
+        ("fit", {"train": 5}, ["--steps", "3"], "'train' must be an object"),
+        ("evaluate", {"extra_predictions": ["x.csv"]}, [], "'extra_predictions' must be an object"),
+        ("evaluate", {"extra_predictions": {"glm": 5}}, [], "'extra_predictions' must be an object"),
+        ("evaluate", {"fit_json": 5}, [], "'fit_json' must be a string"),
+        ("predict", {"fit_json": 5}, [], "'fit_json' must be a string"),
+        ("simulate", {"truth": {**TRUTH, "group_count": -2}}, [], "group_count must be >= 0"),
+        ("simulate", {"truth": {**TRUTH, "fixed_weights": []}}, [], "fixed_weights must be"),
+        ("simulate", {"truth": {**TRUTH, "fixed_weights": [[0.1, 0.3]]}}, [],
+         "fixed_weights must be"),
+    ], ids=["data_csv-number", "standardize-string", "out-number", "train-number-seed",
+            "train-number-steps", "extra_predictions-list", "extra_predictions-number-path",
+            "evaluate-fit_json-number", "predict-fit_json-number", "truth-negative-group_count",
+            "truth-empty-fixed_weights", "truth-matrix-fixed_weights"])
+    def test_wrong_top_level_value_exits_1(self, workspace, tmp_path, capsys, command, setting,
+                                           flags, named):
+        # one config serves every command; a value of the wrong type is named, not misread
+        # or left to a traceback (flags None: no --out, so the config's out is read)
+        config = {"fit_json": str(workspace / "fit" / "fit.json"),
+                  "data_csv": str(workspace / "sim" / "dataset.csv"),
+                  "schema": SCHEMA, "train": TRAIN, "truth": TRUTH, "seed": 0, **setting}
+        argv = [command, "--config", write_json(tmp_path / "c.json", config)]
+        if flags is not None:
+            argv += ["--out", str(tmp_path / "o"), *flags]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert named in err
+        assert not list(tmp_path.glob("o/*"))
 
     @pytest.mark.parametrize("argv", [["fit", "--n-max", "5"], ["refit"], []])
     def test_usage_error_exits_1(self, argv, capsys):

@@ -132,7 +132,7 @@ class TestSchemaConfig:
     def test_dict_round_trip(self):
         schema = SchemaConfig(response_column="y", fixed_columns=("a", "b"),
                               group_column="g", categorical_columns=("b",))
-        assert SchemaConfig.from_dict(schema.to_dict()) == schema
+        assert SchemaConfig(**schema.to_dict()) == schema
 
     @pytest.mark.parametrize("doc", [
         {"response_column": "y", "fixed_columns": ["x"], "group_colum": "g"},
@@ -140,7 +140,7 @@ class TestSchemaConfig:
     ])
     def test_unknown_or_missing_key_rejected(self, doc):
         with pytest.raises(TypeError, match="group_colum|response_column"):
-            SchemaConfig.from_dict(doc)
+            SchemaConfig(**doc)
 
 
 class TestLoadCsv:
@@ -373,9 +373,9 @@ class TestSimulate:
         truth = SimTruth(fixed_weights=np.array([0.1, 0.2]), p_index=1.5, dispersion=1.0,
                          sigma_b=0.3, n_obs=10, group_count=2, b=np.array([0.1, -0.1]))
         doc = json.loads(json.dumps(truth.to_dict()))
-        assert SimTruth.from_dict(doc).to_dict() == doc
+        assert SimTruth(**doc).to_dict() == doc
         with pytest.raises(TypeError, match="group_cont"):
-            SimTruth.from_dict({**doc, "group_cont": 2})
+            SimTruth(**{**doc, "group_cont": 2})
 
     def test_truth_validation(self):
         with pytest.raises(ValueError):
@@ -384,3 +384,16 @@ class TestSimulate:
         with pytest.raises(ValueError):
             SimTruth(fixed_weights=np.zeros(1), p_index=1.5, dispersion=1.0,
                      sigma_b=0.1, n_obs=10, group_count=2, b=np.zeros(3))
+
+    @pytest.mark.parametrize("setting,named", [
+        ({"group_count": -2}, "group_count"),
+        ({"fixed_weights": []}, "fixed_weights"),
+        ({"fixed_weights": [[0.1, 0.3]]}, "fixed_weights"),
+        ({"fixed_weights": [0.1, float("nan")]}, "fixed_weights"),
+    ])
+    def test_truth_simulate_cannot_use_rejected(self, setting, named):
+        # each of these once simulated a group-free dataset or failed inside numpy
+        doc = {"fixed_weights": [0.1, 0.3], "p_index": 1.5, "dispersion": 1.0,
+               "sigma_b": 0.5, "n_obs": 10, "group_count": 2}
+        with pytest.raises(ValueError, match=named):
+            SimTruth(**{**doc, **setting})

@@ -52,7 +52,7 @@ class TestChainConfig:
 
     def test_dict_round_trip(self):
         cfg = ChainConfig(iterations=500, burn_in=100, thinning=2, seed=7)
-        assert ChainConfig.from_dict(cfg.to_dict()) == cfg
+        assert ChainConfig(**cfg.to_dict()) == cfg
 
     def test_partial_step_sizes_keep_other_defaults(self):
         # a block the config leaves out starts at its default step, and the echo shows it

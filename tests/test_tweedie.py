@@ -373,6 +373,20 @@ class TestSampling:
         b = [tweedie_sample(c, np.random.default_rng(9)) for _ in range(3)]
         assert a == b
 
+    def test_scalar_draw_follows_poisson_then_gamma(self):
+        # the scalar draw is the array draw; a zero count takes nothing from the stream, so
+        # equal seeds give the Poisson-then-Gamma recipe's draws, one for one
+        params = np.random.default_rng(6)
+        for seed in range(3000):
+            c = CompoundParams(lam=math.exp(params.uniform(-4.0, 2.0)),
+                               alpha=math.exp(params.uniform(-3.0, 2.0)),
+                               beta=math.exp(params.uniform(-3.0, 2.0)))
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(5):
+                n = int(ref.poisson(c.lam))
+                expected = float(ref.gamma(n * c.alpha, c.beta)) if n else 0.0
+                assert tweedie_sample(c, rng) == expected
+
     def test_array_alpha_matches_scalar_alpha(self):
         lam, beta = np.linspace(0.1, 3.0, 400), np.linspace(0.2, 1.5, 400)
         scalar = tweedie_sample_array(lam, 1.7, beta, np.random.default_rng(4))
