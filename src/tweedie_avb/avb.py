@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .autodiff import AdamState, ParamStore, adam_step, clip_global_norm
+from .data import write_json
 from .model import (
     LIKELIHOOD_FAILURES,
     Dataset,
@@ -266,9 +267,7 @@ class FitResult:
         )
 
     def save(self, path) -> None:
-        # json.dump would encode in pure Python; dumps uses the C encoder, same bytes
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(self.to_json_dict()))
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path) -> "FitResult":

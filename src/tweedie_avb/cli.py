@@ -13,7 +13,6 @@ Log verbosity comes from the TWEEDIE_AVB_LOG environment variable
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import logging
@@ -52,9 +51,9 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-# The type of every top-level config key a command reads; null passes (``mcmc: null`` runs
-# no chain, and predict's ``schema: null`` means the fit's schema).  A key no command reads
-# is ignored, so one config can serve several commands.
+# The type of every top-level config key a command reads; a null key is dropped, so it
+# means the same as an absent one.  A key no command reads is ignored, so one config can
+# serve several commands.
 _TOP_LEVEL_TYPES = {
     "out": "str", "data_csv": "str", "fit_json": "str", "seed": "int",
     "standardize": "bool", "extra_predictions": "dict[str, str]",
@@ -85,7 +84,7 @@ def _type_error(value, annotation: str):
 
 
 def _load_config(path) -> dict:
-    """The config at ``path`` ({} for None), each top-level key of the type it needs."""
+    """The config at ``path`` ({} for None) without its null keys, each of the type it needs."""
     if path is None:
         return {}
     try:
@@ -97,8 +96,9 @@ def _load_config(path) -> dict:
         raise UserError(f"malformed config {path}: {exc}") from None
     if not isinstance(config, dict):
         raise UserError(f"malformed config {path}: expected a JSON object")
+    config = {key: value for key, value in config.items() if value is not None}
     for key, annotation in _TOP_LEVEL_TYPES.items():
-        expected = config.get(key) is not None and _type_error(config[key], annotation)
+        expected = key in config and _type_error(config[key], annotation)
         if expected:
             raise UserError(f"config key {key!r} must be {expected}, got {config[key]!r}")
     return config
@@ -146,25 +146,19 @@ def _apply_seed(config: dict, args) -> None:
         raise UserError(f"seed must be an integer >= 0, got {config['seed']!r}")
 
 
-def _echo_config(config: dict, out: Path) -> None:
-    with open(out / "config_echo.json", "w", encoding="utf-8") as fh:
-        json.dump(config, fh, indent=2, sort_keys=True)
-
-
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(config: dict, args, out: Path) -> None:
-    if config.get("truth") is None:
+    if "truth" not in config:
         raise UserError("simulate needs a 'truth' object in the config")
     truth = _parse("truth", SimTruth, config["truth"])
     rng = np.random.default_rng(config["seed"])
     dataset, realized = simulate_dataset(truth, rng)
     write_csv(dataset, out / "dataset.csv")
     config["truth"] = truth.to_dict()  # echo the input truth; realized b goes to truth.json
-    with open(out / "truth.json", "w", encoding="utf-8") as fh:
-        json.dump(realized.to_dict(), fh, indent=2)
+    data_io.write_json(out / "truth.json", realized.to_dict(), indent=2)
     log.info("wrote %d rows to %s", dataset.n_obs, out / "dataset.csv")
 
 
@@ -186,18 +180,10 @@ def _load_dataset(config: dict, default_schema=None):
     return load_csv(path, schema), schema
 
 
-def _write_trace_csv(fit: FitResult, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "critic_loss", "generator_loss"])
-        writer.writerows(zip(range(fit.critic_trace.size), fit.critic_trace.tolist(),
-                             fit.generator_trace.tolist()))
-
-
 def cmd_fit(config: dict, args, out: Path) -> None:
     for key, value in (("seed", args.seed), ("outer_steps", args.steps)):
-        if value is not None:  # a null train section takes the flag over the defaults
-            config["train"] = {**(config.get("train") or {}), key: value}
+        if value is not None:
+            config["train"] = {**config.get("train", {}), key: value}
     if args.mcmc:
         config.setdefault("mcmc", {})
 
@@ -217,7 +203,7 @@ def cmd_fit(config: dict, args, out: Path) -> None:
     config["train"] = cfg.to_dict()
     config["schema"] = schema.to_dict()
     chain_cfg = None
-    if config.get("mcmc") is not None:
+    if "mcmc" in config:
         chain_cfg = _parse("mcmc", ChainConfig, config["mcmc"])
         config["mcmc"] = chain_cfg.to_dict()
 
@@ -241,7 +227,9 @@ def cmd_fit(config: dict, args, out: Path) -> None:
     fit.metadata["split"] = split.to_dict()
     fit.metadata["data_csv"] = config["data_csv"]
     fit.save(out / "fit.json")
-    _write_trace_csv(fit, out / "trace.csv")
+    data_io.write_table(out / "trace.csv", ["step", "critic_loss", "generator_loss"],
+                        zip(range(fit.critic_trace.size), fit.critic_trace.tolist(),
+                            fit.generator_trace.tolist()))
 
     if chain_cfg is not None:
         run_chain(train_set, chain_cfg).save(out / "mcmc.json")
@@ -296,7 +284,7 @@ def cmd_evaluate(config: dict, args, out: Path) -> None:
     preds = _predict(fit, test_set, np.random.default_rng(config["seed"]), quantiles=())
     baseline = np.full(test_set.n_obs, max(train_set.responses.mean(), 1e-12))
     predictions = {"intercept": baseline, "avb": preds["mean"]}
-    for name, path in (config.get("extra_predictions") or {}).items():
+    for name, path in config.get("extra_predictions", {}).items():
         if not Path(path).exists():
             raise UserError(f"prediction file not found for model {name!r}: {path}")
         try:
@@ -308,29 +296,31 @@ def cmd_evaluate(config: dict, args, out: Path) -> None:
             raise UserError(
                 f"prediction file {path} has {values.shape[0]} rows, expected {test_set.n_obs}"
             )
+        if not (np.isfinite(values) & (values > 0)).all():  # every model is also a baseline
+            raise UserError(f"prediction file {path} for model {name!r} holds a value that is "
+                            "not a finite positive number")
         predictions[name] = values
 
     matrix = evaluation.pairwise_gini_matrix(test_set.responses, predictions)
-    evaluation.write_gini_matrix_csv(matrix, out / "gini_matrix.csv")
-    evaluation.write_gini_matrix_json(matrix, out / "gini_matrix.json")
+    data_io.write_table(out / "gini_matrix.csv", ["baseline\\model", *matrix["names"]],
+                        ([name, *row] for name, row in zip(matrix["names"], matrix["matrix"])))
+    data_io.write_json(out / "gini_matrix.json", matrix, indent=2)
     for base_name, model_name in itertools.permutations(matrix["names"], 2):
         curve = evaluation.ordered_lorenz(
             test_set.responses, predictions[base_name], predictions[model_name])
-        curve.write_csv(out / f"lorenz_{base_name}_{model_name}.csv")
+        data_io.write_table(out / f"lorenz_{base_name}_{model_name}.csv", ["F_p", "F_y"],
+                            curve.points)
 
     draws = {key: np.asarray(fit.draws[key]) for key in ("p_index", "dispersion", "sigma_b")}
     draws["sigma_b_squared"] = draws["sigma_b"] ** 2
     summaries = {key: evaluation.posterior_summary(d) for key, d in draws.items() if d.size >= 2}
-    with open(out / "posterior_summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summaries, fh, indent=2)
+    data_io.write_json(out / "posterior_summary.json", summaries, indent=2)
 
     p_summary = summaries.get("p_index")
     if p_summary is not None:
-        with open(out / "posterior_p_hist.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_left", "bin_right", "count"])
-            edges = p_summary["histogram_edges"]
-            writer.writerows(zip(edges[:-1], edges[1:], p_summary["histogram_counts"]))
+        edges = p_summary["histogram_edges"]
+        data_io.write_table(out / "posterior_p_hist.csv", ["bin_left", "bin_right", "count"],
+                            zip(edges[:-1], edges[1:], p_summary["histogram_counts"]))
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +332,9 @@ def cmd_predict(config: dict, args, out: Path) -> None:
     ds, schema = _load_dataset(config, fit.metadata.get("schema"))
     config["schema"] = schema.to_dict()
     preds = _predict(fit, ds, np.random.default_rng(config["seed"]))
-    with open(out / "predictions.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "mean", "q05", "q50", "q95"])
-        columns = [preds[k].tolist() for k in ("mean", "q05", "q50", "q95")]
-        writer.writerows(zip(range(ds.n_obs), *columns))
+    columns = [preds[k].tolist() for k in ("mean", "q05", "q50", "q95")]
+    data_io.write_table(out / "predictions.csv", ["row", "mean", "q05", "q50", "q95"],
+                        zip(range(ds.n_obs), *columns))
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +370,7 @@ def main(argv=None) -> int:
             _apply_seed(config, args)
         out = _out_dir(config, args)
         args.func(config, args, out)
-        _echo_config(config, out)
+        data_io.write_json(out / "config_echo.json", config, indent=2, sort_keys=True)
         return 0
     except (UserError, data_io.SchemaError, data_io.SplitError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,14 +1,17 @@
-"""CSV ingestion, splitting, standardization, and synthetic data.
+"""CSV ingestion, splitting, standardization, synthetic data, and artifact writers.
 
 CSV files are UTF-8 with a header row, comma delimiter, and '.' decimal
 separator.  A schema maps columns to roles: one nonnegative response,
 fixed-effect covariates (categoricals one-hot expanded with the first
 level dropped), and an optional group column for the random intercept.
+Every CSV and JSON file the package writes goes through
+:func:`write_table` and :func:`write_json`.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import warnings
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
@@ -207,19 +210,31 @@ def load_csv(path, schema: SchemaConfig) -> Dataset:
     )
 
 
+def write_table(path, header, rows) -> None:
+    """Write a UTF-8 CSV: ``header``, then ``rows``; None is an empty cell, a float its repr."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, obj, indent=None, sort_keys=False) -> None:
+    """Write ``obj`` as UTF-8 JSON with ``json.dumps``'s ``indent`` and ``sort_keys``."""
+    # json.dump would encode in pure Python; dumps uses the C encoder, same bytes
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(obj, indent=indent, sort_keys=sort_keys))
+
+
 def write_csv(data: Dataset, path, response_column: str = "y",
               group_column: str = "group") -> None:
     """Write a Dataset so that :func:`load_csv` round-trips it bit-exactly."""
     names = data.column_names or [f"x{j}" for j in range(data.n_covariates)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = [response_column, *names]
-        columns = [data.responses.tolist(), *data.fixed_design.T.tolist()]
-        if data.group_count > 0:
-            header.append(group_column)
-            columns.append([f"g{g:04d}" for g in data.group_index.tolist()])
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+    header = [response_column, *names]
+    columns = [data.responses.tolist(), *data.fixed_design.T.tolist()]
+    if data.group_count > 0:
+        header.append(group_column)
+        columns.append([f"g{g:04d}" for g in data.group_index.tolist()])
+    write_table(path, header, zip(*columns))
 
 
 def csv_schema_for(data: Dataset, response_column: str = "y",

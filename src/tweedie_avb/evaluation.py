@@ -9,8 +9,6 @@ model separates risk better than the baseline.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,12 +43,6 @@ class LorenzCurve:
     @property
     def outcome_shares(self) -> np.ndarray:
         return np.array([p[1] for p in self.points])
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["F_p", "F_y"])
-            writer.writerows(np.asarray(self.points, dtype=float).tolist())
 
 
 def ordered_lorenz(y: np.ndarray, p: np.ndarray, y_hat: np.ndarray) -> LorenzCurve:
@@ -184,16 +176,3 @@ def random_effect_bias(b_draws: np.ndarray, true_b: np.ndarray) -> dict:
         "max_absolute_bias": float(np.abs(bias).max()),
     }
 
-
-def write_gini_matrix_csv(result: dict, path) -> None:
-    names = result["names"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["baseline\\model"] + names)
-        for name, row in zip(names, result["matrix"]):
-            writer.writerow([name] + ["" if v is None else repr(float(v)) for v in row])
-
-
-def write_gini_matrix_json(result: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2)

@@ -23,13 +23,13 @@ exactly 0 and the chain samples the prior.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .data import write_json
 from .model import (
     LIKELIHOOD_FAILURES,
     Dataset,
@@ -120,8 +120,7 @@ class ChainResult:
         }
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(self.to_json_dict()))
+        write_json(path, self.to_json_dict())
 
 
 # ---------------------------------------------------------------------------

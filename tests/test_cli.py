@@ -2,11 +2,12 @@
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tweedie_avb import avb
+from tweedie_avb import avb, cli
 from tweedie_avb.cli import main
 from tweedie_avb.data import SimTruth, simulate_dataset, write_csv
 
@@ -386,10 +387,63 @@ class TestErrors:
         assert named in err
         assert not list(tmp_path.glob("o/*"))
 
+    @pytest.mark.parametrize("command,key,flags", [
+        ("fit", "mcmc", ["--mcmc"]),
+        ("fit", "train", []),
+        ("fit", "split", []),
+        ("fit", "standardize", []),
+        ("simulate", "seed", []),
+    ], ids=["fit-mcmc-with-flag", "fit-train", "fit-split", "fit-standardize", "simulate-seed"])
+    def test_null_top_level_key_means_absent(self, workspace, tmp_path, monkeypatch, command,
+                                             key, flags):
+        # a null key runs the key's default: the same files, byte for byte, as without it
+        real_train, real_chain = cli.train, cli.run_chain
+        small = dict(outer_steps=3, minibatch_size=32, critic_batch=8, latent_sample_count=30,
+                     inference_hidden=(8,), critic_hidden=(8,))
+        monkeypatch.setattr(cli, "train", lambda data, cfg, valid: real_train(
+            data, replace(cfg, **small), valid=valid))  # the defaults train for minutes
+        monkeypatch.setattr(cli, "run_chain", lambda data, cfg: real_chain(
+            data, replace(cfg, iterations=60, burn_in=20, thinning=5)))
+        config = {"data_csv": str(workspace / "sim" / "dataset.csv"), "schema": SCHEMA,
+                  "split": {"train": 0.5, "valid": 0.25, "test": 0.25, "seed": 1},
+                  "train": TRAIN, "truth": TRUTH, "seed": 7}
+        absent = {k: v for k, v in config.items() if k != key}
+        for name, doc in (("absent", absent), ("null", {**absent, key: None})):
+            cfg = write_json(tmp_path / f"{name}.json", doc)
+            assert main([command, "--config", cfg, "--out", str(tmp_path / name), *flags]) == 0
+        files = sorted(f.name for f in (tmp_path / "absent").iterdir())
+        assert files == sorted(f.name for f in (tmp_path / "null").iterdir())
+        assert key != "mcmc" or "mcmc.json" in files
+        for name in files:
+            a, b = (tmp_path / run / name for run in ("absent", "null"))
+            if name == "config_echo.json":  # the echoes differ only in the out directory
+                a, b = ({**json.loads(f.read_text()), "out": None} for f in (a, b))
+                assert a == b
+            else:
+                assert a.read_bytes() == b.read_bytes(), name
+
     @pytest.mark.parametrize("argv", [["fit", "--n-max", "5"], ["refit"], []])
     def test_usage_error_exits_1(self, argv, capsys):
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: tweedie-avb")
+
+    @pytest.mark.parametrize("bad", ["0", "nan"])
+    def test_non_positive_extra_prediction_exits_1(self, workspace, tmp_path, capsys, bad):
+        # every model is also a baseline, so each prediction must be finite and positive
+        path = tmp_path / "glm.csv"
+        path.write_text("pred\n" + "1.0\n" * 29 + f"{bad}\n", encoding="utf-8")
+        cfg = write_json(tmp_path / "e.json", {
+            "fit_json": str(workspace / "fit" / "fit.json"),
+            "data_csv": str(workspace / "sim" / "dataset.csv"),
+            "schema": SCHEMA,
+            "split": {"train": 0.5, "valid": 0.25, "test": 0.25, "seed": 1},
+            "extra_predictions": {"glm": str(path)},
+        })
+        assert main(["evaluate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "'glm'" in err and str(path) in err and "finite positive" in err
+        assert not any((tmp_path / "o").iterdir())
 
     @pytest.mark.parametrize("command,section,doc", [
         ("fit", "split", {"trian": 0.6}),

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from tweedie_avb.data import write_table
 from tweedie_avb.evaluation import (
     DegeneratePredictionError,
     GiniDomainError,
@@ -17,7 +18,6 @@ from tweedie_avb.evaluation import (
     pairwise_gini_matrix,
     posterior_summary,
     random_effect_bias,
-    write_gini_matrix_csv,
 )
 
 Y = np.array([0.0, 1.0, 2.0])
@@ -52,7 +52,7 @@ class TestOrderedLorenz:
 
     def test_write_csv_gives_each_points_repr(self, tmp_path):
         points = ((0.0, 0.0), (1 / 3, 5e-324), (np.float64(2 / 3), 1e-7), (1.0, 1.0))
-        LorenzCurve(points=points).write_csv(tmp_path / "c.csv")
+        write_table(tmp_path / "c.csv", ["F_p", "F_y"], LorenzCurve(points=points).points)
         want = "F_p,F_y\r\n" + "".join(f"{float(a)!r},{float(b)!r}\r\n" for a, b in points)
         assert (tmp_path / "c.csv").read_bytes().decode() == want
 
@@ -136,7 +136,8 @@ class TestPairwiseMatrix:
         preds = {"a": WELL_ORDERED, "b": MISORDERED}
         result = pairwise_gini_matrix(Y, preds)
         path = tmp_path / "m.csv"
-        write_gini_matrix_csv(result, path)
+        write_table(path, ["baseline\\model", *result["names"]],
+                    ([name, *row] for name, row in zip(result["names"], result["matrix"])))
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 3
         assert lines[0].endswith("a,b")
