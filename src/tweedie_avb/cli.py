@@ -285,13 +285,20 @@ def cmd_evaluate(config: dict, args, out: Path) -> None:
     baseline = np.full(test_set.n_obs, max(train_set.responses.mean(), 1e-12))
     predictions = {"intercept": baseline, "avb": preds["mean"]}
     for name, path in config.get("extra_predictions", {}).items():
+        if name in predictions:
+            raise UserError(f"extra_predictions names the built-in model {name!r}; "
+                            f"the built-in models are {', '.join(predictions)}")
         if not Path(path).exists():
             raise UserError(f"prediction file not found for model {name!r}: {path}")
         try:
-            values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1)
+            values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         except (OSError, ValueError) as exc:  # a directory, or a cell that is not a number
             raise UserError(
                 f"unreadable prediction file {path} for model {name!r}: {exc}") from None
+        if values.shape[1] != 1:
+            raise UserError(f"prediction file {path} for model {name!r} has "
+                            f"{values.shape[1]} columns, expected 1")
+        values = values.ravel()
         if values.shape[0] != test_set.n_obs:
             raise UserError(
                 f"prediction file {path} has {values.shape[0]} rows, expected {test_set.n_obs}"

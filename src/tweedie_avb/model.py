@@ -176,20 +176,25 @@ def _check_overflow(eta: np.ndarray) -> None:
         raise FlaggedObservationError(int(at[-1]), float(eta[at]))
 
 
-def intercept_log_prior(data: Dataset, raw: np.ndarray, b: np.ndarray) -> float:
-    """sum_g log N(b_g; 0, sigma_b^2) of a draw; 0 without groups, which never read sigma_b.
+def intercept_log_prior_terms(data: Dataset, raw: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """log N(b_g; 0, sigma_b^2) per group of a draw; empty without groups, which never read sigma_b.
 
     Raises InvalidParameterError where sigma_b underflows to 0 (raw_log_sigma_b below ~-745).
     """
     if data.group_count == 0:
-        return 0.0
+        return np.zeros(0)
     _, _, _, sigma_b, _ = constrain(raw, data.n_covariates)
     if sigma_b == 0.0:
         raise InvalidParameterError("sigma_b underflows to 0")
     # (b / sigma_b) ** 2 stays 0 at b = 0 when sigma_b ** 2 underflows; past the
-    # float range it is inf, and the log prior -inf
+    # float range it is inf, and the group's log prior -inf
     with np.errstate(over="ignore"):
-        return float(np.sum(-0.5 * LOG_2PI - math.log(sigma_b) - 0.5 * (b / sigma_b) ** 2))
+        return -0.5 * LOG_2PI - math.log(sigma_b) - 0.5 * (b / sigma_b) ** 2
+
+
+def intercept_log_prior(data: Dataset, raw: np.ndarray, b: np.ndarray) -> float:
+    """sum_g log N(b_g; 0, sigma_b^2) of a draw: the sum of :func:`intercept_log_prior_terms`."""
+    return float(np.sum(intercept_log_prior_terms(data, raw, b)))
 
 
 def globals_log_prior(raw: np.ndarray):

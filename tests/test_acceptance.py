@@ -295,9 +295,12 @@ def test_criterion_8_avb_mcmc_agreement():
     # reported only: the paper's claim of a smaller random-effect bias than MCMC
     bias_avb = random_effect_bias(fit.draws["b"], realized.b)["mean_absolute_bias"]
     bias_mcmc = random_effect_bias(doc["draws"]["b"], realized.b)["mean_absolute_bias"]
+    ess = doc["diagnostics"]["effective_sample_size"]
+    smallest_ess = min(np.min(v) for v in ess.values())
     report(8, "avb-mcmc agreement", ok,
            f"|p diff| {p_diff:.3f}, max |w diff| {w_diff.max():.3f}, "
-           f"b mean |bias| avb {bias_avb:.3f} mcmc {bias_mcmc:.3f}, {elapsed:.0f}s")
+           f"b mean |bias| avb {bias_avb:.3f} mcmc {bias_mcmc:.3f}, "
+           f"chain's smallest ESS {smallest_ess:.0f} of {chain.retained}, {elapsed:.0f}s")
 
 
 def test_criterion_9_gini_suite():

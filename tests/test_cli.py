@@ -445,11 +445,37 @@ class TestErrors:
         assert "'glm'" in err and str(path) in err and "finite positive" in err
         assert not any((tmp_path / "o").iterdir())
 
+    @pytest.mark.parametrize("name,content,named", [
+        ("glm", "pred,other\n" + "1.0,2.0\n" * 30, "has 2 columns, expected 1"),
+        ("avb", "pred\n" + "1.0\n" * 30, "names the built-in model 'avb'"),
+        ("intercept", "pred\n" + "1.0\n" * 30, "names the built-in model 'intercept'"),
+    ], ids=["two-columns", "named-avb", "named-intercept"])
+    def test_unusable_extra_prediction_exits_1(self, workspace, tmp_path, capsys, name,
+                                               content, named):
+        # the test split's 30 rows: a second column would pass the row count, and a
+        # built-in model's name would silently replace that model's predictions
+        path = tmp_path / "extra.csv"
+        path.write_text(content, encoding="utf-8")
+        cfg = write_json(tmp_path / "e.json", {
+            "fit_json": str(workspace / "fit" / "fit.json"),
+            "data_csv": str(workspace / "sim" / "dataset.csv"),
+            "schema": SCHEMA,
+            "split": {"train": 0.5, "valid": 0.25, "test": 0.25, "seed": 1},
+            "extra_predictions": {name: str(path)},
+        })
+        assert main(["evaluate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert named in err and repr(name) in err
+        assert not any((tmp_path / "o").iterdir())
+
     @pytest.mark.parametrize("command,section,doc", [
         ("fit", "split", {"trian": 0.6}),
         ("fit", "schema", {"fixed_columns": ["x0", "x1"], "group_column": "group"}),
         ("fit", "schema", {**SCHEMA, "group_colum": "group"}),
         ("simulate", "truth", {**TRUTH, "group_cont": 4}),
+        # raw_p and raw_log_dispersion are one chain block, p_dispersion
+        ("fit", "mcmc", {"step_sizes": {"raw_p": 0.2}}),
     ])
     def test_bad_config_section_exits_1(self, workspace, tmp_path, capsys, command, section,
                                         doc):

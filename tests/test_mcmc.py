@@ -15,6 +15,7 @@ from tweedie_avb.mcmc import (
     BLOCK_ORDER,
     ChainConfig,
     ChainConfigError,
+    effective_sample_size,
     log_unnormalized_posterior,
     run_chain,
 )
@@ -45,6 +46,9 @@ class TestChainConfig:
         pytest.param({"burn_in": -1, "iterations": 0}, id="setting0"),
         pytest.param({"thinning": 0}, id="setting1"),
         pytest.param({"step_sizes": {"sigma_b": 0.1}}, id="setting4"),
+        # raw_p and raw_log_dispersion move together, as block p_dispersion
+        pytest.param({"step_sizes": {"raw_p": 0.2}}, id="raw_p"),
+        pytest.param({"step_sizes": {"raw_log_dispersion": 0.2}}, id="raw_log_dispersion"),
     ])
     def test_out_of_range_settings_rejected(self, setting):
         with pytest.raises(ChainConfigError, match=next(iter(setting))):
@@ -171,8 +175,7 @@ class TestModelChain:
         # on an empty dataset the chain must reproduce the standard normal
         # prior over the raw globals
         cfg = ChainConfig(iterations=24_000, burn_in=4_000, thinning=2, seed=0,
-                          step_sizes={"w": 1.0, "raw_p": 1.5,
-                                      "raw_log_dispersion": 1.5,
+                          step_sizes={"w": 1.0, "p_dispersion": 1.5,
                                       "raw_log_sigma_b": 1.0, "b": 1.5})
         result = run_chain(empty_dataset(), cfg)
         n = result.retained
@@ -181,6 +184,19 @@ class TestModelChain:
             se = math.sqrt(1.0 / n) * 6.0
             assert np.abs(column.mean(axis=0)).max() < 3 * se
             assert np.abs(column.var(axis=0) - 1.0).max() < 0.25
+
+    @pytest.mark.parametrize("data_seed", [8, 16, 76])
+    def test_intercepts_escape_the_funnel(self, data_seed):
+        # from b = 0 the sigma_b block alone would sink log sigma_b towards -G, where
+        # no joint move of all intercepts is accepted; per-group moves get b out first
+        # (the benchmark's chain on acceptance criterion 8's truth)
+        truth = SimTruth(fixed_weights=np.array([0.1, 0.3, -0.2]), p_index=1.5,
+                         dispersion=1.0, sigma_b=0.5, n_obs=500, group_count=10)
+        data, _ = simulate_dataset(truth, np.random.default_rng(data_seed))
+        result = run_chain(data, ChainConfig(iterations=400, burn_in=200, thinning=8, seed=0))
+        assert list(result.acceptance) == list(BLOCK_ORDER)
+        for name, rate in result.acceptance.items():
+            assert 0.01 <= rate <= 0.99, f"block {name} acceptance {rate}"
 
     def test_acceptance_rates_in_range(self):
         truth = SimTruth(fixed_weights=np.array([0.1, 0.3]), p_index=1.5,
@@ -206,6 +222,11 @@ class TestModelChain:
                               "dispersion": (n,), "sigma_b": (n,), "b": (n, g)}
             p = np.asarray(doc["draws"]["p_index"])
             assert ((p > 1.0) & (p < 2.0)).all()
+            # one effective sample size per stored coordinate
+            ess = doc["diagnostics"]["effective_sample_size"]
+            assert {k: np.asarray(v).shape for k, v in ess.items()} == {
+                k: shape[1:] for k, shape in shapes.items()}
+            assert all(0.0 < e for e in np.asarray(ess["fixed_weights"]))
 
     @pytest.mark.parametrize("grouped", [True, False])
     def test_save_writes_the_pure_python_encoders_bytes(self, tmp_path, grouped):
@@ -221,8 +242,7 @@ class TestModelChain:
     def test_seed_change_keeps_long_run_means(self):
         data = empty_dataset()
         cfg_a = ChainConfig(iterations=12_000, burn_in=2_000, thinning=2, seed=0,
-                            step_sizes={"w": 1.0, "raw_p": 1.5,
-                                        "raw_log_dispersion": 1.5,
+                            step_sizes={"w": 1.0, "p_dispersion": 1.5,
                                         "raw_log_sigma_b": 1.0, "b": 1.5})
         cfg_b = ChainConfig(**{**cfg_a.to_dict(), "seed": 99})
         a = run_chain(data, cfg_a)
@@ -230,6 +250,28 @@ class TestModelChain:
         assert (a.draws["raw"][:, :2] != b.draws["raw"][:, :2]).any()
         se = math.sqrt(1.0 / a.retained) * 6.0
         assert abs(a.draws["raw"][:, 2].mean() - b.draws["raw"][:, 2].mean()) < 2 * 3 * se
+
+
+class TestEffectiveSampleSize:
+    def test_independent_draws(self):
+        draws = np.random.default_rng(0).standard_normal((100_000, 2))
+        assert_allclose(effective_sample_size(draws), 100_000, rtol=0.1)
+
+    def test_ar1_chain(self):
+        # x_t = rho x_t-1 + e_t: the autocorrelation time is (1 + rho) / (1 - rho) = 3
+        n, rho = 100_000, 0.5
+        noise = np.random.default_rng(1).standard_normal(n)
+        x = np.empty(n)
+        x[0] = noise[0] / math.sqrt(1.0 - rho ** 2)
+        for t in range(1, n):
+            x[t] = rho * x[t - 1] + noise[t]
+        assert effective_sample_size(x).shape == ()
+        assert_allclose(effective_sample_size(x), n / 3, rtol=0.1)
+
+    def test_constant_coordinate_counts_once(self):
+        draws = np.column_stack([np.full(50, 0.3), np.random.default_rng(2).standard_normal(50)])
+        ess = effective_sample_size(draws)
+        assert ess[0] == 1.0 and 1.0 < ess[1] <= 50 * math.log10(50)
 
 
 def small_grouped_dataset():
@@ -259,25 +301,63 @@ def assert_same_target(got, want):
         assert math.isfinite(want) and abs(got - want) <= 1e-12 * abs(want), (got, want)
 
 
+class _CheckedTarget(mcmc._SplitTarget):
+    """The chain's split target, checked against the full target as the chain runs."""
+
+    accepted_states = accepted_group_moves = 0
+
+    def propose(self, block, raw, b):
+        self._state = raw.copy(), b.copy()
+        self._value = super().propose(block, raw, b)
+        return self._value
+
+    def accept(self):
+        super().accept()
+        assert self._value == log_unnormalized_posterior(self.data, *self._state)
+        type(self).accepted_states += 1
+
+    def propose_groups(self, raw, b, moved):
+        change = super().propose_groups(raw, b, moved)
+        if (change == -math.inf).all():
+            assert log_unnormalized_posterior(self.data, raw, moved) == -math.inf
+            return change
+        before = log_unnormalized_posterior(self.data, raw, b)
+        for g in range(b.size):
+            alone = b.copy()
+            alone[g] = moved[g]
+            after = log_unnormalized_posterior(self.data, raw, alone)
+            if after == -math.inf:
+                assert change[g] == -math.inf
+            else:
+                assert abs(change[g] - (after - before)) <= 1e-12 * abs(before), (g, change)
+        return change
+
+    def accept_groups(self, raw, b, accepted):
+        value = super().accept_groups(raw, b, accepted)
+        assert value == log_unnormalized_posterior(self.data, raw, b)
+        type(self).accepted_group_moves += 1
+        return value
+
+
 class TestSplitTarget:
-    def test_matches_one_part_target(self, monkeypatch):
-        # the cached parts give the draws and acceptance of evaluating
-        # log_unnormalized_posterior in full on every proposal
-        cfg = ChainConfig(iterations=300, burn_in=100, thinning=3, seed=4)
-        for data in (small_grouped_dataset(), small_group_free_dataset(), all_zero_dataset()):
-            with monkeypatch.context() as patched:
-                cached = run_chain(data, cfg)
-                patched.setattr(mcmc._SplitTarget, "propose",
-                                lambda self, block, raw, b: log_unnormalized_posterior(
-                                    self.data, raw, b))
-                full = run_chain(data, cfg)
-            assert cached.acceptance == full.acceptance
-            for part in ("raw", "b"):
-                assert np.array_equal(cached.draws[part], full.draws[part])
+    @pytest.mark.parametrize("dataset", [small_grouped_dataset, small_group_free_dataset,
+                                         all_zero_dataset])
+    def test_kept_parts_are_the_full_target(self, monkeypatch, dataset):
+        # at every accepted state the kept parts add up to log_unnormalized_posterior's
+        # bits, and each group's change is the full target's when that group alone moves
+        monkeypatch.setattr(mcmc, "_SplitTarget", _CheckedTarget)
+        monkeypatch.setattr(_CheckedTarget, "accepted_states", 0)
+        monkeypatch.setattr(_CheckedTarget, "accepted_group_moves", 0)
+        data = dataset()
+        result = run_chain(data, ChainConfig(iterations=300, burn_in=100, thinning=3, seed=4))
+        assert _CheckedTarget.accepted_states > 100
+        assert (_CheckedTarget.accepted_group_moves > 100) == (data.group_count > 0)
+        assert set(result.acceptance) == set(BLOCK_ORDER) - ({"b"} if not data.group_count
+                                                             else set())
 
     def test_sigma_b_proposals_skip_the_likelihood(self, monkeypatch):
-        # only the first evaluation and the raw_p and raw_log_dispersion
-        # proposals evaluate the series; the other blocks reuse it
+        # only the first evaluation and the p_dispersion proposals evaluate
+        # the series; the other blocks reuse it
         calls = []
         series = mcmc.series_terms
 
@@ -289,7 +369,7 @@ class TestSplitTarget:
         data = small_grouped_dataset()
         cfg = ChainConfig(iterations=40, burn_in=10, thinning=1, seed=0)
         run_chain(data, cfg)
-        assert len(calls) == 1 + 2 * cfg.iterations
+        assert len(calls) == 1 + cfg.iterations
 
     @pytest.mark.parametrize("groups", [3, 0], ids=["grouped", "group_free"])
     @pytest.mark.parametrize("rows", [4, 0], ids=["rows", "no_rows"])
@@ -320,11 +400,16 @@ class TestSplitTarget:
         start = np.zeros_like(drawn)
         assert math.isfinite(accepted.propose(None, start[:n_raw], start[n_raw:]))
         accepted.accept()
-        spans = {**model.raw_blocks(data.n_covariates), "b": slice(n_raw, None)}
-        for name, span in spans.items():
-            if name == "b" and not groups:
-                continue
+        for name, span in mcmc._block_spans(data).items():
             moved = start.copy()
             moved[span] = drawn[span]
-            assert_same_target(accepted.propose(name, moved[:n_raw], moved[n_raw:]),
-                               log_unnormalized_posterior(data, moved[:n_raw], moved[n_raw:]))
+            want = log_unnormalized_posterior(data, moved[:n_raw], moved[n_raw:])
+            if name != "b":
+                assert_same_target(accepted.propose(name, moved[:n_raw], moved[n_raw:]), want)
+                continue
+            # every group moves at once: some change is -inf exactly where the target is
+            change = accepted.propose_groups(start[:n_raw], start[n_raw:], moved[n_raw:])
+            assert (change == -math.inf).any() == (want == -math.inf)
+            if want > -math.inf:
+                assert_same_target(accepted.accept_groups(start[:n_raw], moved[n_raw:],
+                                                          np.ones(groups, dtype=bool)), want)
