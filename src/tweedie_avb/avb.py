@@ -206,6 +206,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("generator_learning_rate", "critic_learning_rate"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if isinstance(self.inference_hidden, list):
             self.inference_hidden = tuple(self.inference_hidden)
         if isinstance(self.critic_hidden, list):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
@@ -101,6 +102,9 @@ class SimTruth:
                              f"got {self.fixed_weights.tolist()!r}")
         if not (1.0 < self.p_index < 2.0):
             raise ValueError(f"p_index must lie in (1, 2), got {self.p_index}")
+        for name in ("dispersion", "sigma_b", "covariate_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dispersion <= 0 or self.sigma_b < 0:
             raise ValueError("dispersion must be positive and sigma_b nonnegative")
         if self.n_obs < 1:
@@ -111,6 +115,8 @@ class SimTruth:
             self.b = np.asarray(self.b, dtype=float)
             if self.b.shape != (self.group_count,):
                 raise ValueError("b must have one entry per group")
+            if not np.isfinite(self.b).all():
+                raise ValueError(f"b must be finite, got {self.b.tolist()!r}")
 
     @property
     def n_covariates(self) -> int:
@@ -127,11 +133,14 @@ class SimTruth:
 
 def _parse_cell(text: str, row: int, column: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise SchemaError(
             f"unparseable numeric cell {text!r} at row {row}, column {column!r}"
         ) from None
+    if not math.isfinite(value):
+        raise SchemaError(f"non-finite numeric cell {text!r} at row {row}, column {column!r}")
+    return value
 
 
 def _encode(labels: Sequence[str]) -> tuple:

@@ -10,20 +10,20 @@ weights ``w``, ``p_dispersion`` (raw_p and raw_log_dispersion together),
 Proposals are Gaussian with step sizes auto-tuned during burn-in toward
 an acceptance rate of ``_TARGET_ACCEPTANCE``.  The ``p_dispersion``
 proposal is shaped by the covariance of its draws in the second half of
-burn-in, and the ``b`` update accepts or rejects each group's intercept
-on its own.  Nothing adapts after burn-in, so the kept chain is a fixed
-Markov kernel.
+burn-in, and each group's intercept is accepted or rejected on its own.
+Nothing adapts after burn-in, so the kept chain is a fixed Markov kernel.
 
-The one target, :func:`log_unnormalized_posterior`, is the Tweedie data
-log likelihood plus the intercept prior plus the globals prior; a part
+The one target, :func:`log_unnormalized_posterior`, is
+:func:`model.model_log_likelihood_value` (the Tweedie data log
+likelihood plus the intercept prior) plus the globals prior; a part
 that raises one of :data:`model.LIKELIHOOD_FAILURES` makes it -inf.  The
 sampler keeps the accepted state's parts and a proposal recomputes only
 those its block enters (:class:`_SplitTarget`): the density's μ-free
 series on ``p_dispersion`` proposals only, its mean terms on every
-proposal but raw_log_sigma_b's, the intercept prior on raw_log_sigma_b
-and b proposals, and the globals prior on every proposal but b's.  At
-every accepted state the kept parts have the bits the full target
-computes.  On a dataset with no rows the data term is exactly 0 and the
+proposal but raw_log_sigma_b's, the intercept prior terms on
+raw_log_sigma_b and b proposals, and the globals prior on every proposal
+but b's.  At every accepted state the kept parts have the bits the full
+target computes.  On a dataset with no rows the data term is exactly 0 and the
 chain samples the prior.
 """
 
@@ -40,12 +40,11 @@ from .model import (
     LIKELIHOOD_FAILURES,
     Dataset,
     constrain,
-    data_log_likelihood,
     draws_schema,
     edm_parameters,
     globals_log_prior,
-    intercept_log_prior,
     intercept_log_prior_terms,
+    model_log_likelihood_value,
     raw_blocks,
     raw_size,
 )
@@ -96,8 +95,10 @@ class ChainConfig:
             if name not in BLOCK_ORDER:
                 raise ChainConfigError(
                     f"step_sizes names unknown block {name!r}; blocks are {', '.join(BLOCK_ORDER)}")
-            if step <= 0:
-                raise ChainConfigError(f"step size for block {name!r} must be > 0")
+            if isinstance(step, bool) or not (isinstance(step, (int, float))
+                                              and 0 < step < math.inf):
+                raise ChainConfigError(
+                    f"step_sizes[{name!r}] must be a finite number > 0, got {step!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -174,8 +175,7 @@ def log_unnormalized_posterior(data: Dataset, raw: np.ndarray, b: np.ndarray) ->
     :data:`model.LIKELIHOOD_FAILURES` makes it -inf.
     """
     try:
-        return (data_log_likelihood(data, raw, b) + intercept_log_prior(data, raw, b)
-                + float(globals_log_prior(raw)))
+        return model_log_likelihood_value(data, raw, b) + float(globals_log_prior(raw))
     except LIKELIHOOD_FAILURES:
         return -math.inf
 
@@ -186,87 +186,79 @@ class _SplitTarget:
     The parts are each row's mean mu, the positive rows'
     :func:`tweedie.series_terms`, each row's log density (the
     :func:`tweedie.compose_log_pdf` of the series and
-    :func:`tweedie.mean_terms`), the data term (their sum), the intercept
-    prior and the globals prior; the last three add up in the full
-    target's order.  The accepted state's parts are kept; :meth:`propose`
-    and :meth:`propose_groups` recompute only those the moving block enters.
+    :func:`tweedie.mean_terms`), each group's intercept prior term and the
+    globals prior; ``value``, the accepted state's target, adds them up in
+    the full target's order.  A block's units are accepted on their own:
+    ``b`` has one per group, every other block one.
     """
 
-    def __init__(self, data: Dataset):
+    def __init__(self, data: Dataset, raw: np.ndarray, b: np.ndarray):
         self.data = data
-        self._responses = None  # checked_responses of the data, set by the first evaluation
-        self._accepted = self._proposed = None
-
-    def propose(self, block: str | None, raw: np.ndarray, b: np.ndarray) -> float:
-        """The target at ``(raw, b)``, which differs from the accepted state in ``block`` only.
-
-        ``block`` is None, which evaluates every part (the first evaluation),
-        or a block of :data:`BLOCK_ORDER` other than ``b``.
-        """
-        mu, series, rows, data_value, intercept, globals_value = self._accepted or (None,) * 6
         try:
-            if block is None:
-                self._responses = checked_responses(self.data.responses)
+            self._responses = y, positive, log_y = checked_responses(data.responses)
+            mu, p, phi = edm_parameters(data, raw, b)
+            series = series_terms(log_y, p, phi)
+            rows = compose_log_pdf(positive, *mean_terms(y, mu, p, phi), series)
+            self._kept = (mu, series, rows, intercept_log_prior_terms(data, raw, b),
+                          float(globals_log_prior(raw)))
+            self.value = self._total(self._kept)
+        except LIKELIHOOD_FAILURES:
+            self.value = -math.inf
+        if not math.isfinite(self.value):
+            raise ValueError("log target is non-finite at the initial state")
+
+    @staticmethod
+    def _total(parts) -> float:
+        """The target of a state's parts: data term, intercept prior, globals prior."""
+        _, _, rows, terms, globals_value = parts
+        return float(rows.sum()) + float(np.sum(terms)) + globals_value
+
+    def propose(self, block: str, raw: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Each unit's change in the target at ``(raw, b)``, which differs from the
+        accepted state in ``block`` only; -inf for every unit where a part fails.
+
+        Only the parts ``block`` enters are recomputed.  A group's change is
+        its rows' change in log density plus its prior term's.
+        """
+        mu, series, rows, terms, globals_value = self._kept
+        y, positive, log_y = self._responses
+        units = self.data.group_count if block == "b" else 1
+        try:
             if block != "raw_log_sigma_b":
-                y, positive, log_y = self._responses
                 if block == "p_dispersion":  # eta, so mu, does not move
                     _, p, phi, _, _ = constrain(raw, self.data.n_covariates, groups=False)
+                    series = series_terms(log_y, p, phi)
                 else:
                     mu, p, phi = edm_parameters(self.data, raw, b)
-                if block != "w":
-                    series = series_terms(log_y, p, phi)
                 rows = compose_log_pdf(positive, *mean_terms(y, mu, p, phi), series)
-                data_value = float(rows.sum())
-            if block in (None, "raw_log_sigma_b"):
-                intercept = intercept_log_prior(self.data, raw, b)
-            globals_value = float(globals_log_prior(raw))
+            if block in ("raw_log_sigma_b", "b"):
+                terms = intercept_log_prior_terms(self.data, raw, b)
+            if block != "b":
+                globals_value = float(globals_log_prior(raw))
         except LIKELIHOOD_FAILURES:
             self._proposed = None
-            return -math.inf
-        self._proposed = mu, series, rows, data_value, intercept, globals_value
-        return data_value + intercept + globals_value
+            return np.full(units, -math.inf)
+        self._proposed = mu, series, rows, terms, globals_value
+        if block == "b":
+            _, _, kept_rows, kept_terms, _ = self._kept
+            return np.bincount(self.data.group_index, rows - kept_rows,
+                               minlength=units) + (terms - kept_terms)
+        return np.array([self._total(self._proposed) - self.value])
 
-    def accept(self) -> None:
-        """Keep the last :meth:`propose`'s parts as the accepted state's."""
-        self._accepted = self._proposed
-
-    def propose_groups(self, raw: np.ndarray, b: np.ndarray, moved: np.ndarray) -> np.ndarray:
-        """Per group, the target's change when its intercept alone goes from ``b`` to ``moved``.
-
-        ``b`` is the accepted state's intercepts.  Given the rest, the
-        intercepts are independent, so one evaluation at ``moved`` gives
-        every group's change: its rows' change in log density plus its
-        prior term's.  Every change is -inf where the evaluation fails.
-        """
-        mu, series, rows = self._accepted[:3]
-        y, positive, _ = self._responses
-        try:
-            moved_mu, p, phi = edm_parameters(self.data, raw, moved)
-            moved_rows = compose_log_pdf(positive, *mean_terms(y, moved_mu, p, phi), series)
-            prior_change = (intercept_log_prior_terms(self.data, raw, moved)
-                            - intercept_log_prior_terms(self.data, raw, b))
-        except LIKELIHOOD_FAILURES:
-            self._proposed = None
-            return np.full(self.data.group_count, -math.inf)
-        self._proposed = moved_mu, moved_rows
-        return np.bincount(self.data.group_index, moved_rows - rows,
-                           minlength=self.data.group_count) + prior_change
-
-    def accept_groups(self, raw: np.ndarray, b: np.ndarray, accepted: np.ndarray) -> float:
-        """Keep the accepted groups' rows from the last :meth:`propose_groups`; the new target.
-
-        ``b`` is the new state's intercepts: the accepted groups' moved
-        values, the other groups' old ones.
-        """
-        mu, series, rows, _, _, globals_value = self._accepted
-        moved_mu, moved_rows = self._proposed
-        on_moved = accepted[self.data.group_index]
-        rows = np.where(on_moved, moved_rows, rows)
-        data_value = float(rows.sum())
-        intercept = intercept_log_prior(self.data, raw, b)
-        self._accepted = (np.where(on_moved, moved_mu, mu), series, rows, data_value,
-                          intercept, globals_value)
-        return data_value + intercept + globals_value
+    def accept(self, moves: np.ndarray) -> None:
+        """Keep the last :meth:`propose`'s parts of the units where ``moves`` is True."""
+        if moves.all():
+            self._kept = self._proposed
+        elif moves.any():  # some of b's groups: their rows and prior terms
+            mu, series, rows, terms, globals_value = self._kept
+            moved_mu, _, moved_rows, moved_terms, _ = self._proposed
+            on_moved = moves[self.data.group_index]
+            self._kept = (np.where(on_moved, moved_mu, mu), series,
+                          np.where(on_moved, moved_rows, rows),
+                          np.where(moves, moved_terms, terms), globals_value)
+        else:
+            return
+        self.value = self._total(self._kept)
 
 
 # ---------------------------------------------------------------------------
@@ -300,22 +292,19 @@ def run_chain(data: Dataset, cfg: ChainConfig) -> ChainResult:
     """Sample :func:`log_unnormalized_posterior` for a dataset, from x = 0.
 
     Each iteration updates the blocks of :data:`BLOCK_ORDER` in turn;
-    deterministic given the seed.
+    deterministic given the seed.  A block adds ``step * eps`` to its
+    slice, eps ~ N(0, I) (``step * C eps`` for ``p_dispersion``), and takes
+    one Metropolis step: each of its units is accepted where log U < its
+    change in the target (:meth:`_SplitTarget.propose`; -inf where a part
+    fails), one uniform per unit.  Each group's intercept is a unit of
+    ``b``, as the intercepts are independent given the rest; every other
+    block is one unit.  Acceptance counts units.
 
-    - ``w`` and ``raw_log_sigma_b`` add ``step * eps`` to their slice,
-      eps ~ N(0, I), and accept with probability min(1, exp(delta log target)).
-    - ``p_dispersion`` adds ``step * C eps`` to (raw_p, raw_log_dispersion),
-      accepted by the same rule.  C starts as I.  At each tuning point in the
-      second half of burn-in from iteration ``_SHAPE_START`` (500), C becomes
-      the Cholesky factor of the covariance of that half's draws so far,
-      scaled to trace 2; where the factorisation fails C stays.
-    - ``b`` moves every group's intercept by ``step * eps_g`` and accepts
-      group g where log U_g < its own change in the target
-      (:meth:`_SplitTarget.propose_groups`): the intercepts are independent
-      given the rest, so this is G exact Metropolis steps from one
-      evaluation.  Its acceptance counts groups.
-
-    Only the ``p_dispersion`` proposal evaluates the density's series.
+    C starts as I.  At each tuning point in the second half of burn-in from
+    iteration ``_SHAPE_START`` (500), C becomes the Cholesky factor of the
+    covariance of that half's draws so far, scaled to trace 2; where the
+    factorisation fails C stays.  Only the ``p_dispersion`` proposal
+    evaluates the density's series.
     Each block starts at its ``cfg.step_sizes`` entry; during burn-in,
     every ``_TUNE_INTERVAL`` (100) iterations, each step is multiplied by
     exp(acceptance over those iterations - ``_TARGET_ACCEPTANCE`` (0.25)).
@@ -327,11 +316,7 @@ def run_chain(data: Dataset, cfg: ChainConfig) -> ChainResult:
     steps = {k: float(cfg.step_sizes[k]) for k in spans}
     rng = np.random.default_rng(cfg.seed)
     x = np.zeros(n_raw + data.group_count)
-    target = _SplitTarget(data)
-    current_lp = target.propose(None, x[:n_raw], x[n_raw:])
-    if not math.isfinite(current_lp):
-        raise ValueError("log target is non-finite at the initial state")
-    target.accept()
+    target = _SplitTarget(data, x[:n_raw], x[n_raw:])
     shape = np.eye(2)
     half = cfg.burn_in // 2
     shape_draws = np.empty((cfg.burn_in - half, 2))  # p_dispersion in burn-in's second half
@@ -344,24 +329,12 @@ def run_chain(data: Dataset, cfg: ChainConfig) -> ChainResult:
             old = x[span].copy()
             eps = rng.standard_normal(old.size)
             x[span] += steps[name] * (shape @ eps if name == "p_dispersion" else eps)
-            if name == "b":
-                log_u = np.log(rng.random(old.size))
-                moves = log_u < target.propose_groups(x[:n_raw], old, x[span])
-                x[span] = np.where(moves, x[span], old)
-                if moves.any():
-                    current_lp = target.accept_groups(x[:n_raw], x[span], moves)
-                proposed[name] += moves.size
-                accepted[name] += int(moves.sum())
-                continue
-            lp = target.propose(name, x[:n_raw], x[n_raw:])
-            accept = math.isfinite(lp) and math.log(rng.random()) < lp - current_lp
-            if accept:
-                current_lp = lp
-                target.accept()
-            else:
-                x[span] = old
-            proposed[name] += 1
-            accepted[name] += int(accept)
+            change = target.propose(name, x[:n_raw], x[n_raw:])
+            moves = np.log(rng.random(change.size)) < change
+            x[span] = np.where(moves, x[span], old)
+            target.accept(moves)
+            proposed[name] += moves.size
+            accepted[name] += int(moves.sum())
         if half <= it < cfg.burn_in:
             shape_draws[it - half] = x[spans["p_dispersion"]]
         if it < cfg.burn_in and (it + 1) % _TUNE_INTERVAL == 0:

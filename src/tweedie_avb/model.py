@@ -9,13 +9,13 @@ its one constraint map (:func:`constrain`: p_index = 1 + expit(raw_p),
 dispersion and sigma_b = exp(raw); the link is log) and its one set of
 likelihood failures (:data:`LIKELIHOOD_FAILURES`).
 
-The log likelihood has one formula, the numpy Tweedie density.  The MCMC
-validator's target calls :func:`data_log_likelihood` for the data term and
-adds the priors itself (its sampler composes the density's parts at
-:func:`edm_parameters`); :func:`model_log_likelihood_value` adds the intercept
-prior to it; the variational trainer calls :func:`log_likelihood_partials`
-for the value and the density's analytic partials chained through the
-linear predictor and the constraint map.
+The log likelihood has one formula, the numpy Tweedie density.
+:func:`model_log_likelihood_value` sums it at :func:`edm_parameters` and adds
+the intercept prior; the MCMC validator's target adds the globals prior to
+that (its sampler composes the density's parts at :func:`edm_parameters`);
+the variational trainer calls :func:`log_likelihood_partials` for the value
+and the density's analytic partials chained through the linear predictor
+and the constraint map.
 """
 
 from __future__ import annotations
@@ -77,8 +77,10 @@ class Dataset:
             raise ShapeError(f"fixed_design must be ({m}, D), got {self.fixed_design.shape}")
         if self.group_index.shape != (m,):
             raise ShapeError(f"group_index must have length {m}")
-        if (self.responses < 0).any():
-            raise InvalidParameterError("responses must be nonnegative")
+        if not np.isfinite(self.responses).all() or (self.responses < 0).any():
+            raise InvalidParameterError("responses must be finite and nonnegative")
+        if not np.isfinite(self.fixed_design).all():
+            raise InvalidParameterError("fixed_design must be finite")
         if self.group_count > 0 and self.group_index.size and self.group_index.max() >= self.group_count:
             raise ShapeError("group index out of range")
         if self.group_index.size and self.group_index.min() < 0:
@@ -229,14 +231,11 @@ def edm_parameters(data: Dataset, raw: np.ndarray, b: np.ndarray):
     return np.exp(eta), p, phi
 
 
-def data_log_likelihood(data: Dataset, raw: np.ndarray, b: np.ndarray) -> float:
-    """sum_i log Tweedie(y_i; mu_i, p, phi) at :func:`edm_parameters` of a draw."""
-    return float(tweedie_log_pdf(data.responses, *edm_parameters(data, raw, b)).sum())
-
-
 def model_log_likelihood_value(data: Dataset, raw: np.ndarray, b: np.ndarray) -> float:
-    """:func:`data_log_likelihood` plus the random-intercept prior term."""
-    return data_log_likelihood(data, raw, b) + intercept_log_prior(data, raw, b)
+    """sum_i log Tweedie(y_i; mu_i, p, phi) at :func:`edm_parameters` of a draw, plus the
+    random-intercept prior term."""
+    return (float(tweedie_log_pdf(data.responses, *edm_parameters(data, raw, b)).sum())
+            + intercept_log_prior(data, raw, b))
 
 
 def log_likelihood_partials(data: Dataset, raw: np.ndarray, b: np.ndarray,

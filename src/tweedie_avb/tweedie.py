@@ -21,8 +21,8 @@ serves as the internal ground-truth oracle for truncation-error tests.
 The count terms need lgamma and digamma only at the multiples n * alpha
 of the Gamma shape.  Their tables, indexed by the count n, are pure
 functions of (alpha, size) built from ``math.lgamma`` and
-:func:`special.digamma`; the lgamma tables of a few recent (alpha, size)
-pairs are cached, read-only.
+:func:`special.digamma`; the log factorials of a few recent sizes are
+cached.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ _LOG_TAIL_TOL = math.log(TAIL_REL_TOL)
 _CORE_WIDTH = 10
 #: Longest latent-count table the truncated sum may build.
 _MAX_TERMS = 100_000
-#: (alpha, size) pairs whose count tables are kept: the chain reuses its accepted alpha.
+#: Table sizes whose log factorials are kept: every alpha's table of a size shares them.
 _TABLES_KEPT = 4
 #: Counts past each end of the core window checked in one 2-D evaluation
 #: before a row whose summed range reaches further is bisected.
@@ -187,12 +187,10 @@ def _log_factorials(size: int) -> tuple:
     return tuple(map(math.lgamma, range(2, size + 2)))
 
 
-@lru_cache(maxsize=_TABLES_KEPT)
 def _count_table(alpha: float, size: int) -> np.ndarray:
-    """G(n) = lgamma(n * alpha) + lgamma(n + 1) at n = 1..size, +inf at n = 0; read-only."""
+    """G(n) = lgamma(n * alpha) + lgamma(n + 1) at n = 1..size, +inf at n = 0."""
     g = np.concatenate(([np.inf], _lgamma([n * alpha for n in range(1, size + 1)])))
     g[1:] += _log_factorials(size)
-    g.flags.writeable = False
     return g
 
 

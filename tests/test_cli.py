@@ -476,6 +476,14 @@ class TestErrors:
         ("simulate", "truth", {**TRUTH, "group_cont": 4}),
         # raw_p and raw_log_dispersion are one chain block, p_dispersion
         ("fit", "mcmc", {"step_sizes": {"raw_p": 0.2}}),
+        # settings that must be finite: each once ran, or aborted as numerical
+        ("fit", "mcmc", {"step_sizes": {"w": True}}),
+        ("fit", "mcmc", {"step_sizes": {"b": float("nan")}}),
+        ("fit", "train", {"generator_learning_rate": -1}),
+        ("fit", "train", {"critic_learning_rate": float("inf")}),
+        ("simulate", "truth", {**TRUTH, "sigma_b": float("inf")}),
+        ("simulate", "truth", {**TRUTH, "dispersion": float("nan")}),
+        ("simulate", "truth", {**TRUTH, "covariate_scale": float("nan")}),
     ])
     def test_bad_config_section_exits_1(self, workspace, tmp_path, capsys, command, section,
                                         doc):

@@ -35,11 +35,15 @@ def dict_reader_load_csv(path, schema):
     """The csv.DictReader loader that load_csv replaced: its reference for full rows."""
     def parse(text, row, column):
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
             raise SchemaError(
                 f"unparseable numeric cell {text!r} at row {row}, column {column!r}"
             ) from None
+        if not math.isfinite(value):
+            raise SchemaError(
+                f"non-finite numeric cell {text!r} at row {row}, column {column!r}")
+        return value
 
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -186,6 +190,17 @@ class TestLoadCsv:
         path = tmp_path / "d.csv"
         write_lines(path, ["y,x", "-1,2"])
         with pytest.raises(SchemaError, match="negative response"):
+            load_csv(path, SchemaConfig(response_column="y", fixed_columns=("x",)))
+
+    @pytest.mark.parametrize("row,located", [
+        ("nan,2", "'nan' at row 1, column 'y'"),
+        ("1,-inf", "'-inf' at row 1, column 'x'"),
+    ])
+    def test_non_finite_cell_located(self, tmp_path, row, located):
+        # a NaN response once passed every check and read as a Gini of 1.0
+        path = tmp_path / "d.csv"
+        write_lines(path, ["y,x", "1,2", row])
+        with pytest.raises(SchemaError, match=f"non-finite numeric cell {located}"):
             load_csv(path, SchemaConfig(response_column="y", fixed_columns=("x",)))
 
     @pytest.mark.parametrize("short,cells", [("0.0,0.1", 2), (",,", 3), ('""', 1)])
@@ -390,6 +405,11 @@ class TestSimulate:
         ({"fixed_weights": []}, "fixed_weights"),
         ({"fixed_weights": [[0.1, 0.3]]}, "fixed_weights"),
         ({"fixed_weights": [0.1, float("nan")]}, "fixed_weights"),
+        # an infinite sigma_b once wrote an all-zero dataset and b = -inf
+        ({"sigma_b": float("inf")}, "sigma_b"),
+        ({"dispersion": float("nan")}, "dispersion"),
+        ({"covariate_scale": float("nan")}, "covariate_scale"),
+        ({"b": [0.0, float("inf")]}, "b"),
     ])
     def test_truth_simulate_cannot_use_rejected(self, setting, named):
         # each of these once simulated a group-free dataset or failed inside numpy

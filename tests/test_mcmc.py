@@ -49,6 +49,10 @@ class TestChainConfig:
         # raw_p and raw_log_dispersion move together, as block p_dispersion
         pytest.param({"step_sizes": {"raw_p": 0.2}}, id="raw_p"),
         pytest.param({"step_sizes": {"raw_log_dispersion": 0.2}}, id="raw_log_dispersion"),
+        # each of these once ran a chain that never moved the block
+        pytest.param({"step_sizes": {"w": True}}, id="step_true"),
+        pytest.param({"step_sizes": {"b": math.nan}}, id="step_nan"),
+        pytest.param({"step_sizes": {"w": math.inf}}, id="step_inf"),
     ])
     def test_out_of_range_settings_rejected(self, setting):
         with pytest.raises(ChainConfigError, match=next(iter(setting))):
@@ -306,25 +310,24 @@ class _CheckedTarget(mcmc._SplitTarget):
 
     accepted_states = accepted_group_moves = 0
 
-    def propose(self, block, raw, b):
+    def __init__(self, data, raw, b):
+        super().__init__(data, raw, b)
         self._state = raw.copy(), b.copy()
-        self._value = super().propose(block, raw, b)
-        return self._value
+        assert self.value == log_unnormalized_posterior(data, raw, b)
 
-    def accept(self):
-        super().accept()
-        assert self._value == log_unnormalized_posterior(self.data, *self._state)
-        type(self).accepted_states += 1
-
-    def propose_groups(self, raw, b, moved):
-        change = super().propose_groups(raw, b, moved)
-        if (change == -math.inf).all():
-            assert log_unnormalized_posterior(self.data, raw, moved) == -math.inf
+    def propose(self, block, raw, b):
+        change = super().propose(block, raw, b)
+        self._moved = block, raw.copy(), b.copy()
+        if block != "b" or (change == -math.inf).all():
+            # a failed proposal's every unit is -inf, exactly where the target is
+            assert ((change == -math.inf).all()
+                    == (log_unnormalized_posterior(self.data, raw, b) == -math.inf))
             return change
-        before = log_unnormalized_posterior(self.data, raw, b)
-        for g in range(b.size):
-            alone = b.copy()
-            alone[g] = moved[g]
+        kept = self._state[1]
+        before = log_unnormalized_posterior(self.data, raw, kept)
+        for g in range(kept.size):
+            alone = kept.copy()
+            alone[g] = b[g]
             after = log_unnormalized_posterior(self.data, raw, alone)
             if after == -math.inf:
                 assert change[g] == -math.inf
@@ -332,11 +335,18 @@ class _CheckedTarget(mcmc._SplitTarget):
                 assert abs(change[g] - (after - before)) <= 1e-12 * abs(before), (g, change)
         return change
 
-    def accept_groups(self, raw, b, accepted):
-        value = super().accept_groups(raw, b, accepted)
-        assert value == log_unnormalized_posterior(self.data, raw, b)
-        type(self).accepted_group_moves += 1
-        return value
+    def accept(self, moves):
+        super().accept(moves)
+        if not moves.any():
+            return
+        block, raw, b = self._moved
+        if block == "b":
+            b = np.where(moves, b, self._state[1])
+            type(self).accepted_group_moves += 1
+        else:
+            type(self).accepted_states += 1
+        self._state = raw, b
+        assert self.value == log_unnormalized_posterior(self.data, raw, b)
 
 
 class TestSplitTarget:
@@ -393,23 +403,49 @@ class TestSplitTarget:
                        group_index=np.array([0, 1, 2, 0])[:rows], group_count=groups)
         n_raw = data.n_covariates + 4
         drawn = np.array([*w, raw_p, raw_log_dispersion, raw_log_sigma_b, *b[:groups]])
-        fresh = mcmc._SplitTarget(data)
-        assert_same_target(fresh.propose(None, drawn[:n_raw], drawn[n_raw:]),
-                           log_unnormalized_posterior(data, drawn[:n_raw], drawn[n_raw:]))
-        accepted = mcmc._SplitTarget(data)
+        want = log_unnormalized_posterior(data, drawn[:n_raw], drawn[n_raw:])
+        if want == -math.inf:
+            with pytest.raises(ValueError, match="non-finite at the initial state"):
+                mcmc._SplitTarget(data, drawn[:n_raw], drawn[n_raw:])
+        else:
+            assert_same_target(mcmc._SplitTarget(data, drawn[:n_raw], drawn[n_raw:]).value, want)
         start = np.zeros_like(drawn)
-        assert math.isfinite(accepted.propose(None, start[:n_raw], start[n_raw:]))
-        accepted.accept()
         for name, span in mcmc._block_spans(data).items():
             moved = start.copy()
             moved[span] = drawn[span]
             want = log_unnormalized_posterior(data, moved[:n_raw], moved[n_raw:])
-            if name != "b":
-                assert_same_target(accepted.propose(name, moved[:n_raw], moved[n_raw:]), want)
-                continue
-            # every group moves at once: some change is -inf exactly where the target is
-            change = accepted.propose_groups(start[:n_raw], start[n_raw:], moved[n_raw:])
+            accepted = mcmc._SplitTarget(data, start[:n_raw], start[n_raw:])
+            # every unit moves at once: some change is -inf exactly where the target is
+            change = accepted.propose(name, moved[:n_raw], moved[n_raw:])
             assert (change == -math.inf).any() == (want == -math.inf)
             if want > -math.inf:
-                assert_same_target(accepted.accept_groups(start[:n_raw], moved[n_raw:],
-                                                          np.ones(groups, dtype=bool)), want)
+                accepted.accept(np.ones(change.size, dtype=bool))
+                assert_same_target(accepted.value, want)
+
+    def test_failed_proposal_is_rejected(self, monkeypatch):
+        # w's proposals put eta past the log link's limit: each is -inf, rejected, and
+        # leaves the target's value and the chain's state as they were
+        rejected = []
+
+        class Recorded(mcmc._SplitTarget):
+            def propose(self, block, raw, b):
+                change = super().propose(block, raw, b)
+                self.before = self.value if block == "w" else None
+                if block == "w":
+                    assert change.tolist() == [-math.inf]
+                return change
+
+            def accept(self, moves):
+                super().accept(moves)
+                if self.before is not None:
+                    assert not moves.any() and self.value == self.before
+                    rejected.append(moves)
+
+        monkeypatch.setattr(mcmc, "_SplitTarget", Recorded)
+        data = small_grouped_dataset()
+        cfg = ChainConfig(step_sizes={"w": 1e4}, iterations=50, burn_in=0, thinning=1, seed=0)
+        with pytest.warns(RuntimeWarning, match="block 'w' accepted 0.000%"):
+            result = run_chain(data, cfg)
+        assert len(rejected) == cfg.iterations
+        assert result.acceptance["w"] == 0.0 and result.acceptance["b"] > 0.0
+        assert (result.draws["raw"][:, :data.n_covariates + 1] == 0.0).all()

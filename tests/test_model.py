@@ -54,6 +54,15 @@ class TestDataset:
             Dataset(responses=np.array([-1.0]), fixed_design=np.zeros((1, 1)),
                     group_index=np.zeros(1, dtype=int), group_count=1)
 
+    @pytest.mark.parametrize("responses,design,named", [
+        ([np.nan], [[0.0]], "responses"),
+        ([1.0], [[np.inf]], "fixed_design"),
+    ])
+    def test_non_finite_rows_rejected(self, responses, design, named):
+        with pytest.raises(ValueError, match=f"{named} must be finite"):
+            Dataset(responses=np.array(responses), fixed_design=np.array(design),
+                    group_index=np.zeros(1, dtype=int), group_count=1)
+
     def test_subset_preserves_structure(self):
         data = toy_dataset(m=6)
         sub = data.subset(np.array([0, 2, 4]))
